@@ -14,7 +14,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import re
 import sys
 
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--z0", type=parse_complex, required=True, help="vortex position a+bi")
     fl.add_argument("--gamma", type=float, required=True, help="circulation")
     fl.add_argument("--k", type=int, default=1, help="annulus level (positive)")
-    fl.add_argument("--trunc", type=int, default=80, help="image-ladder truncation")
     fl.add_argument("--grid", type=parse_grid, required=True, help="resolution WxH")
     fl.add_argument("--out", required=True, help="output path (.csv or .json)")
     fl.add_argument("--exclusion", type=float, default=1e-6,
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, required=True)
     sim.add_argument("--steps", type=int, required=True)
     sim.add_argument("--out", required=True, help="trajectory CSV path")
-    sim.add_argument("--trunc", type=int, default=100)
     sim.add_argument("--record-every", type=int, default=1,
                      help="write every r-th step to the trajectory file")
 
@@ -185,23 +182,18 @@ def run_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_workers() -> int:
-    raw = os.environ.get("GOLDCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_field(args) -> int:
+    vortices = [(args.z0, args.gamma)]
     try:
-        annulus = hydro.AnnulusSpec(args.k, args.trunc)
-        grid = hydro.field_grid(annulus, [(args.z0, args.gamma)], args.grid,
-                                exclusion=args.exclusion,
-                                workers=_grid_workers())
+        annulus = hydro.AnnulusSpec(args.k)
+        grid = hydro.field_grid(annulus, vortices, args.grid, exclusion=args.exclusion)
     except ValueError as exc:
         print(f"goldcalc field: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not all(np.isfinite(c).all() for c in grid.columns):
+        print(f"goldcalc field: error: non-finite samples; {args.out} not written",
+              file=sys.stderr)
+        return EXIT_PHYSICS
     try:
         if args.out.endswith(".json"):
             grid.to_json(args.out)
@@ -210,18 +202,17 @@ def run_field(args) -> int:
     except OSError as exc:
         print(f"goldcalc field: error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    psis = [r[2] for r in grid.rows]
-    lo = min(psis) if psis else 0.0
-    hi = max(psis) if psis else 0.0
-    print(f"wrote {len(grid.rows)} samples to {args.out}  "
-          f"psi in [{lo:.6g}, {hi:.6g}]")
+    lo, hi = (grid.psi.min(), grid.psi.max()) if len(grid) else (0.0, 0.0)
+    print(f"wrote {len(grid)} samples to {args.out}  psi in [{lo:.6g}, {hi:.6g}]")
     # boundary diagnostic: psi should be constant on each wall
     if args.gamma != 0:
-        sys_ = hydro.ImageSystem(args.z0, args.gamma, annulus)
+        wall = np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
         for name, radius in (("inner", 1.0), ("outer", annulus.outer_radius)):
-            vals = [hydro.stream_function(sys_, radius * cmath.exp(1j * th))
-                    for th in np.linspace(0, 2 * math.pi, 64, endpoint=False)]
-            print(f"boundary psi std ({name}): {float(np.std(vals)):.3e}")
+            std = float(np.std(hydro.flow(annulus, vortices, radius * wall)[0]))
+            print(f"boundary psi std ({name}): {std:.3e}")
+            if not math.isfinite(std):
+                print("goldcalc field: error: non-finite boundary psi", file=sys.stderr)
+                return EXIT_PHYSICS
     return EXIT_OK
 
 
@@ -233,8 +224,7 @@ def run_simulate(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = dynamics.IntegratorConfig(args.dt, args.steps,
-                                        image_truncation=args.trunc)
+        cfg = dynamics.IntegratorConfig(args.dt, args.steps)
     except ValueError as exc:
         print(f"goldcalc simulate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,15 @@
 """Vortex motion in the golden annulus 1 < |z| < sqrt(phi).
 
-The velocity of each vortex combines the direct Biot-Savart terms with the
-closed-form image contribution written through phi-logarithms (pole-sum form,
-absolutely convergent).  Image strengths follow the convention
-kappa = -Gamma / (2 pi), which makes the single-vortex right-hand side agree
-with the uniform-rotation law and makes a vortex at the geometric-mean radius
-phi^(1/4) exactly stationary.
+The velocity of each vortex, the Hamiltonian and the Green function are all
+evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1),
+for every vortex pair at once as an (N, N) array.  The pair term K(z_l/z_j)
+of the velocity already contains the direct Biot-Savart term 1/(z_l - z_j).
+
+The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
+independent closed forms the tests and `verify` compare against.  Image
+strengths follow the convention kappa = -Gamma / (2 pi), which makes the
+single-vortex right-hand side agree with the uniform-rotation law and makes a
+vortex at the geometric-mean radius phi^(1/4) exactly stationary.
 """
 
 from __future__ import annotations
@@ -15,11 +19,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from goldcalc import kernel
 from goldcalc.ring import PHI
 
+LEVEL = 1  # the annulus 1 < |z| < phi^(LEVEL/2)
 SQRT_PHI = math.sqrt(PHI)
 GEOMETRIC_MEAN_RADIUS = PHI**0.25
 COLLISION_DISTANCE = 1e-6
@@ -27,7 +34,11 @@ COLLISION_DISTANCE = 1e-6
 
 class VortexEscapeError(RuntimeError):
     def __init__(self, step: int, index: int, z: complex):
-        super().__init__(f"vortex {index} left the annulus at step {step} (|z| = {abs(z):.6f})")
+        if cmath.isfinite(z):
+            msg = f"vortex {index} left the annulus at step {step} (|z| = {abs(z):.6f})"
+        else:
+            msg = f"vortex {index} position became non-finite at step {step} ({z!r})"
+        super().__init__(msg)
         self.step = step
         self.index = index
 
@@ -49,7 +60,9 @@ class VortexState:
     def __post_init__(self) -> None:
         if len(self.positions) != len(self.circulations):
             raise ValueError("positions and circulations must have equal length")
-        for z in self.positions:
+        for z, g in zip(self.positions, self.circulations):
+            if not (cmath.isfinite(z) and math.isfinite(g)):
+                raise ValueError(f"vortex at {z!r} with circulation {g!r} is not finite")
             if not 1.0 < abs(z) < SQRT_PHI:
                 raise ValueError(
                     f"vortex at |z| = {abs(z):.6f} outside open annulus (1, sqrt(phi))")
@@ -61,20 +74,18 @@ class VortexState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Fixed-step RK4: step size and number of steps."""
+
     dt: float
     steps: int
-    scheme: str = "rk4"
-    image_truncation: int = 100
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.scheme != "rk4":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
-        if self.image_truncation < 10:
-            raise ValueError("image_truncation must be >= 10")
+        if not math.isfinite(self.dt * self.steps):
+            raise ValueError("dt * steps overflows")
 
 
 def _pole_powers(trunc: int) -> np.ndarray:
@@ -101,29 +112,55 @@ def single_vortex_omega(r: float, kappa: float, trunc: int = 100) -> float:
     return PHI * kappa / (r * r) * float(vals[0] - vals[1])
 
 
-def n_vortex_rhs(state: VortexState, trunc: int = 100) -> list[complex]:
-    """dz_l/dt for every vortex: direct pair terms plus all image ladders."""
+def _pair_arguments(zs: np.ndarray) -> np.ndarray:
+    """Prime-function arguments (z_i / z_j, z_i conj(z_j)) as a (2, N, N) array.
+
+    The diagonal of the first block, where P has its zero zeta = 1, holds -1
+    instead; callers replace what the kernel returns there.
+    """
+    n = len(zs)
+    zeta = np.empty((2, n, n), dtype=complex)
+    np.divide(zs[:, None], zs, out=zeta[0])
+    np.multiply(zs[:, None], np.conj(zs), out=zeta[1])
+    zeta[0].flat[:: n + 1] = -1.0
+    return zeta
+
+
+def _check_collisions(zs: np.ndarray, step: int | None) -> None:
+    n = len(zs)
+    if n < 2:
+        return
+    dist = np.abs(zs[:, None] - zs)
+    dist.flat[:: n + 1] = np.inf
+    if dist.min() < COLLISION_DISTANCE:
+        i, j = sorted(divmod(int(dist.argmin()), n))
+        raise VortexCollisionError(step, i, j, float(dist[i, j]))
+
+
+class _Stage(NamedTuple):
+    """Positions and circulations of an RK4 stage, as arrays, not validated."""
+
+    positions: np.ndarray
+    circulations: np.ndarray
+
+
+def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
+    """dz_l/dt for every vortex, direct pair terms plus all images, as an array.
+
+    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) [K(z_l/z_j) - K(z_l conj z_j) + 1],
+    where the j = l term drops K(z_l/z_l), whose regular part vanishes.
+    The pair term's relative precision is about 1e-16 / |z_l - z_j|, far
+    below the RK4 error for any pair the integrator resolves.  Raises
+    VortexCollisionError for a pair closer than COLLISION_DISTANCE.
+    """
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
-    n = len(zs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(zs[i] - zs[j])
-            if d < COLLISION_DISTANCE:
-                raise VortexCollisionError(None, i, j, d)
-    poles = _pole_powers(trunc)
-    kappas = -gammas / (2 * math.pi)
-    zdot_bar = np.zeros(n, dtype=complex)
-    zc = np.conj(zs)
-    for l in range(n):
-        zl = zs[l]
-        for j in range(n):
-            if j != l:
-                zdot_bar[l] += gammas[j] / (2j * math.pi * (zl - zs[j]))
-        args = np.concatenate([-zl / zs, -zl * zc, -PHI / (zl * zc), -zs / zl])
-        lnp = _lnphi_pole(args, poles).reshape(4, n)
-        zdot_bar[l] += np.sum((1j * PHI / zl) * kappas * (lnp[0] - lnp[1] + lnp[2] - lnp[3]))
-    return [complex(v) for v in np.conj(zdot_bar)]
+    _check_collisions(zs, None)
+    kk = kernel.log_derivative(_pair_arguments(zs), LEVEL)
+    pair = kk[0]
+    pair.flat[:: len(zs) + 1] = 0.0
+    zdot_bar = ((pair - kk[1] + 1) @ gammas) / (2j * math.pi * zs)
+    return np.conj(zdot_bar)
 
 
 @dataclass
@@ -144,26 +181,18 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 evolution; aborts on boundary escape or near-collision."""
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
-
-    def rhs(z_arr: np.ndarray) -> np.ndarray:
-        st = object.__new__(VortexState)  # skip domain validation inside stages
-        object.__setattr__(st, "positions", tuple(z_arr))
-        object.__setattr__(st, "circulations", tuple(gammas))
-        object.__setattr__(st, "time", 0.0)
-        return np.asarray(n_vortex_rhs(st, cfg.image_truncation), dtype=complex)
+    circulations = tuple(state.circulations)
 
     def scan_events(z_arr: np.ndarray, step: int) -> None:
-        for i, z in enumerate(z_arr):
-            if not 1.0 < abs(z) < SQRT_PHI:
-                raise VortexEscapeError(step, i, complex(z))
-        for i in range(len(z_arr)):
-            for j in range(i + 1, len(z_arr)):
-                d = abs(z_arr[i] - z_arr[j])
-                if d < COLLISION_DISTANCE:
-                    raise VortexCollisionError(step, i, j, d)
+        radii = np.abs(z_arr)
+        outside = ~((1.0 < radii) & (radii < SQRT_PHI))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise VortexEscapeError(step, i, complex(z_arr[i]))
+        _check_collisions(z_arr, step)
 
     scan_events(zs, 0)
-    v0 = rhs(zs)
+    v0 = n_vortex_rhs(_Stage(zs, gammas))
     vmax = float(np.max(np.abs(v0))) if len(zs) else 0.0
     scale = _min_separation(zs)
     if vmax * cfg.dt > 0.5 * scale:
@@ -171,18 +200,18 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
             f"smallest separation {scale:.3g}")
 
+    dt = cfg.dt
     traj = Trajectory([state])
     t = state.time
     for step in range(1, cfg.steps + 1):
-        k1 = rhs(zs)
-        k2 = rhs(zs + 0.5 * cfg.dt * k1)
-        k3 = rhs(zs + 0.5 * cfg.dt * k2)
-        k4 = rhs(zs + cfg.dt * k3)
-        zs = zs + cfg.dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += cfg.dt
+        k1 = n_vortex_rhs(_Stage(zs, gammas))
+        k2 = n_vortex_rhs(_Stage(zs + 0.5 * dt * k1, gammas))
+        k3 = n_vortex_rhs(_Stage(zs + 0.5 * dt * k2, gammas))
+        k4 = n_vortex_rhs(_Stage(zs + dt * k3, gammas))
+        zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
         scan_events(zs, step)
-        traj.states.append(VortexState(tuple(complex(z) for z in zs),
-                                       tuple(gammas), t))
+        traj.states.append(VortexState(tuple(zs.tolist()), circulations, t))
     return traj
 
 
@@ -196,33 +225,30 @@ def _min_separation(zs: np.ndarray) -> float:
     return best
 
 
-def _log_abs_e_phi(w: complex, factors: int = 140) -> float:
-    """ln |e_phi(w)| via the Euler product."""
-    ns = np.arange(factors)
-    return float(np.sum(np.log(np.abs(1.0 + w / PHI ** (ns + 2)))))
+def _pair_log_matrix(zs: np.ndarray) -> np.ndarray:
+    """T_ij = ln|z_i - z_j| plus the image terms of the pair, through ln|P|.
+
+    Off the diagonal T_ij = ln|z_j| + ln|P(z_i/z_j)| - ln|P(z_i conj z_j)|
+    + ln|z_i conj z_j|; on it the first two terms become 2 ln (p; p)_inf,
+    the limit of ln|P(zeta)/(1 - zeta)| at zeta = 1.
+    """
+    zeta = _pair_arguments(zs)
+    lnp = kernel.log_abs_prime(zeta, LEVEL)
+    direct = np.log(np.abs(zs)) + lnp[0]
+    direct.flat[:: len(zs) + 1] = 2 * kernel.nome(LEVEL).log_euler
+    return direct - lnp[1] + np.log(np.abs(zeta[1]))
 
 
-def _image_log_term(zi: complex, zj: complex) -> float:
-    return (_log_abs_e_phi(-PHI * zi / zj) + _log_abs_e_phi(-PHI * zj / zi)
-            - _log_abs_e_phi(-PHI * zi * zj.conjugate())
-            - _log_abs_e_phi(-(PHI**2) / (zi * zj.conjugate())))
+def hamiltonian(state: VortexState) -> float:
+    """Conserved energy: pairwise ln-distance term plus image terms
+    (self-terms i = j included), in the gauge of the phi-exponential product
+    prod_n (1 + w/phi^(n+2)) over all images."""
+    zs = np.asarray(state.positions, dtype=complex)
+    gs = np.asarray(state.circulations, dtype=float)
+    return float(-(gs @ _pair_log_matrix(zs) @ gs) / (4 * math.pi))
 
 
-def hamiltonian(state: VortexState, trunc: int = 140) -> float:
-    """Conserved energy: pairwise ln-distance term plus image terms through
-    the phi-exponential product (self-terms i = j included)."""
-    zs = state.positions
-    gs = state.circulations
-    h = 0.0
-    for i in range(len(zs)):
-        for j in range(len(zs)):
-            if i != j:
-                h -= gs[i] * gs[j] / (4 * math.pi) * math.log(abs(zs[i] - zs[j]))
-            h -= gs[i] * gs[j] / (4 * math.pi) * _image_log_term(zs[i], zs[j])
-    return h
-
-
-def green_function(z: complex, z_l: complex, factors: int = 140) -> float:
+def green_function(z: complex, z_l: complex) -> float:
     """Dirichlet-type Green function of the k=1 annulus.
 
     Vanishes on the outer circle |z| = sqrt(phi) and equals
@@ -230,9 +256,10 @@ def green_function(z: complex, z_l: complex, factors: int = 140) -> float:
     """
     if abs(z - z_l) < COLLISION_DISTANCE:
         raise ValueError("green_function arguments coincide")
-    return (-math.log(abs(z - z_l)) / (2 * math.pi)
-            - _image_log_term(z, z_l) / (2 * math.pi)
-            + math.log(PHI) / (4 * math.pi))
+    zeta = np.array([z / z_l, z * z_l.conjugate()])
+    lnp = kernel.log_abs_prime(zeta, LEVEL)
+    pair = math.log(abs(z_l)) + lnp[0] - lnp[1] + math.log(abs(zeta[1]))
+    return float(-pair / (2 * math.pi) + math.log(PHI) / (4 * math.pi))
 
 
 def ring_frequency(n_vortices: int, r: float, gamma: float, trunc: int = 100) -> float:
@@ -256,14 +283,18 @@ def ring_frequency(n_vortices: int, r: float, gamma: float, trunc: int = 100) ->
     return float(omega.real)
 
 
-def semiclassical_energy(n: int, gamma: float, factors: int = 160) -> float:
-    """Quantized single-vortex energy level E_n; finite for every n >= 0."""
+def semiclassical_energy(n: int, gamma: float) -> float:
+    """Quantized single-vortex energy level E_n; finite for every n >= 0.
+
+    E_n = gamma^2/(4 pi) ln|e_phi(-phi h) e_phi(-phi^2/h)| with h = n + 1/2,
+    which is gamma^2/(4 pi) (ln|P(h)| - ln h).
+    """
     if n < 0:
         raise ValueError("level index must be non-negative")
     if gamma == 0:
         return 0.0
     half = n + 0.5
-    val = _log_abs_e_phi(-PHI * half, factors) + _log_abs_e_phi(-(PHI**2) / half, factors)
+    val = float(kernel.log_abs_prime(half, LEVEL)) - math.log(half)
     return gamma * gamma / (4 * math.pi) * val
 
 

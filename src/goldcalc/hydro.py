@@ -12,6 +12,12 @@ The truncated complex potential carries an additive gauge: rescaling
 z -> phi^k z shifts it by the exact constant gamma*k*ln(phi)/(2*pi*i), so
 potentials should only ever be compared through differences or through the
 velocity; the stream function Im F is single-valued and branch-free.
+
+The ladders, like the phi-exponential and phi-logarithm closed forms below,
+are expansions of the annulus prime function of `goldcalc.kernel`.  The
+production path (`flow`, `field_grid`) evaluates that function in closed
+form; the expansions stay as the independent oracles `verify` and the tests
+compare it against.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from goldcalc import kernel
 from goldcalc.functions import DEFAULT_TRUNCATION, SeriesTruncation, e_phi_product, ln_phi
 from goldcalc.ring import PHI
 
 EXCLUSION_DEFAULT = 1e-9
+CHUNK = 4096  # points per array pass of field_grid and per block of to_csv
 
 
 class SingularityProximityError(ValueError):
@@ -42,8 +50,7 @@ class AnnulusSpec:
     truncation: int = 80
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("annulus level k must be a positive integer")
+        kernel.check_level(self.k)
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
 
@@ -73,6 +80,9 @@ class ImageSystem:
     annulus: AnnulusSpec = AnnulusSpec()
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.z0) and math.isfinite(self.gamma)):
+            raise ValueError(f"vortex position and circulation must be finite, "
+                             f"got z0 = {self.z0!r}, gamma = {self.gamma!r}")
         if not self.annulus.contains(self.z0):
             raise ValueError(
                 f"vortex must sit strictly inside the annulus "
@@ -237,28 +247,89 @@ def velocity_via_ln_phi(vortices, z: complex, t: SeriesTruncation = DEFAULT_TRUN
     return total
 
 
+# --- the production path: the annulus prime function ----------------------
+
+def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
+    """Stream function psi and conjugate velocity u - i v at the points z.
+
+    vortices is a sequence of (z0, gamma).  Each vortex contributes
+
+        u - i v = gamma / (2 pi i z) [K(z/z0) - K(z conj(z0)) + 1]
+        psi     = -gamma / (2 pi) [ln|P(z/z0)| - ln|P(z conj(z0))| + ln|z|]
+
+    with P and K = zeta P'/P from `goldcalc.kernel`.  This psi equals
+    gamma ln|z0| / (2 pi) on the inner circle |z| = 1 and
+    gamma ln(|z0|^2 / phi^(k/2)) / (2 pi) on the outer one; it differs from
+    the truncated ladder's Im F by a constant.
+    """
+    z = np.asarray(z, dtype=complex)
+    psi = np.zeros(z.shape)
+    vel = np.zeros(z.shape, dtype=complex)
+    log_r = np.log(np.abs(z))
+    for z0, gamma in vortices:
+        ImageSystem(z0, gamma, annulus)  # validates the vortex
+        if gamma == 0:
+            continue
+        zeta = np.stack([z / z0, z * np.conj(z0)])
+        lnp = kernel.log_abs_prime(zeta, annulus.k)
+        kk = kernel.log_derivative(zeta, annulus.k)
+        # P(z/z0) carries the factor 1 - z/z0; from the rounded ratio it costs
+        # relative precision eps/|z - z0| near the vortex, so swap it for the
+        # exact difference: ln|1 - z/z0| -> ln|(z - z0)/z0|, and its share
+        # -zeta/(1 - zeta) of K -> z/(z - z0)
+        near, dz = zeta[0], z - z0
+        lnp_near = lnp[0] - np.log(np.abs(1 - near)) + np.log(np.abs(dz / z0))
+        k_near = kk[0] + near / (1 - near) + z / dz
+        psi -= gamma / (2 * math.pi) * (lnp_near - lnp[1] + log_r)
+        vel += gamma / (2j * math.pi) * (k_near - kk[1] + 1) / z
+    return psi, vel
+
+
 # --- sampled fields ---------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class FlowGrid:
     """Sampled stream function and velocity on a cartesian grid.
 
-    rows hold (x, y, psi, u, v) for every kept point; bounds and resolution
-    record the generating grid.
+    x, y, psi, u, v are equal-length float arrays, one entry per kept point;
+    bounds and resolution record the generating grid.
     """
 
-    rows: list[tuple[float, float, float, float, float]]
+    x: np.ndarray
+    y: np.ndarray
+    psi: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     bounds: tuple[float, float, float, float]
     resolution: tuple[int, int]
 
     FIELDS = ("x", "y", "psi", "u", "v")
 
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.x, self.y, self.psi, self.u, self.v)
+
+    @property
+    def rows(self) -> list[tuple[float, float, float, float, float]]:
+        """(x, y, psi, u, v) per kept point, as Python floats."""
+        return list(zip(*(c.tolist() for c in self.columns)))
+
+    def __len__(self) -> int:
+        return len(self.x)
+
     def to_csv(self, path) -> None:
+        """Header plus one row of float reprs per point, CRLF-terminated as csv.writer writes."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.FIELDS)
-            for row in self.rows:
-                w.writerow([repr(v) for v in row])
+            fh.write(",".join(self.FIELDS) + "\r\n")
+            for start in range(0, len(self), CHUNK):
+                block = (map(repr, c[start:start + CHUNK].tolist()) for c in self.columns)
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+    @classmethod
+    def _from_rows(cls, rows) -> "FlowGrid":
+        data = np.asarray(rows, dtype=float).reshape(-1, len(cls.FIELDS))
+        return cls(*(data[:, i].copy() for i in range(len(cls.FIELDS))),
+                   bounds=_bounds_of(data), resolution=(0, 0))
 
     @classmethod
     def from_csv(cls, path) -> "FlowGrid":
@@ -268,7 +339,7 @@ class FlowGrid:
             if tuple(header) != cls.FIELDS:
                 raise ValueError(f"unexpected header {header!r}")
             rows = [tuple(float(v) for v in line) for line in r]
-        return cls(rows=rows, bounds=_bounds_of(rows), resolution=(0, 0))
+        return cls._from_rows(rows)
 
     def to_json(self, path) -> None:
         data = [dict(zip(self.FIELDS, row)) for row in self.rows]
@@ -279,58 +350,54 @@ class FlowGrid:
     def from_json(cls, path) -> "FlowGrid":
         with open(path) as fh:
             data = json.load(fh)
-        rows = [tuple(float(rec[f]) for f in cls.FIELDS) for rec in data]
-        return cls(rows=rows, bounds=_bounds_of(rows), resolution=(0, 0))
+        return cls._from_rows([tuple(float(rec[f]) for f in cls.FIELDS) for rec in data])
 
 
-def _bounds_of(rows):
-    if not rows:
+def _bounds_of(data: np.ndarray):
+    if not len(data):
         return (0.0, 0.0, 0.0, 0.0)
-    xs = [r[0] for r in rows]
-    ys = [r[1] for r in rows]
-    return (min(xs), max(xs), min(ys), max(ys))
+    return (float(data[:, 0].min()), float(data[:, 0].max()),
+            float(data[:, 1].min()), float(data[:, 1].max()))
 
 
 def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
-               exclusion: float = 1e-6, workers: int = 1) -> FlowGrid:
+               exclusion: float = 1e-6) -> FlowGrid:
     """Sample psi and (u, v) on an nx-by-ny grid over the annulus bounding box.
 
     Points outside the open annulus or within `exclusion` of any image are
     dropped.  vortices is a sequence of (z0, gamma); an empty sequence yields
-    an all-zero field.  Evaluation is pure per point, so rows can be computed
-    on `workers` threads.
+    an all-zero field.  `flow` evaluates the kept points in array passes of
+    CHUNK points, which bounds the temporaries.
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
+    if not 0 <= exclusion < math.inf:
+        raise ValueError(f"exclusion must be finite and non-negative, got {exclusion!r}")
     systems = [ImageSystem(z0, gamma, annulus) for z0, gamma in vortices]
-    ladders = [np.concatenate(_ladders(s)) for s in systems]
     r_out = annulus.outer_radius
     xs = np.linspace(-r_out, r_out, nx)
     ys = np.linspace(-r_out, r_out, ny)
-
-    def eval_row(y: float):
-        rows = []
-        for x in xs:
-            z = complex(x, y)
-            if not annulus.contains(z):
-                continue
-            if any(np.min(np.abs(lad - z)) < exclusion for lad in ladders):
-                continue
-            psi = 0.0
-            vel = 0j
-            for s in systems:
-                psi += stream_function(s, z, eps=exclusion / 2)
-                vel += vortex_velocity(s, z, eps=exclusion / 2)
-            rows.append((float(x), float(y), psi, vel.real, -vel.imag))
-        return rows
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(eval_row, ys))
-    else:
-        chunks = [eval_row(y) for y in ys]
-    rows = [row for chunk in chunks for row in chunk]
-    return FlowGrid(rows=rows, bounds=(-r_out, r_out, -r_out, r_out),
-                    resolution=(nx, ny))
+    z = np.empty((ny, nx), dtype=complex)
+    z.real = xs
+    z.imag = ys[:, None]
+    r = np.abs(z)
+    keep = (annulus.inner_radius < r) & (r < r_out)
+    # an image more than `exclusion` outside the annulus excludes none of its
+    # points (the window is twice that wide so that rounding cannot matter);
+    # images that overflow to inf or nan at large k fall outside it
+    for s in systems:
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = np.concatenate(_ladders(s))
+            radii = np.abs(images)
+            near = images[(radii >= 1 - 2 * exclusion) & (radii <= r_out + 2 * exclusion)]
+        for w in near:
+            keep &= ~(np.abs(w - z) < exclusion)
+    z = z[keep]
+    psi = np.empty(len(z))
+    vel = np.empty(len(z), dtype=complex)
+    for start in range(0, len(z), CHUNK):
+        part = slice(start, start + CHUNK)
+        psi[part], vel[part] = flow(annulus, vortices, z[part])
+    return FlowGrid(z.real.copy(), z.imag.copy(), psi, vel.real.copy(), -vel.imag,
+                    bounds=(-r_out, r_out, -r_out, r_out), resolution=(nx, ny))

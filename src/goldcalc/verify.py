@@ -440,7 +440,53 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
                                - hydro.vortex_velocity(sys200, z)))
     out.append(_check("phi-logarithm velocity equals image-sum velocity",
                       worst < 1e-7 * tol, f"worst {worst:.2e}"))
+
+    worst_v, worst_psi, worst_pole = _kernel_against_oracles(rng)
+    out.append(_check("kernel equals ladder and pole-sum forms",
+                      max(worst_v, worst_pole) < 1e-10 * tol and worst_psi < 1e-10 * tol,
+                      f"velocity {worst_v:.1e}, psi differences {worst_psi:.1e}, "
+                      f"pole-sum rhs {worst_pole:.1e}"))
     return out
+
+
+def _kernel_against_oracles(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Worst disagreement of the prime-function kernel with the other forms.
+
+    Velocity (relative) and psi differences against converged image ladders at
+    k = 1, 4 (dual series, one and two terms) and 20 (direct product), at
+    points within 1e-9 of each wall and one inside; the k = 1 velocity also
+    against the phi-logarithm pole sum, and a 2-vortex rhs against pole sums
+    plus the single-vortex rotation law.
+    """
+    worst_v = worst_psi = worst_pole = 0.0
+    for k in (1, 4, 20):
+        # ladder terms beyond n fall below 1e-40 relative
+        ann = hydro.AnnulusSpec(k, math.ceil(40 / (k * math.log10(PHI))) + 1)
+        width = ann.outer_radius - 1
+        z0 = cmath.rect(1 + width * rng.uniform(0.2, 0.8), rng.uniform(0, 2 * math.pi))
+        zs = np.array([cmath.rect(1 + width * f, rng.uniform(0, 2 * math.pi))
+                       for f in (1e-9, 0.5, 1 - 1e-9)])
+        psi, vel = hydro.flow(ann, [(z0, 0.9)], zs)
+        sys = hydro.ImageSystem(z0, 0.9, ann)
+        ref_v = np.array([hydro.vortex_velocity(sys, complex(z)) for z in zs])
+        ref_psi = np.array([hydro.stream_function(sys, complex(z)) for z in zs])
+        worst_v = max(worst_v, _relative_error(vel, ref_v))
+        worst_psi = max(worst_psi, float(np.ptp(psi - ref_psi)))
+        if k == 1:
+            ref = [hydro.velocity_via_ln_phi([(z0, -0.9 / (2 * math.pi))], complex(z)) for z in zs]
+            worst_pole = max(worst_pole, _relative_error(vel, np.array(ref)))
+    pos = tuple(cmath.rect(r, rng.uniform(0, 2 * math.pi)) for r in (1.08, 1.2))
+    gs = (1.0, -0.6)
+    ref = [hydro.velocity_via_ln_phi([(pos[1 - l], -gs[1 - l] / (2 * math.pi))], zl).conjugate()
+           + 1j * zl * dynamics.single_vortex_omega(abs(zl), -gs[l] / (2 * math.pi))
+           for l, zl in enumerate(pos)]
+    rhs = dynamics.n_vortex_rhs(dynamics.VortexState(pos, gs))
+    worst_pole = max(worst_pole, _relative_error(rhs, np.array(ref)))
+    return worst_v, worst_psi, worst_pole
+
+
+def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 # --------------------------------------------------------------------------

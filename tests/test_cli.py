@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from goldcalc import dynamics, hydro
 from goldcalc.cli import main, parse_complex, parse_grid
 from goldcalc.functions import golden_exp
 from goldcalc.hydro import FlowGrid
@@ -85,7 +87,7 @@ class TestField:
     def test_csv_schema_and_summary(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         code = run_cli(["field", "--z0", "1.2+0i", "--gamma", "1.0", "--k", "2",
-                        "--trunc", "50", "--grid", "50x50", "--out", str(out)])
+                        "--grid", "50x50", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,psi,u,v"
@@ -105,7 +107,7 @@ class TestField:
     def test_boundary_report_tight_at_trunc_80(self, tmp_path, capsys):
         out = tmp_path / "f80.csv"
         assert run_cli(["field", "--z0", "1.13+0.2i", "--gamma", "1.0", "--k", "1",
-                        "--trunc", "80", "--grid", "8x8", "--out", str(out)]) == 0
+                        "--grid", "8x8", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         stds = [float(line.rsplit(":", 1)[1])
                 for line in stdout.splitlines() if "boundary psi std" in line]
@@ -127,6 +129,44 @@ class TestField:
     def test_unwritable_path_is_error(self, capsys):
         assert run_cli(["field", "--z0", "1.2+0i", "--gamma", "1.0", "--k", "1",
                         "--grid", "8x8", "--out", "/nonexistent/dir/f.csv"]) == 1
+
+    def test_non_finite_z0_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--z0", "1e999+0i", "--gamma", "1.0", "--k", "1",
+                        "--grid", "8x8", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--z0", "1.2+0i", f"--gamma={gamma}", "--k", "1",
+                        "--grid", "8x8", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_level_whose_power_overflows_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--z0", "1.2+0i", "--gamma", "1.0", "--k", "1475",
+                        "--grid", "8x8", "--out", str(out)]) == 1
+        assert "overflows" in capsys.readouterr().err
+
+    def test_large_level_probe_is_finite(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--z0", "50.1+30.2i", "--gamma", "1.2", "--k", "20",
+                        "--grid", "20x20", "--out", str(out)]) == 0
+        grid = FlowGrid.from_csv(out)
+        assert len(grid) and all(np.isfinite(c).all() for c in grid.columns)
+
+    def test_non_finite_samples_exit_two(self, tmp_path, capsys, monkeypatch):
+        def nan_flow(annulus, vortices, z):
+            return np.full(np.shape(z), np.nan), np.full(np.shape(z), np.nan, dtype=complex)
+
+        monkeypatch.setattr(hydro, "flow", nan_flow)
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--z0", "1.2+0i", "--gamma", "1.0", "--k", "1",
+                        "--grid", "8x8", "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -180,6 +220,39 @@ class TestSimulate:
                         "--steps", "10", "--out", str(out)])
         assert code == 2
         assert "aborted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"x": 1.1, "y": 0.0, "gamma": math.nan},
+        {"x": 1.1, "y": 0.0, "gamma": math.inf},
+        {"x": math.nan, "y": 0.0, "gamma": 1.0},
+        {"x": 1.1, "y": math.inf, "gamma": 1.0},
+    ])
+    def test_non_finite_initial_condition_exit_one(self, tmp_path, capsys, record):
+        init = tmp_path / "nan.json"
+        init.write_text(json.dumps([record]))  # json writes NaN and Infinity literals
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
+                        "--steps", "10", "--out", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_dt_exit_one(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        for dt in ("nan", "inf"):
+            assert run_cli(["simulate", "--init", str(init), "--dt", dt,
+                            "--steps", "10", "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_non_finite_positions_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "n_vortex_rhs",
+                            lambda state: np.full(len(state.positions), np.nan, dtype=complex))
+        init = tmp_path / "init.json"
+        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
+                        "--steps", "10", "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_every_thins_output(self, tmp_path, capsys):
         init = tmp_path / "init.json"

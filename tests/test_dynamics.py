@@ -38,8 +38,6 @@ class TestVortexState:
             IntegratorConfig(0.0, 10)
         with pytest.raises(ValueError):
             IntegratorConfig(1e-3, 0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(1e-3, 10, scheme="euler")
 
 
 class TestSingleVortexOmega:

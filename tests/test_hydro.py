@@ -1,10 +1,13 @@
 import cmath
+import csv
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
+from goldcalc import hydro
 from goldcalc.hydro import (
     AnnulusSpec,
     FlowGrid,
@@ -259,11 +262,6 @@ class TestFieldGrid:
             assert abs(u - du) < 1e-5
             assert abs(v - dv) < 1e-5
 
-    def test_workers_agree_with_serial(self):
-        a = field_grid(self.ANN, [(self.Z0, 1.0)], (14, 14), exclusion=1e-3, workers=1)
-        b = field_grid(self.ANN, [(self.Z0, 1.0)], (14, 14), exclusion=1e-3, workers=4)
-        assert a.rows == b.rows
-
     def test_csv_round_trip_bit_exact(self, tmp_path):
         grid = field_grid(self.ANN, [(self.Z0, 1.0)], (14, 14), exclusion=1e-3)
         path = tmp_path / "field.csv"
@@ -271,6 +269,19 @@ class TestFieldGrid:
         assert open(path).readline().strip() == "x,y,psi,u,v"
         back = FlowGrid.from_csv(path)
         assert back.rows == grid.rows
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # more kept points than one block of to_csv
+        grid = field_grid(self.ANN, [(self.Z0, 1.0)], (130, 130), exclusion=1e-3)
+        assert len(grid) > hydro.CHUNK
+        path = tmp_path / "field.csv"
+        grid.to_csv(path)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(FlowGrid.FIELDS)
+        for row in grid.rows:
+            w.writerow([repr(v) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_json_round_trip_bit_exact(self, tmp_path):
         grid = field_grid(self.ANN, [(self.Z0, 1.0)], (10, 10), exclusion=1e-3)
@@ -282,3 +293,6 @@ class TestFieldGrid:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             field_grid(self.ANN, [], (1, 5))
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                field_grid(self.ANN, [], (5, 5), exclusion=bad)

@@ -1,0 +1,230 @@
+"""The prime-function kernel against the paper's other forms of the same flow.
+
+The production paths (`hydro.flow`, `field_grid`, `dynamics.n_vortex_rhs`,
+`hamiltonian`) evaluate the annulus prime function in closed form.  These
+property tests compare them on random interior points, walls included, with
+image ladders summed to a 1e-40 tail, phi-logarithm pole sums and the
+phi-exponential Euler product.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from goldcalc import dynamics, hydro, kernel
+from goldcalc.functions import e_phi_product
+from goldcalc.ring import PHI
+
+LEVELS = [1, 2, 3, 4, 5, 6, 7, 8, 20]
+SQRT_PHI = math.sqrt(PHI)
+
+
+def ladder_annulus(k: int) -> hydro.AnnulusSpec:
+    """Annulus whose ladders are truncated where the terms fall below 1e-40."""
+    return hydro.AnnulusSpec(k, math.ceil(40 / (k * math.log10(PHI))) + 1)
+
+
+@st.composite
+def radial_fraction(draw):
+    """A fraction of the annulus width in (0, 1), often within 1e-9 of a wall."""
+    kind = draw(st.sampled_from(["inner", "outer", "interior"]))
+    if kind == "interior":
+        return draw(st.floats(1e-3, 1 - 1e-3))
+    off = draw(st.floats(1e-12, 1e-9))
+    return off if kind == "inner" else 1 - off
+
+
+def point(k: int, fraction: float, angle: float) -> complex:
+    outer = PHI ** (k / 2)
+    return cmath.rect(1 + (outer - 1) * fraction, angle)
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestNome:
+    def test_form_and_terms(self):
+        assert kernel.nome(1).dual and kernel.nome(1).terms == 1
+        assert kernel.nome(4).dual and kernel.nome(4).terms == 2
+        assert not kernel.nome(20).dual
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True, 1475])
+    def test_invalid_level(self, k):
+        with pytest.raises(ValueError):
+            kernel.nome(k)
+
+    def test_largest_finite_level(self):
+        assert math.isfinite(PHI**1474)
+        assert not kernel.nome(1474).dual
+
+    @pytest.mark.parametrize("k", [1, 4, 12, 16, 40])
+    def test_both_forms_agree(self, k):
+        # the dual series and the direct product are the same function; each k
+        # uses one of them, so evaluate the other one here by hand
+        rng = np.random.default_rng(k)
+        outer = PHI ** (k / 2)
+        zeta = (rng.uniform(1, outer, 40) * np.exp(1j * rng.uniform(-3, 3, 40))
+                / (rng.uniform(1, outer, 40) * np.exp(1j * rng.uniform(-3, 3, 40))))
+        p = PHI**-k
+        n = np.arange(1, 400)[:, None]
+        direct_k = (1 - 1 / (1 - zeta)
+                    + np.sum(1 / (1 - p**n / zeta) - 1 / (1 - p**n * zeta), axis=0))
+        direct_p = np.log(np.abs(1 - zeta)) + np.sum(
+            np.log(np.abs((1 - p**n * zeta) * (1 - p**n / zeta))), axis=0)
+        assert np.max(np.abs(kernel.log_derivative(zeta, k) - direct_k)) < 1e-13
+        assert np.max(np.abs(kernel.log_abs_prime(zeta, k) - direct_p)) < 1e-13
+
+
+class TestFlowAgainstLadders:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from(LEVELS), f0=st.floats(0.05, 0.95), a0=angles,
+           fa=radial_fraction(), aa=angles, fb=radial_fraction(), ab=angles,
+           gamma=st.floats(-2, 2).filter(lambda g: abs(g) > 1e-3))
+    def test_velocity_and_psi_differences(self, k, f0, a0, fa, aa, fb, ab, gamma):
+        z0 = point(k, f0, a0)
+        za, zb = point(k, fa, aa), point(k, fb, ab)
+        assume(min(abs(za - z0), abs(zb - z0)) > 1e-6)
+        ann = ladder_annulus(k)
+        psi, vel = hydro.flow(ann, [(z0, gamma)], np.array([za, zb]))
+        sys = hydro.ImageSystem(z0, gamma, ann)
+        for z, v in zip((za, zb), vel):
+            ref = hydro.vortex_velocity(sys, z)
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref_diff = hydro.stream_function(sys, za) - hydro.stream_function(sys, zb)
+        assert abs((psi[0] - psi[1]) - ref_diff) <= 1e-11 * max(1.0, abs(gamma))
+
+    @pytest.mark.parametrize("k", [1, 4, 20])
+    @pytest.mark.parametrize("distance", [1e-6, 1e-4, 1e-2])
+    def test_precision_near_the_vortex(self, k, distance):
+        # the ladder subtracts z - z0 exactly; the kernel must not lose
+        # relative precision to the rounded ratio z / z0 there
+        z0 = point(k, 0.4, 0.7)
+        ann = ladder_annulus(k)
+        sys = hydro.ImageSystem(z0, 1.0, ann)
+        zs = z0 + distance * np.exp(1j * np.linspace(0, 2 * math.pi, 12, endpoint=False))
+        zb = point(k, 0.8, -2.0)
+        psi, vel = hydro.flow(ann, [(z0, 1.0)], np.append(zs, zb))
+        ref = np.array([hydro.vortex_velocity(sys, complex(z)) for z in zs])
+        assert np.max(np.abs(vel[:-1] - ref) / np.abs(ref)) < 1e-13
+        ref_psi = [hydro.stream_function(sys, complex(z)) - hydro.stream_function(sys, zb)
+                   for z in zs]
+        assert np.max(np.abs(psi[:-1] - psi[-1] - ref_psi)) < 1e-11
+
+    @pytest.mark.parametrize("k", LEVELS)
+    def test_psi_constant_on_each_wall(self, k):
+        z0 = point(k, 0.37, 0.8)
+        ann = hydro.AnnulusSpec(k)
+        wall = np.exp(1j * np.linspace(0, 2 * math.pi, 50, endpoint=False))
+        inner, _ = hydro.flow(ann, [(z0, 1.3)], wall)
+        outer, _ = hydro.flow(ann, [(z0, 1.3)], ann.outer_radius * wall)
+        assert np.max(np.abs(inner - 1.3 * math.log(abs(z0)) / (2 * math.pi))) < 1e-13
+        expected = 1.3 * math.log(abs(z0) ** 2 / ann.outer_radius) / (2 * math.pi)
+        assert np.max(np.abs(outer - expected)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(z0=st.tuples(st.floats(0.05, 0.95), angles), fz=radial_fraction(), az=angles)
+    def test_k1_velocity_matches_pole_sum(self, z0, fz, az):
+        zs, z = point(1, *z0), point(1, fz, az)
+        assume(abs(z - zs) > 1e-6)
+        _, vel = hydro.flow(hydro.AnnulusSpec(1), [(zs, 0.7)], np.array([z]))
+        ref = hydro.velocity_via_ln_phi([(zs, -0.7 / (2 * math.pi))], z)
+        assert abs(vel[0] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@st.composite
+def vortex_states(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    positions = []
+    for _ in range(n):
+        r = draw(st.floats(1.01, SQRT_PHI - 0.01))
+        positions.append(cmath.rect(r, draw(angles)))
+    assume(all(abs(a - b) > 0.02 for i, a in enumerate(positions) for b in positions[i + 1:]))
+    gammas = [draw(st.floats(-2, 2)) for _ in range(n)]
+    return dynamics.VortexState(tuple(positions), tuple(gammas))
+
+
+def pole_sum_rhs(state) -> list[complex]:
+    """dz_l/dt from phi-logarithm pole sums: other vortices through
+    velocity_via_ln_phi, the vortex's own images through single_vortex_omega."""
+    out = []
+    kappas = [-g / (2 * math.pi) for g in state.circulations]
+    for l, zl in enumerate(state.positions):
+        others = [(zj, kj) for j, (zj, kj) in enumerate(zip(state.positions, kappas)) if j != l]
+        v = hydro.velocity_via_ln_phi(others, zl).conjugate() if others else 0j
+        out.append(v + 1j * zl * dynamics.single_vortex_omega(abs(zl), kappas[l]))
+    return out
+
+
+def euler_hamiltonian(state) -> float:
+    """The Hamiltonian with every image term written through e_phi_product."""
+    def log_e(w):
+        return math.log(abs(e_phi_product(w)))
+
+    h = 0.0
+    zs, gs = state.positions, state.circulations
+    for i, zi in enumerate(zs):
+        for j, zj in enumerate(zs):
+            c = gs[i] * gs[j] / (4 * math.pi)
+            if i != j:
+                h -= c * math.log(abs(zi - zj))
+            h -= c * (log_e(-PHI * zi / zj) + log_e(-PHI * zj / zi)
+                      - log_e(-PHI * zi * zj.conjugate())
+                      - log_e(-(PHI**2) / (zi * zj.conjugate())))
+    return h
+
+
+class TestDynamicsAgainstClosedForms:
+    @settings(max_examples=60, deadline=None)
+    @given(state=vortex_states())
+    def test_rhs_matches_pole_sums(self, state):
+        got = dynamics.n_vortex_rhs(state)
+        for v, ref in zip(got, pole_sum_rhs(state)):
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=vortex_states())
+    def test_hamiltonian_matches_euler_product(self, state):
+        ref = euler_hamiltonian(state)
+        # relative to the Hamiltonian's scale, which a mixed-sign state can cancel
+        scale = max(abs(ref), sum(abs(g) for g in state.circulations) ** 2 / (4 * math.pi))
+        assert abs(dynamics.hamiltonian(state) - ref) <= 1e-12 * scale
+
+
+def ladder_rule_points(annulus, z0, resolution, exclusion):
+    """Grid points the per-point ladder rule keeps: inside the open annulus and
+    at least `exclusion` from every image of both ladders."""
+    sys = hydro.ImageSystem(z0, 1.0, annulus)
+    ladder = np.concatenate(hydro._ladders(sys))
+    r_out = annulus.outer_radius
+    kept = []
+    for y in np.linspace(-r_out, r_out, resolution[1]):
+        for x in np.linspace(-r_out, r_out, resolution[0]):
+            z = complex(x, y)
+            if annulus.contains(z) and not np.min(np.abs(ladder - z)) < exclusion:
+                kept.append((float(x), float(y)))
+    return kept
+
+
+class TestFieldGridPointSet:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.sampled_from([1, 2, 4]), f0=st.floats(1e-4, 1 - 1e-4), a0=angles,
+           exclusion=st.sampled_from([1e-6, 1e-3, 5e-2]), n=st.integers(8, 40))
+    def test_same_points_as_ladder_rule(self, k, f0, a0, exclusion, n):
+        ann = hydro.AnnulusSpec(k, 20)
+        z0 = point(k, f0, a0)
+        grid = hydro.field_grid(ann, [(z0, 1.0)], (n, n + 3), exclusion=exclusion)
+        assert [r[:2] for r in grid.rows] == ladder_rule_points(ann, z0, (n, n + 3), exclusion)
+
+    @pytest.mark.parametrize("exclusion", [1e-6, 1e-3, 5e-2])
+    def test_vortex_on_a_grid_point_and_near_the_walls(self, exclusion):
+        # z0 on a grid node, and z0 close to either wall so that an image
+        # lies just outside the annulus
+        ann = hydro.AnnulusSpec(1, 20)
+        xs = np.linspace(-ann.outer_radius, ann.outer_radius, 41)
+        for z0 in (complex(xs[38], xs[20]), 1.0005 + 0j, (ann.outer_radius - 5e-4) * 1j):
+            grid = hydro.field_grid(ann, [(z0, 1.0)], (41, 41), exclusion=exclusion)
+            assert [r[:2] for r in grid.rows] == ladder_rule_points(ann, z0, (41, 41), exclusion)
