@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or parse error, 2 runtime physics event
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import re
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, required=True)
     sim.add_argument("--out", required=True, help="trajectory CSV path")
     sim.add_argument("--record-every", type=int, default=1,
-                     help="write every r-th step to the trajectory file")
+                     help="write steps 0, r, 2r, ... and the last step (r >= 1)")
 
     ver = sub.add_parser("verify", help="run invariant suites")
     ver.add_argument("--suite", default="all",
@@ -217,6 +216,10 @@ def run_field(args) -> int:
 
 
 def run_simulate(args) -> int:
+    if args.record_every < 1:
+        print("goldcalc simulate: error: --record-every must be >= 1",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         state = dynamics.load_initial_conditions(args.init)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -236,17 +239,13 @@ def run_simulate(args) -> int:
     except ValueError as exc:
         print(f"goldcalc simulate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    recorded = dynamics.Trajectory(traj.states[:: max(1, args.record_every)])
-    if recorded.states[-1] is not traj.states[-1]:
-        recorded.states.append(traj.states[-1])
-    recorded.to_csv(args.out)
-    total_t = traj.states[-1].time - traj.states[0].time
+    traj.to_csv(args.out, every=args.record_every)
+    total_t = float(traj.times[-1])
     print(f"integrated {state.n} vortices for {args.steps} steps "
           f"(t = {total_t!r}); wrote {args.out}")
     # measured mean rotation rate per vortex (angle unwrapped along the path)
-    for i in range(state.n):
-        angles = np.unwrap([cmath.phase(s.positions[i]) for s in traj.states])
-        omega = (angles[-1] - angles[0]) / total_t if total_t else 0.0
+    angles = np.unwrap(np.angle(traj.positions), axis=0)
+    for i, omega in enumerate((angles[-1] - angles[0]) / total_t):
         print(f"vortex {i}: measured omega = {omega:.8f}")
     return EXIT_OK
 

@@ -15,10 +15,9 @@ vortex at the geometric-mean radius phi^(1/4) exactly stationary.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +29,7 @@ LEVEL = 1  # the annulus 1 < |z| < phi^(LEVEL/2)
 SQRT_PHI = math.sqrt(PHI)
 GEOMETRIC_MEAN_RADIUS = PHI**0.25
 COLLISION_DISTANCE = 1e-6
+CHUNK = 4096  # trajectory CSV rows per written block
 
 
 class VortexEscapeError(RuntimeError):
@@ -55,7 +55,6 @@ class VortexCollisionError(RuntimeError):
 class VortexState:
     positions: tuple[complex, ...]
     circulations: tuple[float, ...]
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.positions) != len(self.circulations):
@@ -126,15 +125,32 @@ def _pair_arguments(zs: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def _check_collisions(zs: np.ndarray, step: int | None) -> None:
+def _check_pairs(zs: np.ndarray, step: int | None) -> float:
+    """Smallest pair distance (inf for fewer than two vortices); raises
+    VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
     n = len(zs)
     if n < 2:
-        return
+        return math.inf
     dist = np.abs(zs[:, None] - zs)
     dist.flat[:: n + 1] = np.inf
-    if dist.min() < COLLISION_DISTANCE:
+    closest = float(dist.min())
+    if closest < COLLISION_DISTANCE:
         i, j = sorted(divmod(int(dist.argmin()), n))
-        raise VortexCollisionError(step, i, j, float(dist[i, j]))
+        raise VortexCollisionError(step, i, j, closest)
+    return closest
+
+
+def _check_events(zs: np.ndarray, step: int) -> float:
+    """Smallest wall gap or pair distance of the positions zs; raises
+    VortexEscapeError for a vortex outside the open annulus (or non-finite)
+    and VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
+    radii = np.abs(zs)
+    gaps = np.minimum(radii - 1.0, SQRT_PHI - radii)
+    wall = float(gaps.min(initial=math.inf))
+    if not wall > 0:
+        i = int(np.argmin(gaps > 0))
+        raise VortexEscapeError(step, i, complex(zs[i]))
+    return min(wall, _check_pairs(zs, step))
 
 
 class _Stage(NamedTuple):
@@ -155,7 +171,7 @@ def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     """
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
-    _check_collisions(zs, None)
+    _check_pairs(zs, None)
     kk = kernel.log_derivative(_pair_arguments(zs), LEVEL)
     pair = kk[0]
     pair.flat[:: len(zs) + 1] = 0.0
@@ -163,46 +179,53 @@ def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     return np.conj(zdot_bar)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    states: list[VortexState] = field(default_factory=list)
+    """An RK4 run: row s of `positions` (steps + 1, N) is the state at step s,
+    reached at time `times[s]`; the run starts at t = 0."""
 
-    def to_csv(self, path) -> None:
-        """Rows step,t,vortex_index,x,y for every recorded state."""
+    times: np.ndarray
+    positions: np.ndarray
+
+    def to_csv(self, path, every: int = 1) -> None:
+        """Rows step,t,vortex_index,x,y for steps 0, every, 2 every, ... and the
+        last step, CRLF-terminated as csv.writer writes them."""
+        if every < 1:
+            raise ValueError(f"every must be >= 1, got {every!r}")
+        last = len(self.times) - 1
+        steps = np.arange(0, last + 1, every)
+        if steps[-1] != last:
+            steps = np.append(steps, last)
+        n = self.positions.shape[1]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "t", "vortex_index", "x", "y"])
-            for step, st in enumerate(self.states):
-                for i, z in enumerate(st.positions):
-                    w.writerow([step, repr(st.time), i, repr(z.real), repr(z.imag)])
+            fh.write("step,t,vortex_index,x,y\r\n")
+            for start in range(0, len(steps) * n, CHUNK):
+                row = np.arange(start, min(start + CHUNK, len(steps) * n))
+                step, vortex = steps[row // n], row % n
+                zs = self.positions[step, vortex]
+                columns = (step, self.times[step], vortex, zs.real, zs.imag)
+                block = (map(repr, c.tolist()) for c in columns)
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 evolution; aborts on boundary escape or near-collision."""
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
-    circulations = tuple(state.circulations)
 
-    def scan_events(z_arr: np.ndarray, step: int) -> None:
-        radii = np.abs(z_arr)
-        outside = ~((1.0 < radii) & (radii < SQRT_PHI))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise VortexEscapeError(step, i, complex(z_arr[i]))
-        _check_collisions(z_arr, step)
-
-    scan_events(zs, 0)
+    scale = _check_events(zs, 0)
     v0 = n_vortex_rhs(_Stage(zs, gammas))
     vmax = float(np.max(np.abs(v0))) if len(zs) else 0.0
-    scale = _min_separation(zs)
     if vmax * cfg.dt > 0.5 * scale:
         raise ValueError(
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
             f"smallest separation {scale:.3g}")
 
     dt = cfg.dt
-    traj = Trajectory([state])
-    t = state.time
+    times = np.empty(cfg.steps + 1)
+    positions = np.empty((cfg.steps + 1, len(zs)), dtype=complex)
+    times[0], positions[0] = 0.0, zs
+    t = 0.0
     for step in range(1, cfg.steps + 1):
         k1 = n_vortex_rhs(_Stage(zs, gammas))
         k2 = n_vortex_rhs(_Stage(zs + 0.5 * dt * k1, gammas))
@@ -210,19 +233,9 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
         k4 = n_vortex_rhs(_Stage(zs + dt * k3, gammas))
         zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        scan_events(zs, step)
-        traj.states.append(VortexState(tuple(zs.tolist()), circulations, t))
-    return traj
-
-
-def _min_separation(zs: np.ndarray) -> float:
-    """Smallest of: pairwise distances and distances to both walls."""
-    best = float("inf")
-    for i, z in enumerate(zs):
-        best = min(best, abs(z) - 1.0, SQRT_PHI - abs(z))
-        for j in range(i + 1, len(zs)):
-            best = min(best, abs(zs[i] - zs[j]))
-    return best
+        _check_events(zs, step)
+        times[step], positions[step] = t, zs
+    return Trajectory(times, positions)
 
 
 def _pair_log_matrix(zs: np.ndarray) -> np.ndarray:

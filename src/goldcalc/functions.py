@@ -67,10 +67,10 @@ def golden_trig(x: float, k: int = 1, which: str = "cos",
                 t: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
     """Golden cosine/sine at level k: the real/imaginary part of the level-(-k)
     E-exponential evaluated at i*x."""
-    if which not in ("cos", "sin", "cos_F", "sin_F"):
+    if which not in ("cos", "sin"):
         raise ValueError(f"which must be 'cos' or 'sin', got {which!r}")
     val = golden_exp(1j * x, -k, "E", t)
-    return val.real if which.startswith("cos") else val.imag
+    return val.real if which == "cos" else val.imag
 
 
 def phi_number(n: int, k: int = 1) -> GoldenExact:
@@ -85,14 +85,6 @@ def phi_number(n: int, k: int = 1) -> GoldenExact:
     for j in range(n):
         total = total + golden_pow(k * j)
     return total
-
-
-def _phi_bracket(n: int) -> float:
-    """[n] at base phi in double precision via [n] = phi*[n-1] + 1."""
-    val = 0.0
-    for _ in range(n):
-        val = PHI * val + 1.0
-    return val
 
 
 def e_phi(z: complex, t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
@@ -202,7 +194,6 @@ class GoldenAnalyticFunction:
 
     coeffs: tuple[complex, ...]
     k: int = 1
-    truncation: SeriesTruncation = DEFAULT_TRUNCATION
 
     def __post_init__(self) -> None:
         if self.k == 0:

@@ -169,9 +169,6 @@ def pure_golden_flow(z: complex) -> tuple[complex, float, complex]:
     return f, psi, v
 
 
-PURE_FLOW_STRENGTH = -4 * math.pi**2 / math.log(PHI)
-
-
 def wm_fractal(t: float, d: float, t_trunc: int = 60) -> float:
     """Golden Weierstrass-Mandelbrot sum over |n| <= t_trunc of
     (1 - cos(phi^n t)) / phi^(n d); self-similar, W(phi t) = phi^d W(t)."""

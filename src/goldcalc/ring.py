@@ -10,7 +10,6 @@ they can cross-check each other.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 PHI: float = (1 + math.sqrt(5)) / 2
 PHI_PRIME: float = 1 - PHI  # conjugate root of x^2 = x + 1, equals -1/phi
@@ -107,16 +106,6 @@ class GoldenExact:
         if abs(direct) >= abs(conj):
             return direct
         return self.norm() / conj
-
-    def to_conjugate_real(self) -> float:
-        direct = self.a + self.b * PHI_PRIME
-        conj = self.a + self.b * PHI
-        if abs(direct) >= abs(conj):
-            return direct
-        return self.norm() / conj
-
-    def as_fractions(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.a), Fraction(self.b)
 
 
 def to_real(x: GoldenExact) -> float:

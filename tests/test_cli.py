@@ -263,6 +263,24 @@ class TestSimulate:
                         "--record-every", "10"]) == 0
         rows = out.read_text().splitlines()
         assert len(rows) == 1 + 11  # header + every 10th state incl. endpoints
+        for every in ("0", "-3"):
+            bad = tmp_path / f"bad{every}.csv"
+            assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
+                            "--steps", "100", "--out", str(bad),
+                            "--record-every", every]) == 1
+            assert "--record-every" in capsys.readouterr().err
+            assert not bad.exists()
+
+    def test_record_every_writes_integrator_steps(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-2",
+                        "--steps", "25", "--out", str(out),
+                        "--record-every", "10"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [0, 10, 20, 25]
+        assert [float(r[1]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.25])
 
 
 class TestVerify:

@@ -1,14 +1,19 @@
 import cmath
+import csv
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from goldcalc import dynamics
 from goldcalc.dynamics import (
     GEOMETRIC_MEAN_RADIUS,
     SQRT_PHI,
     IntegratorConfig,
+    Trajectory,
     VortexCollisionError,
     VortexEscapeError,
     VortexState,
@@ -123,27 +128,27 @@ class TestIntegrate:
     def test_stationary_vortex_does_not_drift(self):
         st = VortexState((GEOMETRIC_MEAN_RADIUS + 0j,), (1.0,))
         traj = integrate(st, IntegratorConfig(1e-3, 1000))
-        drift = abs(traj.states[-1].positions[0] - GEOMETRIC_MEAN_RADIUS)
+        drift = abs(traj.positions[-1, 0] - GEOMETRIC_MEAN_RADIUS)
         assert drift < 1e-9
 
     def test_uniform_rotation_conserves_radius(self):
         st = VortexState((1.1 + 0j,), (1.0,))
         traj = integrate(st, IntegratorConfig(1e-3, 10000))
-        drift = max(abs(abs(s.positions[0]) - 1.1) for s in traj.states)
+        drift = np.max(np.abs(np.abs(traj.positions[:, 0]) - 1.1))
         assert drift < 1e-7
 
     def test_rotation_rate_matches_omega(self):
         st = VortexState((1.1 + 0j,), (1.0,))
         traj = integrate(st, IntegratorConfig(1e-3, 2000))
-        angles = np.unwrap([cmath.phase(s.positions[0]) for s in traj.states])
-        measured = (angles[-1] - angles[0]) / (traj.states[-1].time - traj.states[0].time)
+        angles = np.unwrap(np.angle(traj.positions[:, 0]))
+        measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
         expected = single_vortex_omega(1.1, -1.0 / (2 * math.pi))
         assert measured == pytest.approx(expected, rel=1e-9)
 
     def test_zero_circulation_state_is_frozen(self):
         st = VortexState((1.1 + 0.05j, 1.2 - 0.1j), (0.0, 0.0))
         traj = integrate(st, IntegratorConfig(1e-2, 50))
-        assert traj.states[-1].positions == st.positions
+        assert tuple(traj.positions[-1].tolist()) == st.positions
 
     def test_collision_reported_with_step(self):
         st = VortexState((1.1 + 0j, 1.1 + 5e-7j), (1.0, 1.0))
@@ -156,10 +161,33 @@ class TestIntegrate:
         st = object.__new__(VortexState)
         object.__setattr__(st, "positions", (SQRT_PHI + 0.01 + 0j,))
         object.__setattr__(st, "circulations", (1.0,))
-        object.__setattr__(st, "time", 0.0)
         with pytest.raises(VortexEscapeError) as err:
             integrate(st, IntegratorConfig(1e-3, 10))
         assert err.value.step == 0
+
+    def test_arrays_start_at_input_and_add_dt_per_step(self):
+        st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
+        traj = integrate(st, IntegratorConfig(1e-3, 300))
+        assert traj.positions.shape == (301, 2) and traj.times.shape == (301,)
+        assert tuple(traj.positions[0].tolist()) == st.positions
+        t = 0.0
+        for _ in range(300):
+            t += 1e-3
+        assert traj.times[0] == 0.0 and traj.times[-1] == t
+
+    def test_trajectory_memory_is_two_arrays(self, monkeypatch):
+        # N = 2 for 1e4 steps: 16 B per vortex-step plus 8 B per time, about 0.4 MB;
+        # a uniform rotation stands in for the pair velocity, which tracemalloc
+        # would slow to seconds and which keeps nothing between calls
+        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: 1j * stage.positions)
+        st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
+        tracemalloc.start()
+        try:
+            integrate(st, IntegratorConfig(1e-3, 10000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6e6
 
     def test_dt_guard(self):
         st = VortexState((1.001 + 0j,), (4.0,))
@@ -182,7 +210,7 @@ class TestHamiltonian:
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
         h0 = hamiltonian(st)
         traj = integrate(st, IntegratorConfig(1e-3, 10000))
-        h1 = hamiltonian(traj.states[-1])
+        h1 = hamiltonian(VortexState(tuple(traj.positions[-1].tolist()), st.circulations))
         assert abs(h1 - h0) / abs(h0) < 1e-6
 
 
@@ -224,8 +252,8 @@ class TestRingSolution:
         st = VortexState(tuple(r * cmath.exp(2j * math.pi * l / n) for l in range(n)),
                          (1.0,) * n)
         traj = integrate(st, IntegratorConfig(1e-3, 4000))
-        angles = np.unwrap([cmath.phase(s.positions[0]) for s in traj.states])
-        measured = (angles[-1] - angles[0]) / (traj.states[-1].time - traj.states[0].time)
+        angles = np.unwrap(np.angle(traj.positions[:, 0]))
+        measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
         expected = 1.0 * (n - 1) / (4 * math.pi * SQRT_PHI)
         assert abs(measured - expected) / expected < 1e-4
 
@@ -281,6 +309,30 @@ class TestIO:
         path.write_text('[{"x": 1.1}]')
         with pytest.raises(ValueError):
             load_initial_conditions(path)
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_trajectory_csv_bytes_match_csv_writer(self, tmp_path, every):
+        # 1500 steps x 3 vortices: more rows than one block of to_csv
+        rng = np.random.default_rng(5)
+        times = np.cumsum(np.full(1501, 1e-3)) - 1e-3
+        positions = rng.uniform(-1.2, 1.2, (1501, 3)) + 1j * rng.uniform(-1.2, 1.2, (1501, 3))
+        assert 1501 * 3 > dynamics.CHUNK
+        path = tmp_path / "traj.csv"
+        Trajectory(times, positions).to_csv(path, every=every)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["step", "t", "vortex_index", "x", "y"])
+        for step in sorted(set(range(0, 1501, every)) | {1500}):
+            for i, z in enumerate(positions[step].tolist()):
+                w.writerow([step, repr(times[step].item()), i, repr(z.real), repr(z.imag)])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_trajectory_csv_rejects_every_below_one(self, tmp_path):
+        traj = Trajectory(np.zeros(2), np.ones((2, 1), dtype=complex))
+        for every in (0, -3):
+            with pytest.raises(ValueError):
+                traj.to_csv(tmp_path / "traj.csv", every=every)
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_trajectory_csv(self, tmp_path):
         st = VortexState((1.1 + 0j,), (1.0,))
