@@ -132,8 +132,8 @@ def run_seq(args) -> int:
 
 
 def run_eval(args) -> int:
-    t = SeriesTruncation(args.max_terms, args.tail_tol)
     try:
+        t = SeriesTruncation(args.max_terms, args.tail_tol)
         if args.fn == "phi-number":
             if args.n is None or args.n < 1:
                 print("goldcalc eval: error: phi-number needs --n >= 1", file=sys.stderr)
@@ -251,6 +251,12 @@ def run_simulate(args) -> int:
 
 
 def run_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("goldcalc verify: error: --tol must be finite and > 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("goldcalc verify: error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     results = verify.run_suite(args.suite, seed=args.seed, tol_scale=args.tol)
     width = max(len(r.name) for r in results)
     failures = 0

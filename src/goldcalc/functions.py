@@ -10,6 +10,7 @@ contract is explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from goldcalc.combinatorics import golden_binomial_eval, golden_binomial
@@ -28,8 +29,8 @@ class SeriesTruncation:
     def __post_init__(self) -> None:
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.tail_tol < 0:
-            raise ValueError("tail_tol must be non-negative")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol >= 0):
+            raise ValueError("tail_tol must be finite and non-negative")
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from goldcalc import dynamics, hydro
+from goldcalc import dynamics, hydro, verify
 from goldcalc.cli import main, parse_complex, parse_grid
 from goldcalc.functions import golden_exp
 from goldcalc.hydro import FlowGrid
@@ -81,6 +81,14 @@ class TestEval:
     def test_ln_phi_near_pole_is_usage_error(self, capsys):
         bad = repr(-PHI)
         assert run_cli(["eval", "--fn", "ln-phi", "--x", bad, "--k", "1"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tail-tol", "inf"), ("--tail-tol", "nan"), ("--max-terms", "0")])
+    def test_bad_truncation_is_usage_error(self, capsys, flag, value):
+        assert run_cli(["eval", "--fn", "e-phi", "--x", "1", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in err
 
 
 class TestField:
@@ -173,7 +181,7 @@ class TestSimulate:
     def test_stationary_vortex(self, tmp_path, capsys):
         r = PHI**0.25
         init = tmp_path / "init.json"
-        json.dump([{"x": r, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        init.write_text(json.dumps([{"x": r, "y": 0.0, "gamma": 1.0}]))
         out = tmp_path / "traj.csv"
         code = run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
                         "--steps", "500", "--out", str(out)])
@@ -188,8 +196,7 @@ class TestSimulate:
         r = PHI**0.25
         init = tmp_path / "ring.json"
         pts = [r * cmath.exp(2j * math.pi * l / 3) for l in range(3)]
-        json.dump([{"x": z.real, "y": z.imag, "gamma": 1.0} for z in pts],
-                  open(init, "w"))
+        init.write_text(json.dumps([{"x": z.real, "y": z.imag, "gamma": 1.0} for z in pts]))
         out = tmp_path / "traj.csv"
         code = run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
                         "--steps", "2000", "--out", str(out), "--record-every", "10"])
@@ -213,8 +220,8 @@ class TestSimulate:
 
     def test_collision_exit_two(self, tmp_path, capsys):
         init = tmp_path / "close.json"
-        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0},
-                   {"x": 1.1, "y": 5e-7, "gamma": 1.0}], open(init, "w"))
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0},
+                                    {"x": 1.1, "y": 5e-7, "gamma": 1.0}]))
         out = tmp_path / "t.csv"
         code = run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
                         "--steps", "10", "--out", str(out)])
@@ -238,7 +245,7 @@ class TestSimulate:
 
     def test_non_finite_dt_exit_one(self, tmp_path, capsys):
         init = tmp_path / "init.json"
-        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
         for dt in ("nan", "inf"):
             assert run_cli(["simulate", "--init", str(init), "--dt", dt,
                             "--steps", "10", "--out", str(tmp_path / "t.csv")]) == 1
@@ -247,7 +254,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "n_vortex_rhs",
                             lambda state: np.full(len(state.positions), np.nan, dtype=complex))
         init = tmp_path / "init.json"
-        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
         out = tmp_path / "t.csv"
         assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
                         "--steps", "10", "--out", str(out)]) == 2
@@ -256,7 +263,7 @@ class TestSimulate:
 
     def test_record_every_thins_output(self, tmp_path, capsys):
         init = tmp_path / "init.json"
-        json.dump([{"x": 1.1, "y": 0.0, "gamma": 1.0}], open(init, "w"))
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
         out = tmp_path / "t.csv"
         assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
                         "--steps", "100", "--out", str(out),
@@ -289,8 +296,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_unknown_suite_exit_one(self, capsys):
+    def test_unknown_suite_exit_one(self, capsys, monkeypatch):
         assert run_cli(["verify", "--suite", "nope"]) == 1
+        ran = []
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: ran.append(a) or [])
+        for flag, value in (("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
+                            ("--tol", "nan"), ("--seed", "-1")):
+            capsys.readouterr()
+            assert run_cli(["verify", "--suite", "ring", flag, value]) == 1, (flag, value)
+            out, err = capsys.readouterr()
+            assert not ran and not out
+            assert err.startswith(f"goldcalc verify: error: {flag}") and err.count("\n") == 1
 
     def test_deterministic_given_seed(self, capsys):
         run_cli(["verify", "--suite", "calculus", "--seed", "7"])

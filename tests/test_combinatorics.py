@@ -100,10 +100,8 @@ def _ring_poly_mul(u, v):
 class TestFactorizationRule:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_both_orderings_exact(self, k):
-        for n in range(0, 7):
-            for m in range(0, 7):
-                if n + m > 8:
-                    continue
+        for n in range(0, 9):
+            for m in range(0, 9 - n):
                 whole = golden_binomial_scaled_coeffs(n + m, k, GoldenExact(1))
                 split_a = _ring_poly_mul(
                     golden_binomial_scaled_coeffs(n, k, golden_pow(k * m)),

@@ -24,6 +24,13 @@ from goldcalc.ring import PHI, GoldenExact, fib_divisor, fibonacci
 TIGHT = SeriesTruncation(400, 1e-16)
 
 
+@pytest.mark.parametrize("max_terms,tail_tol", [
+    (0, 1e-15), (200, -1e-15), (200, math.inf), (200, math.nan)])
+def test_truncation_validation(max_terms, tail_tol):
+    with pytest.raises(ValueError):
+        SeriesTruncation(max_terms, tail_tol)
+
+
 class TestGoldenExp:
     def test_at_zero(self):
         for k in (1, 2, -3):

@@ -155,7 +155,7 @@ class TestTranslate:
 
 
 class TestGoldenPeriodicity:
-    SAMPLES = [0.3, 0.7, 1.1, 1.9, 2.6, -0.8, -1.5]
+    SAMPLES = [0.3, 0.7, 1.1, 1.3, 1.9, 2.6, -0.8, -1.5]
 
     def test_counterexample_function(self):
         f = lambda x: math.sin(math.pi * math.log(abs(x)) / math.log(PHI**2))
