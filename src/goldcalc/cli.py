@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", default="all",
                      choices=list(verify.SUITE_NAMES) + ["all"])
     ver.add_argument("--tol", type=float, default=1.0,
-                     help="scale factor applied to every stated tolerance")
+                     help="factor in (0, 1] applied to every stated tolerance; "
+                          "below 1 tightens them")
     ver.add_argument("--seed", type=int, default=12345,
                      help="seed for randomized checks")
     return p
@@ -251,8 +252,8 @@ def run_simulate(args) -> int:
 
 
 def run_verify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print("goldcalc verify: error: --tol must be finite and > 0", file=sys.stderr)
+    if not 0 < args.tol <= 1:  # a factor above 1 would loosen the paper's tolerances
+        print("goldcalc verify: error: --tol must lie in (0, 1]", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print("goldcalc verify: error: --seed must be >= 0", file=sys.stderr)

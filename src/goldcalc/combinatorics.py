@@ -39,7 +39,7 @@ def fibonomial(n: int, m: int, k: int = 1) -> int:
 
 
 def _binomial_sign(m: int, k: int) -> int:
-    """(-1)^(k*m*(m-1)/2)."""
+    """(-1)^(k*m*(m-1)/2): the sign of binomial coefficient m and of E-exponential term m."""
     return -1 if (k * (m * (m - 1) // 2)) % 2 else 1
 
 

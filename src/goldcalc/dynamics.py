@@ -22,14 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from goldcalc import kernel
+from goldcalc import hydro, kernel
 from goldcalc.ring import PHI
 
 LEVEL = 1  # the annulus 1 < |z| < phi^(LEVEL/2)
 SQRT_PHI = math.sqrt(PHI)
 GEOMETRIC_MEAN_RADIUS = PHI**0.25
 COLLISION_DISTANCE = 1e-6
-CHUNK = 4096  # trajectory CSV rows per written block
+POLES = PHI ** np.arange(1, 101)  # _lnphi_pole sums the first 100 poles
 
 
 class VortexEscapeError(RuntimeError):
@@ -87,16 +87,12 @@ class IntegratorConfig:
             raise ValueError("dt * steps overflows")
 
 
-def _pole_powers(trunc: int) -> np.ndarray:
-    return PHI ** np.arange(1, trunc + 1)
-
-
-def _lnphi_pole(args: np.ndarray, poles: np.ndarray) -> np.ndarray:
+def _lnphi_pole(args: np.ndarray) -> np.ndarray:
     """Ln at base phi of (1 + args), pole-sum form, vectorized over args."""
-    return (PHI - 1.0) * np.sum(args[..., None] / (poles + args[..., None]), axis=-1)
+    return (PHI - 1.0) * np.sum(args[..., None] / (POLES + args[..., None]), axis=-1)
 
 
-def single_vortex_omega(r: float, kappa: float, trunc: int = 100) -> float:
+def single_vortex_omega(r: float, kappa: float) -> float:
     """Angular velocity of one vortex of strength kappa at radius r.
 
     omega = (phi kappa / r^2) [Ln(1 - r^2) - Ln(1 - phi/r^2)]; zero exactly at
@@ -106,8 +102,7 @@ def single_vortex_omega(r: float, kappa: float, trunc: int = 100) -> float:
         raise ValueError(f"radius must lie in (1, sqrt(phi)), got {r:.6f}")
     if kappa == 0:
         return 0.0
-    poles = _pole_powers(trunc)
-    vals = _lnphi_pole(np.array([-(r * r), -PHI / (r * r)]), poles)
+    vals = _lnphi_pole(np.array([-(r * r), -PHI / (r * r)]))
     return PHI * kappa / (r * r) * float(vals[0] - vals[1])
 
 
@@ -197,15 +192,14 @@ class Trajectory:
         if steps[-1] != last:
             steps = np.append(steps, last)
         n = self.positions.shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write("step,t,vortex_index,x,y\r\n")
-            for start in range(0, len(steps) * n, CHUNK):
-                row = np.arange(start, min(start + CHUNK, len(steps) * n))
-                step, vortex = steps[row // n], row % n
-                zs = self.positions[step, vortex]
-                columns = (step, self.times[step], vortex, zs.real, zs.imag)
-                block = (map(repr, c.tolist()) for c in columns)
-                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+        def block(rows: slice):
+            row = np.arange(rows.start, rows.stop)
+            step, vortex = steps[row // n], row % n
+            zs = self.positions[step, vortex]
+            return step, self.times[step], vortex, zs.real, zs.imag
+
+        hydro.write_csv(path, ("step", "t", "vortex_index", "x", "y"), len(steps) * n, block)
 
 
 def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
@@ -275,7 +269,7 @@ def green_function(z: complex, z_l: complex) -> float:
     return float(-pair / (2 * math.pi) + math.log(PHI) / (4 * math.pi))
 
 
-def ring_frequency(n_vortices: int, r: float, gamma: float, trunc: int = 100) -> float:
+def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:
     """Rotation frequency of n identical vortices on a symmetric ring of radius r.
 
     At the geometric-mean radius the phi-logarithm terms cancel pairwise and
@@ -285,12 +279,11 @@ def ring_frequency(n_vortices: int, r: float, gamma: float, trunc: int = 100) ->
         raise ValueError("need at least one vortex")
     if not 1.0 < r < SQRT_PHI:
         raise ValueError(f"radius must lie in (1, sqrt(phi)), got {r:.6f}")
-    poles = _pole_powers(trunc)
     total = 0j
     r2 = r * r
     for j in range(1, n_vortices + 1):
         rot = cmath.exp(2j * math.pi * j / n_vortices)
-        vals = _lnphi_pole(np.array([-(PHI / r2) * rot, -r2 / rot]), poles)
+        vals = _lnphi_pole(np.array([-(PHI / r2) * rot, -r2 / rot]))
         total += vals[0] - vals[1]
     omega = gamma / (2 * math.pi * r2) * ((n_vortices - 1) / 2 + PHI * total)
     return float(omega.real)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from goldcalc.combinatorics import golden_binomial_eval, golden_binomial
+from goldcalc.combinatorics import _binomial_sign, golden_binomial_eval, golden_binomial
 from goldcalc.ring import PHI, GoldenExact, fib_divisor, golden_pow
 
 
@@ -34,11 +34,7 @@ class SeriesTruncation:
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
-
-
-def _e_sign(n: int, k: int) -> int:
-    """(-1)^(k*n*(n-1)/2), the alternating factor of the E-exponential."""
-    return -1 if (k * (n * (n - 1) // 2)) % 2 else 1
+POLE_MARGIN = 1e-8  # closest relative approach to a pole that ln_phi's pole sum accepts
 
 
 def golden_exp(x: complex, k: int = 1, variant: str = "e",
@@ -56,7 +52,7 @@ def golden_exp(x: complex, k: int = 1, variant: str = "e",
     term: complex = 1.0
     for n in range(1, t.max_terms + 1):
         term = term * x / fib_divisor(n, k)
-        contrib = term * _e_sign(n, k) if variant == "E" else term
+        contrib = term * _binomial_sign(n, k) if variant == "E" else term
         total += contrib
         if abs(term) < t.tail_tol * max(1.0, abs(total)):
             return total
@@ -139,8 +135,7 @@ def e_phi_product(z: complex, t: SeriesTruncation = DEFAULT_TRUNCATION) -> compl
 
 
 def ln_phi(z: complex, k: int = 1, form: str = "pole_sum",
-           t: SeriesTruncation = DEFAULT_TRUNCATION,
-           pole_margin: float = 1e-8) -> complex:
+           t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
     """Phi-logarithm Ln at base phi^k, of argument 1 + z.
 
     form "series":   sum (-1)^(n-1) z^n / [n]_{phi^k}, valid for |z| < phi^k.
@@ -171,9 +166,9 @@ def ln_phi(z: complex, k: int = 1, form: str = "pole_sum",
         pole = q
         for n in range(1, t.max_terms + 1):
             den = pole + z
-            if abs(den) < pole_margin * pole:
+            if abs(den) < POLE_MARGIN * pole:
                 raise ValueError(
-                    f"argument within {pole_margin:.1g} (relative) of pole z = -phi^{k * n}")
+                    f"argument within {POLE_MARGIN:.1g} (relative) of pole z = -phi^{k * n}")
             term = z / den
             total += term
             if abs(term) < t.tail_tol * max(1.0, abs(total) + 1.0):

@@ -23,7 +23,6 @@ compare it against.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -34,8 +33,8 @@ from goldcalc import kernel
 from goldcalc.functions import DEFAULT_TRUNCATION, SeriesTruncation, e_phi_product, ln_phi
 from goldcalc.ring import PHI
 
-EXCLUSION_DEFAULT = 1e-9
-CHUNK = 4096  # points per array pass of field_grid and per block of to_csv
+SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
+CHUNK = 4096  # points per array pass of field_grid and rows per block of write_csv
 
 
 class SingularityProximityError(ValueError):
@@ -67,8 +66,8 @@ class AnnulusSpec:
         """q = r2^2 / r1^2 = phi^k."""
         return PHI**self.k
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return self.inner_radius + margin < abs(z) < self.outer_radius - margin
+    def contains(self, z: complex) -> bool:
+        return self.inner_radius < abs(z) < self.outer_radius
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,9 @@ class ImageSystem:
                 f"1 < |z| < {self.annulus.outer_radius:.6f}, got |z0| = {abs(self.z0):.6f}")
 
 
-def image_positions(sys: ImageSystem, n_range) -> list[tuple[complex, complex]]:
-    """Image pairs (z_n, z*_n) = (z0 phi^(k n), phi^(k n)/conj(z0)) for n in n_range."""
-    k = sys.annulus.k
-    zc = 1.0 / sys.z0.conjugate()
-    return [(sys.z0 * PHI ** (k * n), zc * PHI ** (k * n)) for n in n_range]
-
-
 def _ladders(sys: ImageSystem, fam1_range=None, fam2_range=None):
+    """Image ladders z0 phi^(k n) for n in fam1_range and phi^(k n)/conj(z0) for
+    n in fam2_range, as arrays; the default ranges are the module's pairing."""
     n = sys.annulus.truncation
     k = sys.annulus.k
     if fam1_range is None:
@@ -108,15 +102,15 @@ def _ladders(sys: ImageSystem, fam1_range=None, fam2_range=None):
     return fam1, fam2
 
 
-def _check_clearance(z: complex, points: np.ndarray, eps: float) -> None:
+def _check_clearance(z: complex, points: np.ndarray) -> None:
     d = np.min(np.abs(points - z))
-    if d < eps:
-        raise SingularityProximityError(
-            f"point {z} within {d:.3g} of a singularity (exclusion {eps:.3g})")
+    if d < SINGULARITY_EXCLUSION:
+        raise SingularityProximityError(f"point {z} within {d:.3g} of a singularity "
+                                        f"(exclusion {SINGULARITY_EXCLUSION:.3g})")
 
 
-def vortex_potential(sys: ImageSystem, z: complex, eps: float = EXCLUSION_DEFAULT,
-                     fam1_range=None, fam2_range=None) -> complex:
+def vortex_potential(sys: ImageSystem, z: complex, fam1_range=None,
+                     fam2_range=None) -> complex:
     """Truncated image-ladder complex potential F(z).
 
     Defined up to an additive constant; compare differences, or use Im for the
@@ -124,7 +118,7 @@ def vortex_potential(sys: ImageSystem, z: complex, eps: float = EXCLUSION_DEFAUL
     quotients so that window reindexing is exact in floating point.
     """
     fam1, fam2 = _ladders(sys, fam1_range, fam2_range)
-    _check_clearance(z, np.concatenate([fam1, fam2]), eps)
+    _check_clearance(z, np.concatenate([fam1, fam2]))
     m = min(len(fam1), len(fam2))
     # pair from the top of both ladders; the leftover fam1 tail enters bare
     logs = np.log((z - fam1[len(fam1) - m:]) / (z - fam2[len(fam2) - m:]))
@@ -136,17 +130,17 @@ def vortex_potential(sys: ImageSystem, z: complex, eps: float = EXCLUSION_DEFAUL
     return sys.gamma / (2j * math.pi) * total
 
 
-def stream_function(sys: ImageSystem, z: complex, eps: float = EXCLUSION_DEFAULT,
-                    fam1_range=None, fam2_range=None) -> float:
+def stream_function(sys: ImageSystem, z: complex, fam1_range=None,
+                    fam2_range=None) -> float:
     """Stream function psi = Im F; single-valued (built from log-moduli only)."""
-    return vortex_potential(sys, z, eps, fam1_range, fam2_range).imag
+    return vortex_potential(sys, z, fam1_range, fam2_range).imag
 
 
-def vortex_velocity(sys: ImageSystem, z: complex, eps: float = EXCLUSION_DEFAULT,
-                    fam1_range=None, fam2_range=None) -> complex:
+def vortex_velocity(sys: ImageSystem, z: complex, fam1_range=None,
+                    fam2_range=None) -> complex:
     """Conjugate velocity V(z) = u - i v of the truncated image system."""
     fam1, fam2 = _ladders(sys, fam1_range, fam2_range)
-    _check_clearance(z, np.concatenate([fam1, fam2]), eps)
+    _check_clearance(z, np.concatenate([fam1, fam2]))
     total = complex(np.sum(1.0 / (z - fam1)) - np.sum(1.0 / (z - fam2)))
     return sys.gamma / (2j * math.pi) * total
 
@@ -202,14 +196,14 @@ def _ephi_ratio_log(z: complex, zs: complex, t: SeriesTruncation) -> complex:
     return cmath.log(num / den)
 
 
-def _vortex_clearance(z: complex, zs: complex, eps: float, n_span: int = 60) -> None:
-    ns = np.arange(-n_span, n_span + 1, dtype=float)
+def _vortex_clearance(z: complex, zs: complex) -> None:
+    ns = np.arange(-60, 61, dtype=float)  # the images within phi^60 of the vortex
     pts = np.concatenate([zs * PHI**ns, (1.0 / zs.conjugate()) * PHI**ns])
-    _check_clearance(z, pts, eps)
+    _check_clearance(z, pts)
 
 
-def potential_via_e_phi(vortices, z: complex, t: SeriesTruncation = DEFAULT_TRUNCATION,
-                        eps: float = EXCLUSION_DEFAULT) -> complex:
+def potential_via_e_phi(vortices, z: complex,
+                        t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
     """Complex potential of vortices (z_s, kappa_s) in the k=1 annulus, written
     through the zeros of the phi-exponential instead of explicit image sums.
 
@@ -220,20 +214,20 @@ def potential_via_e_phi(vortices, z: complex, t: SeriesTruncation = DEFAULT_TRUN
     for zs, kappa in vortices:
         if kappa == 0:
             continue
-        _vortex_clearance(z, zs, eps)
+        _vortex_clearance(z, zs)
         total += 1j * kappa * (cmath.log(z - zs) + _ephi_ratio_log(z, zs, t))
     return total
 
 
-def velocity_via_ln_phi(vortices, z: complex, t: SeriesTruncation = DEFAULT_TRUNCATION,
-                        eps: float = EXCLUSION_DEFAULT) -> complex:
+def velocity_via_ln_phi(vortices, z: complex,
+                        t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
     """Conjugate velocity of vortices (z_s, kappa_s) in the k=1 annulus via four
     phi-logarithms per vortex (pole-sum form, valid across the annulus)."""
     total = 0j
     for zs, kappa in vortices:
         if kappa == 0:
             continue
-        _vortex_clearance(z, zs, eps)
+        _vortex_clearance(z, zs)
         zc = zs.conjugate()
         total += 1j * kappa / (z - zs)
         total += (1j * PHI / z) * kappa * (
@@ -271,7 +265,7 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
         lnp = kernel.log_abs_prime(zeta, annulus.k)
         kk = kernel.log_derivative(zeta, annulus.k)
         # P(z/z0) carries the factor 1 - z/z0; from the rounded ratio it costs
-        # relative precision eps/|z - z0| near the vortex, so swap it for the
+        # relative precision 1e-16/|z - z0| near the vortex, so swap it for the
         # exact difference: ln|1 - z/z0| -> ln|(z - z0)/z0|, and its share
         # -zeta/(1 - zeta) of K -> z/(z - z0)
         near, dz = zeta[0], z - z0
@@ -284,12 +278,23 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
 
 # --- sampled fields ---------------------------------------------------------
 
+def write_csv(path, header: tuple[str, ...], n_rows: int, block) -> None:
+    """Write the header, then n_rows rows of comma-joined reprs, CRLF-terminated
+    as csv.writer writes them.  block(rows) returns the columns of the row
+    slice rows as arrays; it is called for CHUNK rows at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, CHUNK):
+            columns = block(slice(start, min(start + CHUNK, n_rows)))
+            text = (map(repr, c.tolist()) for c in columns)
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+
+
 @dataclass(eq=False)
 class FlowGrid:
     """Sampled stream function and velocity on a cartesian grid.
 
-    x, y, psi, u, v are equal-length float arrays, one entry per kept point;
-    bounds and resolution record the generating grid.
+    x, y, psi, u, v are equal-length float arrays, one entry per kept point.
     """
 
     x: np.ndarray
@@ -297,8 +302,6 @@ class FlowGrid:
     psi: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    bounds: tuple[float, float, float, float]
-    resolution: tuple[int, int]
 
     FIELDS = ("x", "y", "psi", "u", "v")
 
@@ -315,46 +318,13 @@ class FlowGrid:
         return len(self.x)
 
     def to_csv(self, path) -> None:
-        """Header plus one row of float reprs per point, CRLF-terminated as csv.writer writes."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.FIELDS) + "\r\n")
-            for start in range(0, len(self), CHUNK):
-                block = (map(repr, c[start:start + CHUNK].tolist()) for c in self.columns)
-                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
-
-    @classmethod
-    def _from_rows(cls, rows) -> "FlowGrid":
-        data = np.asarray(rows, dtype=float).reshape(-1, len(cls.FIELDS))
-        return cls(*(data[:, i].copy() for i in range(len(cls.FIELDS))),
-                   bounds=_bounds_of(data), resolution=(0, 0))
-
-    @classmethod
-    def from_csv(cls, path) -> "FlowGrid":
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if tuple(header) != cls.FIELDS:
-                raise ValueError(f"unexpected header {header!r}")
-            rows = [tuple(float(v) for v in line) for line in r]
-        return cls._from_rows(rows)
+        """Header plus one row of float reprs per point."""
+        write_csv(path, self.FIELDS, len(self), lambda rows: (c[rows] for c in self.columns))
 
     def to_json(self, path) -> None:
         data = [dict(zip(self.FIELDS, row)) for row in self.rows]
         with open(path, "w") as fh:
             json.dump(data, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "FlowGrid":
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls._from_rows([tuple(float(rec[f]) for f in cls.FIELDS) for rec in data])
-
-
-def _bounds_of(data: np.ndarray):
-    if not len(data):
-        return (0.0, 0.0, 0.0, 0.0)
-    return (float(data[:, 0].min()), float(data[:, 0].max()),
-            float(data[:, 1].min()), float(data[:, 1].max()))
 
 
 def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
@@ -396,5 +366,4 @@ def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
     for start in range(0, len(z), CHUNK):
         part = slice(start, start + CHUNK)
         psi[part], vel[part] = flow(annulus, vortices, z[part])
-    return FlowGrid(z.real.copy(), z.imag.copy(), psi, vel.real.copy(), -vel.imag,
-                    bounds=(-r_out, r_out, -r_out, r_out), resolution=(nx, ny))
+    return FlowGrid(z.real.copy(), z.imag.copy(), psi, vel.real.copy(), -vel.imag)

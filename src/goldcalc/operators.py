@@ -85,10 +85,6 @@ class ScalarField1D:
         return self.func(x)
 
 
-def _as_callable(f) -> Callable[[float], float]:
-    return f if callable(f) else ScalarField1D(*f)
-
-
 def golden_derivative_poly(p: Polynomial, k: int = 1) -> Polynomial:
     """Symbolic golden derivative: a_n x^n -> a_n F_n^(k) x^(n-1)."""
     if k == 0:
@@ -102,7 +98,6 @@ def golden_derivative_numeric(f, x: float, k: int = 1) -> float:
         raise ValueError("k must be nonzero")
     if x == 0:
         raise ValueError("golden derivative quotient is singular at x = 0")
-    f = _as_callable(f)
     pk = PHI**k
     qk = PHI_PRIME**k
     return (f(pk * x) - f(qk * x)) / ((pk - qk) * x)
@@ -117,7 +112,6 @@ def golden_derivative_continuous(f, x: float, s: float) -> float:
         raise ValueError("s must be positive")
     if x == 0:
         raise ValueError("quotient is singular at x = 0")
-    f = _as_callable(f)
     ps = PHI**s
     return (f(ps * x) - f(x / ps)) / ((ps - 1.0 / ps) * x)
 

@@ -143,11 +143,6 @@ def golden_pow(n: int) -> GoldenExact:
     return GoldenExact(fibonacci(n - 1), fibonacci(n))
 
 
-def golden_pow_conjugate(n: int) -> GoldenExact:
-    """Exact phi'^n = conjugate(phi^n)."""
-    return golden_pow(n).conjugate()
-
-
 def fib_divisor(n: int, k: int) -> int:
     """F_n^(k) = F_{k*n} / F_k, an exact integer (k != 0)."""
     if k == 0:

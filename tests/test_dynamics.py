@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from goldcalc import dynamics
+from goldcalc import dynamics, hydro
 from goldcalc.dynamics import (
     GEOMETRIC_MEAN_RADIUS,
     SQRT_PHI,
@@ -57,22 +57,6 @@ class TestSingleVortexOmega:
             single_vortex_omega(1.0, 1.0)
         with pytest.raises(ValueError):
             single_vortex_omega(SQRT_PHI, 1.0)
-
-    def test_single_zero_by_bisection(self):
-        lo, hi = 1.0 + 1e-9, SQRT_PHI - 1e-9
-        rs = np.linspace(lo, hi, 200)
-        vals = [single_vortex_omega(float(r), 1.0) for r in rs]
-        assert sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0) == 1
-        a, b = lo, hi
-        fa = single_vortex_omega(a, 1.0)
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            if fa * single_vortex_omega(mid, 1.0) <= 0:
-                b = mid
-            else:
-                a = mid
-                fa = single_vortex_omega(a, 1.0)
-        assert abs(0.5 * (a + b) - GEOMETRIC_MEAN_RADIUS) < 1e-9
 
     def test_boundary_frequency_ratio_is_phi(self):
         # approach the walls at matched relative offsets
@@ -282,7 +266,7 @@ class TestIO:
         rng = np.random.default_rng(5)
         times = np.cumsum(np.full(1501, 1e-3)) - 1e-3
         positions = rng.uniform(-1.2, 1.2, (1501, 3)) + 1j * rng.uniform(-1.2, 1.2, (1501, 3))
-        assert 1501 * 3 > dynamics.CHUNK
+        assert 1501 * 3 > hydro.CHUNK
         path = tmp_path / "traj.csv"
         Trajectory(times, positions).to_csv(path, every=every)
         expected = io.StringIO(newline="")

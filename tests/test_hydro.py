@@ -1,6 +1,7 @@
 import cmath
 import csv
 import io
+import json
 import math
 import random
 
@@ -14,7 +15,6 @@ from goldcalc.hydro import (
     ImageSystem,
     SingularityProximityError,
     field_grid,
-    image_positions,
     potential_via_e_phi,
     pure_golden_flow,
     stream_function,
@@ -54,7 +54,7 @@ class TestAnnulusSpec:
 class TestImagePositions:
     def test_ladder_geometry(self):
         sys = ImageSystem(1.2 * cmath.exp(0.4j), 1.0, AnnulusSpec(2, 20))
-        pairs = image_positions(sys, range(0, 3))
+        pairs = list(zip(*hydro._ladders(sys, range(0, 3), range(0, 3))))
         assert abs(pairs[1][0]) / abs(pairs[0][0]) == pytest.approx(PHI**2)
         assert abs(pairs[2][0]) / abs(pairs[1][0]) == pytest.approx(PHI**2)
         # |z_n - z*_n| grows geometrically with the same ratio
@@ -64,7 +64,7 @@ class TestImagePositions:
 
     def test_sqrt_phi_vortex(self):
         sys = ImageSystem(SQRT_PHI * 0.99 + 0j, 1.0, AnnulusSpec(1, 10))
-        (zn, zs), = image_positions(sys, [0])
+        (zn,), (zs,) = hydro._ladders(sys, [0], [0])
         assert zs == pytest.approx(1.0 / zn.conjugate())
 
     def test_unit_circle_point_is_self_symmetric(self):
@@ -127,7 +127,7 @@ class TestVortexPotential:
         with pytest.raises(SingularityProximityError):
             vortex_potential(self.SYS, self.SYS.z0 + 1e-12)
         with pytest.raises(SingularityProximityError):
-            vortex_velocity(self.SYS, self.SYS.z0 * PHI + 1e-12, eps=1e-9)
+            vortex_velocity(self.SYS, self.SYS.z0 * PHI + 1e-12)
 
     def test_circulation_recovery(self):
         rho = 0.02
@@ -248,8 +248,8 @@ class TestFieldGrid:
         path = tmp_path / "field.csv"
         grid.to_csv(path)
         assert path.read_text().splitlines()[0] == "x,y,psi,u,v"
-        back = FlowGrid.from_csv(path)
-        assert back.rows == grid.rows
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert list(map(tuple, back.tolist())) == grid.rows
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         # more kept points than one block of to_csv
@@ -268,8 +268,8 @@ class TestFieldGrid:
         grid = field_grid(self.ANN, [(self.Z0, 1.0)], (10, 10), exclusion=1e-3)
         path = tmp_path / "field.json"
         grid.to_json(path)
-        back = FlowGrid.from_json(path)
-        assert back.rows == grid.rows
+        back = json.loads(path.read_text())
+        assert [tuple(rec[f] for f in ("x", "y", "psi", "u", "v")) for rec in back] == grid.rows
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
