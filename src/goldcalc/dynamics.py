@@ -4,6 +4,8 @@ The velocity of each vortex, the Hamiltonian and the Green function are all
 evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1),
 for every vortex pair at once as an (N, N) array.  The pair term K(z_l/z_j)
 of the velocity already contains the direct Biot-Savart term 1/(z_l - z_j).
+The velocity takes its logs and exps per vortex (`kernel.pair_log_derivative`);
+the Hamiltonian, which checks it, takes ln|P| of all 2 N^2 pair arguments.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -27,17 +29,19 @@ from goldcalc.ring import PHI
 
 LEVEL = 1  # the annulus 1 < |z| < phi^(LEVEL/2)
 SQRT_PHI = math.sqrt(PHI)
+LOG_OUTER_RADIUS = LEVEL * kernel.LN_PHI / 2
 GEOMETRIC_MEAN_RADIUS = PHI**0.25
 COLLISION_DISTANCE = 1e-6
 POLES = PHI ** np.arange(1, 101)  # _lnphi_pole sums the first 100 poles
 
 
 class VortexEscapeError(RuntimeError):
-    def __init__(self, step: int, index: int, z: complex):
+    def __init__(self, step: int | None, index: int, z: complex):
+        where = f"at step {step}" if step is not None else "during evaluation"
         if cmath.isfinite(z):
-            msg = f"vortex {index} left the annulus at step {step} (|z| = {abs(z):.6f})"
+            msg = f"vortex {index} left the annulus {where} (|z| = {abs(z):.6f})"
         else:
-            msg = f"vortex {index} position became non-finite at step {step} ({z!r})"
+            msg = f"vortex {index} position became non-finite {where} ({z!r})"
         super().__init__(msg)
         self.step = step
         self.index = index
@@ -106,20 +110,6 @@ def single_vortex_omega(r: float, kappa: float) -> float:
     return PHI * kappa / (r * r) * float(vals[0] - vals[1])
 
 
-def _pair_arguments(zs: np.ndarray) -> np.ndarray:
-    """Prime-function arguments (z_i / z_j, z_i conj(z_j)) as a (2, N, N) array.
-
-    The diagonal of the first block, where P has its zero zeta = 1, holds -1
-    instead; callers replace what the kernel returns there.
-    """
-    n = len(zs)
-    zeta = np.empty((2, n, n), dtype=complex)
-    np.divide(zs[:, None], zs, out=zeta[0])
-    np.multiply(zs[:, None], np.conj(zs), out=zeta[1])
-    zeta[0].flat[:: n + 1] = -1.0
-    return zeta
-
-
 def _check_pairs(zs: np.ndarray, step: int | None) -> float:
     """Smallest pair distance (inf for fewer than two vortices); raises
     VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
@@ -158,20 +148,21 @@ class _Stage(NamedTuple):
 def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     """dz_l/dt for every vortex, direct pair terms plus all images, as an array.
 
-    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) [K(z_l/z_j) - K(z_l conj z_j) + 1],
-    where the j = l term drops K(z_l/z_l), whose regular part vanishes.
-    The pair term's relative precision is about 1e-16 / |z_l - z_j|, far
-    below the RK4 error for any pair the integrator resolves.  Raises
-    VortexCollisionError for a pair closer than COLLISION_DISTANCE.
+    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
+    - K(z_l conj z_j), D_ll = -K(|z_l|^2): N logs, 3N exps and O(N^2)
+    arithmetic.  The pair term's relative precision is about 1e-16 / |z_l - z_j|,
+    far below the RK4 error for any pair the integrator resolves.  Raises
+    VortexCollisionError for a pair closer than COLLISION_DISTANCE and
+    VortexEscapeError (step None) for a position outside the open annulus.
     """
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
     _check_pairs(zs, None)
-    kk = kernel.log_derivative(_pair_arguments(zs), LEVEL)
-    pair = kk[0]
-    pair.flat[:: len(zs) + 1] = 0.0
-    zdot_bar = ((pair - kk[1] + 1) @ gammas) / (2j * math.pi * zs)
-    return np.conj(zdot_bar)
+    pair, log_z = kernel.pair_log_derivative(zs, LEVEL)
+    for i, log_r in enumerate(log_z.real.tolist()):
+        if not 0 < log_r < LOG_OUTER_RADIUS:
+            raise VortexEscapeError(None, i, complex(zs[i]))
+    return np.conj(((pair + 1) @ gammas) / (2j * math.pi * zs))
 
 
 @dataclass(eq=False)
@@ -239,7 +230,7 @@ def _pair_log_matrix(zs: np.ndarray) -> np.ndarray:
     + ln|z_i conj z_j|; on it the first two terms become 2 ln (p; p)_inf,
     the limit of ln|P(zeta)/(1 - zeta)| at zeta = 1.
     """
-    zeta = _pair_arguments(zs)
+    zeta = kernel.pair_arguments(zs)
     lnp = kernel.log_abs_prime(zeta, LEVEL)
     direct = np.log(np.abs(zs)) + lnp[0]
     direct.flat[:: len(zs) + 1] = 2 * kernel.nome(LEVEL).log_euler

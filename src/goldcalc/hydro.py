@@ -262,8 +262,7 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
         if gamma == 0:
             continue
         zeta = np.stack([z / z0, z * np.conj(z0)])
-        lnp = kernel.log_abs_prime(zeta, annulus.k)
-        kk = kernel.log_derivative(zeta, annulus.k)
+        lnp, kk = kernel.log_prime(zeta, annulus.k)
         # P(z/z0) carries the factor 1 - z/z0; from the rounded ratio it costs
         # relative precision 1e-16/|z - z0| near the vortex, so swap it for the
         # exact difference: ln|1 - z/z0| -> ln|(z - z0)/z0|, and its share

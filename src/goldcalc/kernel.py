@@ -23,6 +23,14 @@ branch, c = cos(2 pi L / lam) and s = sin(2 pi L / lam):
                   + sum_n ln|1 - 2 Q^n c + Q^(2n)| + C_k
     C_k         = 2 ln (p; p)_inf - ln(pi / lam) - 2 sum_n ln(1 - Q^n).
 
+With w = exp(2 pi i L / lam), K = 1/2 + L/lam + i pi/lam + (2 pi i/lam) g(w),
+g(w) = 1/(w - 1) - sum_n [Q^n w/(1 - Q^n w) - Q^n w^-1/(1 - Q^n w^-1)].  For
+points z_j, `pair_log_derivative` takes L = l_i - l_j and l_i + conj(l_j),
+l_j = log z_j, so w = e_i/e_j and e_i/conj(e_j), e_j = exp(2 pi i l_j / lam),
+and the two L differ by -2 ln|z_j|.  Off the principal branch by 2 pi i m,
+m = round((arg z_i - arg z_j) / 2 pi), w gains Q^m and g(w Q^m) = g(w) - m for
+both: no branch factor is needed, only terms summed for |Im L| < 2 pi.
+
 Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the dual series needs one or two
 terms there.  As k grows Q tends to 1 while p vanishes, and the direct
 product in p converges faster; each k uses whichever form needs fewer terms
@@ -52,6 +60,7 @@ class Nome(NamedTuple):
     dual: bool              # evaluate through the dual (Jacobi) series
     q: float                # dual nome exp(-4 pi^2 / lam)
     terms: int              # dual-series terms kept (dual form only)
+    pair_terms: int         # g(w) terms for |Im L| < 2 pi: tail < (4 pi/lam) Q^M / (1 - Q)^2
     log_euler: float        # ln (p; p)_inf = sum_n ln(1 - p^n)
     const: float            # C_k of ln|P| in the dual form
 
@@ -98,75 +107,116 @@ def nome(k: int) -> Nome:
     terms = 0
     while scale * q ** (terms + 0.5) >= TAIL:
         terms += 1
+    pair_terms = max(1, math.ceil(math.log(TAIL * lam / (4 * math.pi) * (1 - q) ** 2, q)))
     # the direct form is sized for the arguments the flows use, |ln|zeta|| <= lam
     dual = terms <= _direct_terms(lam, 1.0)
     log_euler = _log_pochhammer(p)
     const = 2 * log_euler - math.log(math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
-    return Nome(lam, p, dual, q, terms, log_euler, const)
+    return Nome(lam, p, dual, q, terms, pair_terms, log_euler, const)
 
 
-def _dual_parts(zeta: np.ndarray, nm: Nome):
-    """L = log zeta, sin x and cos x with x = pi L / lam."""
-    log_z = np.log(zeta)
-    x = (math.pi / nm.lam) * log_z
-    return log_z, np.sin(x), np.cos(x)
-
-
-def _spread(zeta: np.ndarray, nm: Nome) -> float:
-    if zeta.size == 0:
-        return 0.0
-    spread = float(np.max(np.abs(np.log(np.abs(zeta))))) / nm.lam
-    if not math.isfinite(spread):
-        raise ValueError("prime function arguments must be finite and nonzero")
-    return spread
-
-
-def log_derivative(zeta, k: int) -> np.ndarray:
-    """K(zeta) = zeta P'(zeta) / P(zeta), elementwise over a complex array."""
+def _prime_parts(zeta, k: int):
+    """zeta as an array, its Nome and what K and ln|P| share: L, sin x and cos x
+    with x = pi L / lam in the dual form, the product factor count in the direct one."""
     zeta = np.asarray(zeta, dtype=complex)
     nm = nome(k)
+    if not nm.dual:
+        spread = float(np.max(np.abs(np.log(np.abs(zeta))), initial=0.0)) / nm.lam
+        if not math.isfinite(spread):
+            raise ValueError("prime function arguments must be finite and nonzero")
+        return zeta, nm, _direct_terms(nm.lam, spread)
+    log_z = np.log(zeta)
+    x = (math.pi / nm.lam) * log_z
+    return zeta, nm, (log_z, np.sin(x), np.cos(x))
+
+
+def _log_derivative(zeta: np.ndarray, nm: Nome, parts) -> np.ndarray:
     if nm.dual:
-        log_z, sin_x, cos_x = _dual_parts(zeta, nm)
+        log_z, sin_x, cos_x = parts
         out = (math.pi / nm.lam) * (cos_x / sin_x)
         out += log_z / nm.lam
         out += 0.5
-        if nm.terms:
-            # 1 - 2 q c + q^2 = (1 - q)^2 + 4 q sin^2 x and s = 2 sin x cos x
-            sin2, sin_cos = sin_x * sin_x, sin_x * cos_x
-            for n in range(1, nm.terms + 1):
-                qn = nm.q**n
-                out += (8 * math.pi / nm.lam * qn) * sin_cos / ((1 - qn) ** 2 + (4 * qn) * sin2)
+        # 1 - 2 q c + q^2 = (1 - q)^2 + 4 q sin^2 x and s = 2 sin x cos x
+        sin2, sin_cos = sin_x * sin_x, sin_x * cos_x
+        for n in range(1, nm.terms + 1):
+            qn = nm.q**n
+            out += (8 * math.pi / nm.lam * qn) * sin_cos / ((1 - qn) ** 2 + (4 * qn) * sin2)
         return out
     # K = 1 - 1/(1 - zeta) + sum_n [1/(1 - p^n/zeta) - 1/(1 - p^n zeta)]
-    terms = _direct_terms(nm.lam, _spread(zeta, nm))
     out = 1 - 1 / (1 - zeta)
     inv = 1 / zeta
     pn = 1.0
-    for _ in range(terms):
+    for _ in range(parts):
         pn *= nm.p
         out += 1 / (1 - pn * inv) - 1 / (1 - pn * zeta)
     return out
 
 
-def log_abs_prime(zeta, k: int) -> np.ndarray:
-    """ln|P(zeta)|, elementwise over a complex array (-inf at the zeros zeta = p^m)."""
-    zeta = np.asarray(zeta, dtype=complex)
-    nm = nome(k)
+def _log_abs_prime(zeta: np.ndarray, nm: Nome, parts) -> np.ndarray:
     if nm.dual:
-        log_z, sin_x, _ = _dual_parts(zeta, nm)
+        log_z, sin_x, _ = parts
         a, b = log_z.real, log_z.imag
         out = a / 2 + (a * a - b * b) / (2 * nm.lam) + np.log(np.abs(sin_x)) + nm.const
-        if nm.terms:
-            sin2 = sin_x * sin_x
-            for n in range(1, nm.terms + 1):
-                qn = nm.q**n
-                out += np.log(np.abs((1 - qn) ** 2 + (4 * qn) * sin2))
+        sin2 = sin_x * sin_x
+        for n in range(1, nm.terms + 1):
+            qn = nm.q**n
+            out += np.log(np.abs((1 - qn) ** 2 + (4 * qn) * sin2))
         return out
-    terms = _direct_terms(nm.lam, _spread(zeta, nm))
     out = np.log(np.abs(1 - zeta))
     inv = 1 / zeta
     pn = 1.0
-    for _ in range(terms):
+    for _ in range(parts):
         pn *= nm.p
         out += np.log(np.abs((1 - pn * zeta) * (1 - pn * inv)))
     return out
+
+
+def log_derivative(zeta, k: int) -> np.ndarray:
+    """K(zeta) = zeta P'(zeta) / P(zeta), elementwise over a complex array."""
+    return _log_derivative(*_prime_parts(zeta, k))
+
+
+def log_abs_prime(zeta, k: int) -> np.ndarray:
+    """ln|P(zeta)|, elementwise over a complex array (-inf at the zeros zeta = p^m)."""
+    return _log_abs_prime(*_prime_parts(zeta, k))
+
+
+def log_prime(zeta, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|P(zeta)|, K(zeta)), sharing one log, sin and cos of the arguments."""
+    parts = _prime_parts(zeta, k)
+    return _log_abs_prime(*parts), _log_derivative(*parts)
+
+
+def pair_arguments(zs: np.ndarray) -> np.ndarray:
+    """Arguments (z_i / z_j, z_i conj(z_j)) as a (2, N, N) array; the zeros
+    zeta = 1 of the first block's diagonal become -1, for callers to replace."""
+    n = len(zs)
+    zeta = np.empty((2, n, n), dtype=complex)
+    np.divide(zs[:, None], zs, out=zeta[0])
+    np.multiply(zs[:, None], np.conj(zs), out=zeta[1])
+    zeta[0].flat[:: n + 1] = -1.0
+    return zeta
+
+
+def pair_log_derivative(zs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, log zs): D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for points zs, an (N, N) array
+    whose diagonal is -K(|z_i|^2) (K(z_i/z_i) has no regular part).  The dual form takes
+    N logs and 3N exps, not 2 N^2 logs, sines and cosines; coincident points divide by 0."""
+    zs = np.asarray(zs, dtype=complex)
+    log_z = np.log(zs)
+    nm, n = nome(k), len(zs)
+    if not nm.dual:
+        kk = log_derivative(pair_arguments(zs), k)
+        kk[0].flat[:: n + 1] = 0.0
+        return kk[0] - kk[1], log_z
+    c = 2j * math.pi / nm.lam
+    e = np.exp(c * np.array([log_z, -log_z, log_z.conj()]))  # e_j, 1/e_j, 1/conj(e_j)
+    w = e[0, :, None] * e[1:, None]
+    g = w - 1
+    # c g = -1/2 - i pi/lam cancels the rest of K(z_i / z_i)
+    g[0].flat[:: n + 1] = 1 / (1j * nm.lam / (4 * math.pi) - 0.5)
+    np.divide(c, g, out=g)
+    for j in range(1, nm.pair_terms + 1):
+        qn = nm.q**j  # the n-th term less its constant -1, which cancels in D
+        g -= c / (1 - qn * w) + (c * qn) / (qn - w)
+    return g[0] - g[1] - (2 / nm.lam) * log_z.real, log_z

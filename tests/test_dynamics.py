@@ -99,6 +99,15 @@ class TestNVortexRhs:
         with pytest.raises(VortexCollisionError):
             n_vortex_rhs(st)
 
+    @pytest.mark.parametrize("radius", [0.999, SQRT_PHI + 1e-3])
+    def test_stage_outside_the_annulus_rejected(self, radius):
+        # an RK4 stage is not validated; the rhs must not evaluate the
+        # continuation of the flow beyond a wall
+        zs = np.array([1.1 * cmath.exp(0.3j), radius * cmath.exp(2.0j)])
+        with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
+            n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5])))
+        assert err.value.step is None and err.value.index == 1
+
 
 class TestIntegrate:
     def test_stationary_vortex_does_not_drift(self):
@@ -206,6 +215,18 @@ class TestRingSolution:
         measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
         expected = 1.0 * (n - 1) / (4 * math.pi * SQRT_PHI)
         assert abs(measured - expected) / expected < 1e-4
+
+    def test_simulated_sixteen_ring(self):
+        # the benchmark's ring: every vortex turns at the closed-form rate to
+        # the 1e-7 its gate allows
+        n = 16
+        st = VortexState(tuple(GEOMETRIC_MEAN_RADIUS * cmath.exp(2j * math.pi * l / n + 0.2j)
+                               for l in range(n)), (1.0,) * n)
+        traj = integrate(st, IntegratorConfig(1e-3, 30))
+        angles = np.unwrap(np.angle(traj.positions), axis=0)
+        measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
+        expected = ring_frequency(n, GEOMETRIC_MEAN_RADIUS, 1.0)
+        assert np.max(np.abs(measured - expected)) / expected < 1e-7
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ phi-exponential Euler product.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,60 @@ class TestFlowAgainstLadders:
         _, vel = hydro.flow(hydro.AnnulusSpec(1), [(zs, 0.7)], np.array([z]))
         ref = hydro.velocity_via_ln_phi([(zs, -0.7 / (2 * math.pi))], z)
         assert abs(vel[0] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@st.composite
+def pair_points(draw, k: int) -> np.ndarray:
+    """2 to 6 points of the level-k annulus, often within 1e-9 of a wall; the
+    first two are more than pi apart in angle, so their principal log wraps."""
+    first = draw(st.floats(-math.pi, 0))
+    angs = [first, first + draw(st.floats(math.pi + 1e-6, 2 * math.pi - 1e-6))]
+    angs += draw(st.lists(angles, max_size=4))
+    zs = np.array([point(k, draw(radial_fraction()), a) for a in angs])
+    assume(all(abs(a - b) > 1e-6 for i, a in enumerate(zs) for b in zs[i + 1:]))
+    return zs
+
+
+def pair_reference(zs: np.ndarray, k: int):
+    """K(z_i/z_j) - K(z_i conj z_j) from log_derivative on the built arguments,
+    with K(z_i/z_i) dropped; also |K| of both arguments."""
+    kk = kernel.log_derivative(kernel.pair_arguments(zs), k)
+    kk[0].flat[:: len(zs) + 1] = 0.0
+    return kk[0] - kk[1], np.abs(kk[0]) ** 2 + np.abs(kk[1]) ** 2
+
+
+class TestPairLogDerivative:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.sampled_from(LEVELS))
+    def test_equals_log_derivative(self, data, k):
+        zs = data.draw(pair_points(k))
+        got, log_z = kernel.pair_log_derivative(zs, k)
+        ref, k_squared = pair_reference(zs, k)
+        assert np.array_equal(log_z, np.log(zs))
+        # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
+        # its pole zeta = 1 (a vortex by a wall, or two vortices close
+        # together), and the two routes round different quantities
+        tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared
+        assert np.all(np.abs(got - ref) <= tol)
+
+    @pytest.mark.parametrize("k", LEVELS)
+    def test_full_circle_of_200_points(self, k):
+        # at k = 1 the e_j span exp(+-41) and their ratios exp(+-82)
+        ang = 2 * math.pi * np.arange(200) / 200 + 0.01
+        zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = kernel.pair_log_derivative(zs, k)
+        ref, k_squared = pair_reference(zs, k)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
+
+    @pytest.mark.parametrize("k", LEVELS)
+    def test_lone_vortex_at_geometric_mean_radius_is_stationary(self, k):
+        # K(phi^(k/2)) = 1, so the velocity factor D + 1 of a single vortex
+        # at phi^(k/4) vanishes
+        assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
+        got, _ = kernel.pair_log_derivative([cmath.rect(PHI ** (k / 4), 0.9)], k)
+        assert abs(got[0, 0] + 1) < 1e-14
 
 
 @st.composite

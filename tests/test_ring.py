@@ -1,7 +1,8 @@
 import math
-import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goldcalc.ring import (
     PHI,
@@ -13,6 +14,9 @@ from goldcalc.ring import (
     lucas,
     to_real,
 )
+
+
+elements = st.builds(GoldenExact, st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
 
 
 def test_phi_constant():
@@ -34,13 +38,15 @@ class TestGoldenExact:
         assert 2 * x == GoldenExact(4, 6)
         assert x + 1 == GoldenExact(3, 3)
 
-    def test_conjugate_is_homomorphism(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            x = GoldenExact(rng.randint(-99, 99), rng.randint(-99, 99))
-            y = GoldenExact(rng.randint(-99, 99), rng.randint(-99, 99))
-            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    @given(x=elements, y=elements)
+    def test_conjugate_is_homomorphism(self, x, y):
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+        assert x.conjugate().conjugate() == x
+
+    @given(x=elements, y=elements)
+    def test_norm_is_multiplicative(self, x, y):
+        assert (x * y).norm() == x.norm() * y.norm()
 
     def test_norm_and_trace_are_rational_integers(self):
         x = GoldenExact(5, -8)
@@ -80,6 +86,12 @@ class TestFibonacci:
         for n in range(1, 12):
             assert lucas(-n) == (-1) ** n * lucas(n)
 
+    @given(n=st.integers(-10**4, 10**4))
+    def test_doubling_and_lucas_identities(self, n):
+        f, l = fibonacci(n), lucas(n)
+        assert fibonacci(2 * n) == f * l
+        assert l * l - 5 * f * f == 4 * (-1) ** (n % 2)
+
 
 class TestGoldenPow:
     def test_identity(self):
@@ -96,9 +108,12 @@ class TestGoldenPow:
     def test_matches_float_power(self, n):
         assert math.isclose(to_real(golden_pow(n)), PHI**n, rel_tol=1e-12)
 
-    def test_fibonacci_coefficients(self):
-        for n in range(-20, 21):
-            assert golden_pow(n) == GoldenExact(fibonacci(n - 1), fibonacci(n))
+    @given(n=st.integers(0, 2000))
+    def test_fibonacci_coefficients(self, n):
+        # against square-and-multiply in the ring, and phi^-n as the inverse
+        assert golden_pow(n) == GoldenExact(fibonacci(n - 1), fibonacci(n)) == GoldenExact(0, 1) ** n
+        assert golden_pow(-n) == GoldenExact(fibonacci(-n - 1), fibonacci(-n))
+        assert golden_pow(-n) * golden_pow(n) == GoldenExact(1)
 
 
 class TestFibDivisor:
