@@ -1,82 +1,6 @@
-"""Golden-ratio calculus and point-vortex flows in golden annular domains."""
+"""Golden-ratio calculus and point-vortex flows in golden annular domains.
 
-from goldcalc.combinatorics import (
-    GoldenBinomial,
-    fibonomial,
-    fibonorial,
-    golden_binomial,
-    golden_binomial_eval,
-    golden_binomial_product_coeffs,
-)
-from goldcalc.functions import (
-    E_phi,
-    GoldenAnalyticFunction,
-    SeriesTruncation,
-    TruncationError,
-    e_phi,
-    e_phi_product,
-    golden_analytic_eval,
-    golden_exp,
-    golden_trig,
-    ln_phi,
-    phi_number,
-)
-from goldcalc.operators import (
-    Polynomial,
-    ScalarField1D,
-    golden_derivative_continuous,
-    golden_derivative_numeric,
-    golden_derivative_poly,
-    is_golden_periodic,
-    translate,
-)
-from goldcalc.ring import (
-    PHI,
-    PHI_PRIME,
-    GoldenExact,
-    fib_divisor,
-    fib_divisor_recursion,
-    fibonacci,
-    golden_pow,
-    lucas,
-    to_real,
-)
+The root re-exports nothing: import from the submodules (`goldcalc.ring`, ...).
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PHI",
-    "PHI_PRIME",
-    "GoldenExact",
-    "fibonacci",
-    "lucas",
-    "fib_divisor",
-    "fib_divisor_recursion",
-    "golden_pow",
-    "to_real",
-    "fibonorial",
-    "fibonomial",
-    "GoldenBinomial",
-    "golden_binomial",
-    "golden_binomial_eval",
-    "golden_binomial_product_coeffs",
-    "Polynomial",
-    "ScalarField1D",
-    "golden_derivative_poly",
-    "golden_derivative_numeric",
-    "golden_derivative_continuous",
-    "translate",
-    "is_golden_periodic",
-    "SeriesTruncation",
-    "TruncationError",
-    "golden_exp",
-    "golden_trig",
-    "phi_number",
-    "e_phi",
-    "E_phi",
-    "e_phi_product",
-    "ln_phi",
-    "GoldenAnalyticFunction",
-    "golden_analytic_eval",
-    "__version__",
-]

@@ -151,17 +151,21 @@ def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
     - K(z_l conj z_j), D_ll = -K(|z_l|^2): N logs, 3N exps and O(N^2)
     arithmetic.  The pair term's relative precision is about 1e-16 / |z_l - z_j|,
-    far below the RK4 error for any pair the integrator resolves.  Raises
-    VortexCollisionError for a pair closer than COLLISION_DISTANCE and
-    VortexEscapeError (step None) for a position outside the open annulus.
+    far below the RK4 error for any pair the integrator resolves.
+
+    Checks come first, exponentials after: ln|z_l| of the one log taken per
+    call raises VortexEscapeError (step None) for a position outside the open
+    annulus or non-finite, then VortexCollisionError for a pair closer than
+    COLLISION_DISTANCE, so a bad stage emits no numpy warning.
     """
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations, dtype=float)
-    _check_pairs(zs, None)
-    pair, log_z = kernel.pair_log_derivative(zs, LEVEL)
+    log_z = np.log(zs)
     for i, log_r in enumerate(log_z.real.tolist()):
         if not 0 < log_r < LOG_OUTER_RADIUS:
             raise VortexEscapeError(None, i, complex(zs[i]))
+    _check_pairs(zs, None)
+    pair = kernel.pair_log_derivative(zs, log_z, LEVEL)
     return np.conj(((pair + 1) @ gammas) / (2j * math.pi * zs))
 
 

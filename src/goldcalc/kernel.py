@@ -198,17 +198,18 @@ def pair_arguments(zs: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def pair_log_derivative(zs, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(D, log zs): D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for points zs, an (N, N) array
-    whose diagonal is -K(|z_i|^2) (K(z_i/z_i) has no regular part).  The dual form takes
-    N logs and 3N exps, not 2 N^2 logs, sines and cosines; coincident points divide by 0."""
-    zs = np.asarray(zs, dtype=complex)
-    log_z = np.log(zs)
+def pair_log_derivative(zs: np.ndarray, log_z: np.ndarray, k: int) -> np.ndarray:
+    """D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for complex points zs with log_z = log(zs),
+    an (N, N) array whose diagonal is -K(|z_i|^2) (K(z_i/z_i) has no regular part).
+
+    The caller takes log_z and checks it first, so a non-finite or out-of-annulus
+    point is rejected before any exponential; the dual form then takes 3N exps,
+    not 2 N^2 logs, sines and cosines.  Coincident points divide by 0."""
     nm, n = nome(k), len(zs)
     if not nm.dual:
         kk = log_derivative(pair_arguments(zs), k)
         kk[0].flat[:: n + 1] = 0.0
-        return kk[0] - kk[1], log_z
+        return kk[0] - kk[1]
     c = 2j * math.pi / nm.lam
     e = np.exp(c * np.array([log_z, -log_z, log_z.conj()]))  # e_j, 1/e_j, 1/conj(e_j)
     w = e[0, :, None] * e[1:, None]
@@ -219,4 +220,4 @@ def pair_log_derivative(zs, k: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, nm.pair_terms + 1):
         qn = nm.q**j  # the n-th term less its constant -1, which cancels in D
         g -= c / (1 - qn * w) + (c * qn) / (qn - w)
-    return g[0] - g[1] - (2 / nm.lam) * log_z.real, log_z
+    return g[0] - g[1] - (2 / nm.lam) * log_z.real

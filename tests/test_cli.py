@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,9 +320,13 @@ class TestVerify:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_unknown_suite_exit_one(self, capsys, monkeypatch):
-        assert run_cli(["verify", "--suite", "nope"]) == 1
         ran = []
         monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: ran.append(a) or [])
+        assert run_cli(["verify", "--suite", "nope"]) == 1
+        out, err = capsys.readouterr()
+        assert not ran and not out
+        assert err.startswith("goldcalc verify: error: --suite 'nope'") and err.count("\n") == 1
+        assert all(name in err for name in (*verify.SUITE_NAMES, "all"))
         for flag, value in (("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
                             ("--tol", "nan"), ("--tol", "2"), ("--tol", "1e300"),
                             ("--seed", "-1")):
@@ -338,3 +346,53 @@ class TestVerify:
     def test_impossible_tolerance_exit_three(self, capsys):
         # shrinking every tolerance by 1e-12 must trip at least one check
         assert run_cli(["verify", "--suite", "calculus", "--tol", "1e-12"]) == 3
+
+
+# a fresh interpreter imports goldcalc (or runs cli.main on its arguments) and
+# prints the exit code and the names in sys.modules as its last line
+_LOADED = """
+import json, sys
+if sys.argv[1:]:
+    from goldcalc import cli
+    rc = cli.main(sys.argv[1:])
+else:
+    import goldcalc
+    rc = 0
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_loaded(argv, cwd) -> set[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return set(modules)
+
+
+class TestStartup:
+    """Each command imports only the code it runs; asserts module sets, not times."""
+
+    def test_package_root_imports_no_submodule(self, tmp_path):
+        loaded = modules_loaded([], tmp_path)
+        assert "goldcalc" in loaded
+        assert not [m for m in loaded if m.startswith("goldcalc.")]
+
+    @pytest.mark.parametrize("argv", [["seq", "--k", "1", "--n-max", "3"],
+                                      ["eval", "--fn", "e-phi", "--x", "0.5"]])
+    def test_exact_commands_start_without_numpy(self, tmp_path, argv):
+        loaded = modules_loaded(argv, tmp_path)
+        assert "goldcalc.cli" in loaded and "numpy" not in loaded
+
+    def test_field_and_simulate_load_no_oracle_checks(self, tmp_path):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
+        for argv in (["field", "--z0", "1.1+0.1i", "--gamma", "1", "--grid", "8x8",
+                      "--out", str(tmp_path / "f.csv")],
+                     ["simulate", "--init", str(init), "--dt", "1e-3", "--steps", "5",
+                      "--out", str(tmp_path / "t.csv")]):
+            loaded = modules_loaded(argv, tmp_path)
+            assert "goldcalc.kernel" in loaded and "goldcalc.verify" not in loaded, argv

@@ -99,10 +99,11 @@ class TestNVortexRhs:
         with pytest.raises(VortexCollisionError):
             n_vortex_rhs(st)
 
-    @pytest.mark.parametrize("radius", [0.999, SQRT_PHI + 1e-3])
+    @pytest.mark.parametrize("radius", [0.999, SQRT_PHI + 1e-3, math.nan, math.inf])
     def test_stage_outside_the_annulus_rejected(self, radius):
         # an RK4 stage is not validated; the rhs must not evaluate the
-        # continuation of the flow beyond a wall
+        # continuation of the flow beyond a wall, and a non-finite stage is
+        # rejected before any arithmetic that would warn
         zs = np.array([1.1 * cmath.exp(0.3j), radius * cmath.exp(2.0j)])
         with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
             n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5])))

@@ -161,9 +161,8 @@ class TestPairLogDerivative:
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
         zs = data.draw(pair_points(k))
-        got, log_z = kernel.pair_log_derivative(zs, k)
+        got = kernel.pair_log_derivative(zs, np.log(zs), k)
         ref, k_squared = pair_reference(zs, k)
-        assert np.array_equal(log_z, np.log(zs))
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
         # together), and the two routes round different quantities
@@ -177,7 +176,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, _ = kernel.pair_log_derivative(zs, k)
+            got = kernel.pair_log_derivative(zs, np.log(zs), k)
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -186,7 +185,8 @@ class TestPairLogDerivative:
         # K(phi^(k/2)) = 1, so the velocity factor D + 1 of a single vortex
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
-        got, _ = kernel.pair_log_derivative([cmath.rect(PHI ** (k / 4), 0.9)], k)
+        zs = np.array([cmath.rect(PHI ** (k / 4), 0.9)])
+        got = kernel.pair_log_derivative(zs, np.log(zs), k)
         assert abs(got[0, 0] + 1) < 1e-14
 
 
