@@ -11,9 +11,10 @@ contract is explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from goldcalc.combinatorics import _binomial_sign, golden_binomial_eval, golden_binomial
+from goldcalc.combinatorics import (
+    GoldenBinomial, _binomial_sign, golden_binomial, golden_binomial_eval)
 from goldcalc.ring import PHI, GoldenExact, fib_divisor, golden_pow
 
 
@@ -190,17 +191,20 @@ class GoldenAnalyticFunction:
 
     coeffs: tuple[complex, ...]
     k: int = 1
+    # (a_n, golden binomial of degree n) for each nonzero a_n, built once
+    binomials: tuple[tuple[complex, GoldenBinomial], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k == 0:
             raise ValueError("k must be nonzero")
+        object.__setattr__(self, "binomials", tuple(
+            (a, golden_binomial(n, self.k)) for n, a in enumerate(self.coeffs) if a != 0))
 
 
 def golden_analytic_eval(g: GoldenAnalyticFunction, x: float, y: float) -> tuple[float, float]:
     """(u, v) with u + iv = sum a_n * (x + i y)^n at binomial level k."""
     total = 0j
-    for n, a in enumerate(g.coeffs):
-        if a == 0:
-            continue
-        total += a * golden_binomial_eval(golden_binomial(n, g.k), x, 1j * y)
+    for a, binomial in g.binomials:
+        total += a * golden_binomial_eval(binomial, x, 1j * y)
     return total.real, total.imag

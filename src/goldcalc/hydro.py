@@ -323,7 +323,7 @@ class FlowGrid:
     def to_json(self, path) -> None:
         data = [dict(zip(self.FIELDS, row)) for row in self.rows]
         with open(path, "w") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))  # json.dump streams through the pure-Python encoder
 
 
 def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],

@@ -27,9 +27,12 @@ With w = exp(2 pi i L / lam), K = 1/2 + L/lam + i pi/lam + (2 pi i/lam) g(w),
 g(w) = 1/(w - 1) - sum_n [Q^n w/(1 - Q^n w) - Q^n w^-1/(1 - Q^n w^-1)].  For
 points z_j, `pair_log_derivative` takes L = l_i - l_j and l_i + conj(l_j),
 l_j = log z_j, so w = e_i/e_j and e_i/conj(e_j), e_j = exp(2 pi i l_j / lam),
-and the two L differ by -2 ln|z_j|.  Off the principal branch by 2 pi i m,
-m = round((arg z_i - arg z_j) / 2 pi), w gains Q^m and g(w Q^m) = g(w) - m for
-both: no branch factor is needed, only terms summed for |Im L| < 2 pi.
+and the two L differ by -2 ln|z_j|.  Moving l_i by 2 pi i m, w gains Q^m for
+both and g(w Q^m) = g(w) - m, so D is the same on every branch of every l_j.
+The branches are chosen to put the cut at pi or at 0, whichever narrows
+the points' angular spread S more; every pair then has |Im L| <= S, and
+the g(w) terms are sized from S: none for an N = 2 pair at k = 1 unless it is
+within about 0.1 rad of antipodal.
 
 Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the dual series needs one or two
 terms there.  As k grows Q tends to 1 while p vanishes, and the direct
@@ -60,7 +63,7 @@ class Nome(NamedTuple):
     dual: bool              # evaluate through the dual (Jacobi) series
     q: float                # dual nome exp(-4 pi^2 / lam)
     terms: int              # dual-series terms kept (dual form only)
-    pair_terms: int         # g(w) terms for |Im L| < 2 pi: tail < (4 pi/lam) Q^M / (1 - Q)^2
+    pair_order: float       # log_Q(TAIL lam (1 - Q)^2 / (4 pi)), see pair_terms
     log_euler: float        # ln (p; p)_inf = sum_n ln(1 - p^n)
     const: float            # C_k of ln|P| in the dual form
 
@@ -107,12 +110,20 @@ def nome(k: int) -> Nome:
     terms = 0
     while scale * q ** (terms + 0.5) >= TAIL:
         terms += 1
-    pair_terms = max(1, math.ceil(math.log(TAIL * lam / (4 * math.pi) * (1 - q) ** 2, q)))
+    pair_order = math.log(TAIL * lam / (4 * math.pi) * (1 - q) ** 2, q)
     # the direct form is sized for the arguments the flows use, |ln|zeta|| <= lam
     dual = terms <= _direct_terms(lam, 1.0)
     log_euler = _log_pochhammer(p)
     const = 2 * log_euler - math.log(math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
-    return Nome(lam, p, dual, q, terms, pair_terms, log_euler, const)
+    return Nome(lam, p, dual, q, terms, pair_order, log_euler, const)
+
+
+def pair_terms(nm: Nome, spread: float) -> int:
+    """g(w) terms for pair arguments with |Im L| <= spread: the smallest M with
+    (4 pi/lam) Q^(M + 1) e^(2 pi spread/lam) / (1 - Q)^2 < TAIL, a bound on the
+    tail after M terms.  e^(2 pi spread/lam) = Q^(-spread / 2 pi), so M is
+    floor(pair_order + spread / 2 pi); spread 2 pi covers any principal branch."""
+    return int(nm.pair_order + spread / (2 * math.pi))  # pair_order > 0 in the dual form
 
 
 def _prime_parts(zeta, k: int):
@@ -198,18 +209,49 @@ def pair_arguments(zs: np.ndarray) -> np.ndarray:
     return zeta
 
 
+def _pair_branches(log_z: np.ndarray, nm: Nome) -> tuple[np.ndarray, int]:
+    """log_z on the branches that need the fewest g(w) terms, and that number.
+
+    The angular spread S of the branches bounds every |Im L|.  A gap between
+    the points' angles wider than pi holds the angle pi or 0, so the principal
+    cut at pi or a cut at 0 (angles <= 0 moved up a turn) gives the least S,
+    2 pi less that gap.  O(N), with no sort."""
+    angles = log_z.imag.tolist()
+    spread = max(angles) - min(angles) if angles else 0.0
+    terms = pair_terms(nm, spread)
+    if spread <= math.pi:  # the gap that holds pi is the widest
+        return log_z, terms
+    # the spread with the cut at 0: the largest angle <= 0, moved up a turn,
+    # less the smallest angle > 0 (both exist, since spread > pi)
+    top, bottom = -math.pi, math.pi
+    for a in angles:
+        if a > 0:
+            if a < bottom:
+                bottom = a
+        elif a > top:
+            top = a
+    moved = top + 2 * math.pi - bottom
+    if pair_terms(nm, moved) >= terms:
+        return log_z, terms
+    log_z = log_z.copy()
+    log_z.imag += [2 * math.pi if a <= 0 else 0.0 for a in angles]
+    return log_z, pair_terms(nm, moved)
+
+
 def pair_log_derivative(zs: np.ndarray, log_z: np.ndarray, k: int) -> np.ndarray:
     """D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for complex points zs with log_z = log(zs),
     an (N, N) array whose diagonal is -K(|z_i|^2) (K(z_i/z_i) has no regular part).
 
     The caller takes log_z and checks it first, so a non-finite or out-of-annulus
     point is rejected before any exponential; the dual form then takes 3N exps,
-    not 2 N^2 logs, sines and cosines.  Coincident points divide by 0."""
+    not 2 N^2 logs, sines and cosines, and the g(w) terms the points' angular
+    spread needs.  Coincident points divide by 0."""
     nm, n = nome(k), len(zs)
     if not nm.dual:
         kk = log_derivative(pair_arguments(zs), k)
         kk[0].flat[:: n + 1] = 0.0
         return kk[0] - kk[1]
+    log_z, terms = _pair_branches(log_z, nm)
     c = 2j * math.pi / nm.lam
     e = np.exp(c * np.array([log_z, -log_z, log_z.conj()]))  # e_j, 1/e_j, 1/conj(e_j)
     w = e[0, :, None] * e[1:, None]
@@ -217,7 +259,11 @@ def pair_log_derivative(zs: np.ndarray, log_z: np.ndarray, k: int) -> np.ndarray
     # c g = -1/2 - i pi/lam cancels the rest of K(z_i / z_i)
     g[0].flat[:: n + 1] = 1 / (1j * nm.lam / (4 * math.pi) - 0.5)
     np.divide(c, g, out=g)
-    for j in range(1, nm.pair_terms + 1):
-        qn = nm.q**j  # the n-th term less its constant -1, which cancels in D
-        g -= c / (1 - qn * w) + (c * qn) / (qn - w)
+    for j in range(1, terms + 1):
+        # term n over one denominator: q w/(1 - q w) - q w^-1/(1 - q w^-1)
+        # = q (w^2 - 1) / ((1 - q w)(w - q)), which vanishes at w = 1
+        qn = nm.q**j
+        den = qn * w - 1
+        den *= qn - w
+        g -= (c * qn) * (w * w - 1) / den
     return g[0] - g[1] - (2 / nm.lam) * log_z.real

@@ -169,6 +169,67 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak < 0.6e6
 
+    def test_one_exact_pair_check_per_step(self, monkeypatch):
+        # the step-end check covers the next step's first stage, and the
+        # distance the later stages can move proves their pairs far apart
+        steps = []
+        check = dynamics._check_pairs
+        monkeypatch.setattr(dynamics, "_check_pairs",
+                            lambda zs, step: steps.append(step) or check(zs, step))
+        st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
+        integrate(st, IntegratorConfig(1e-3, 50))
+        assert steps == list(range(51))
+
+    @pytest.mark.parametrize("orientation, dt_fraction", [(1, 0.2), (1, 0.9), (-1, 0.9)])
+    def test_near_collision_aborts_where_checking_every_stage_does(
+            self, monkeypatch, orientation, dt_fraction):
+        # circulations (2, 2, -1) with sum gamma_i gamma_j d_ij^2 = 0 collapse
+        # (orientation 1) or expand self-similarly; the pairs start 2.2e-6 to
+        # 3.6e-6 apart, where the stage bound cannot clear and the exact check
+        # must run
+        s = 3e-6
+        c = 1.15 + 0j
+        st = VortexState((c, c + s, c + s * complex(0.94, orientation * 0.746)), (2.0, 2.0, -1.0))
+        vmax = float(np.max(np.abs(n_vortex_rhs(st))))
+        closest = abs(st.positions[2] - st.positions[1])
+        cfg = IntegratorConfig(dt_fraction * 0.5 * closest / vmax, 200)
+
+        def outcome(run):
+            calls = []
+            rhs = dynamics.n_vortex_rhs
+            monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: calls.append(1) or rhs(stage))
+            try:
+                end = run(st, cfg)
+                result = None
+            except (VortexCollisionError, VortexEscapeError) as exc:
+                end, result = None, (type(exc), exc.step, str(exc))
+            monkeypatch.setattr(dynamics, "n_vortex_rhs", rhs)
+            return len(calls), result, end
+
+        def checking_every_stage(state, cfg):
+            zs = np.asarray(state.positions, dtype=complex)
+            gammas = np.asarray(state.circulations)
+            f = lambda z: dynamics.n_vortex_rhs(dynamics._Stage(z, gammas))
+            dynamics._check_events(zs, 0)
+            dt = cfg.dt
+            for step in range(1, cfg.steps + 1):
+                k1 = f(zs)
+                k2 = f(zs + 0.5 * dt * k1)
+                k3 = f(zs + 0.5 * dt * k2)
+                k4 = f(zs + dt * k3)
+                zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                dynamics._check_events(zs, step)
+            return zs
+
+        ref_calls, ref_result, ref_end = outcome(checking_every_stage)
+        calls, result, traj = outcome(integrate)
+        assert calls == ref_calls + 1  # integrate's dt guard evaluates once more
+        assert result == ref_result
+        if orientation < 0:
+            assert result is None and np.array_equal(traj.positions[-1], ref_end)
+        else:
+            assert result[0] is VortexCollisionError
+
     def test_dt_guard(self):
         st = VortexState((1.001 + 0j,), (4.0,))
         with pytest.raises(ValueError, match="dt too large"):

@@ -270,6 +270,9 @@ class TestFieldGrid:
         grid.to_json(path)
         back = json.loads(path.read_text())
         assert [tuple(rec[f] for f in ("x", "y", "psi", "u", "v")) for rec in back] == grid.rows
+        # the one-shot write is byte-identical to json.dumps of the records
+        records = [dict(zip(("x", "y", "psi", "u", "v"), row)) for row in grid.rows]
+        assert path.read_bytes() == json.dumps(records).encode()
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,47 @@ class TestPairLogDerivative:
         assert abs(got[0, 0] + 1) < 1e-14
 
 
+class TestPairTermSizing:
+    """pair_log_derivative sums the g(w) terms its points' angular spread
+    needs, on branches that put the cut in a gap wider than pi if there is one."""
+
+    def test_terms_from_spread(self):
+        assert kernel.pair_terms(kernel.nome(1), 3.03) == 0
+        assert kernel.pair_terms(kernel.nome(1), 3.04) == 1
+        for k in range(1, 15):  # the dual form; at spread 2 pi, the tail bound (4 pi/lam) Q^M / (1 - Q)^2
+            nm = kernel.nome(k)
+            assert nm.dual
+            full = max(1, math.ceil(math.log(kernel.TAIL * nm.lam / (4 * math.pi) * (1 - nm.q) ** 2, nm.q)))
+            assert kernel.pair_terms(nm, 2 * math.pi) == full
+
+    @pytest.mark.parametrize("angles", [(0.3, 1.5), (3.0, -3.0), (-0.1, 2.9), (2.0, -1.0)])
+    def test_a_pair_at_k1_needs_no_term_unless_nearly_antipodal(self, angles):
+        zs = np.array([cmath.rect(1.1, a) for a in angles])
+        assert kernel._pair_branches(np.log(zs), kernel.nome(1))[1] == 0
+
+    CASES = {
+        "antipodal": [(0.2, 0.4), (0.7, 0.4 - math.pi)],
+        "antipodal across the cut": [(0.2, 3.1), (0.7, 3.1 - math.pi)],
+        "clustered": [(f, 1.0 + 0.05 * i) for i, f in enumerate((0.1, 0.5, 0.9, 0.3, 0.6))],
+        "clustered across the cut": [(f, math.pi - 0.1 + 0.05 * i - 2 * math.pi * (i > 1))
+                                     for i, f in enumerate((0.1, 0.5, 0.9, 0.3, 0.6))],
+        "ring": [(0.5, 0.2 + 2 * math.pi * i / 16 - 2 * math.pi * (i > 7)) for i in range(16)],
+        "one": [(0.4, 2.5)],
+        "none": [],
+    }
+
+    @pytest.mark.parametrize("k", LEVELS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
+        zs = np.array([point(k, f, a) for f, a in self.CASES[case]], dtype=complex)
+        got = kernel.pair_log_derivative(zs, np.log(zs), k)
+        monkeypatch.setattr(kernel, "_pair_branches",
+                            lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
+        ref = kernel.pair_log_derivative(zs, np.log(zs), k)
+        assert got.shape == ref.shape == (len(zs), len(zs))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 @st.composite
 def vortex_states(draw, max_n=4):
     n = draw(st.integers(1, max_n))
