@@ -4,7 +4,7 @@ The velocity of each vortex, the Hamiltonian and the Green function are all
 evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1),
 for every vortex pair at once as an (N, N) array.  The pair term K(z_l/z_j)
 of the velocity already contains the direct Biot-Savart term 1/(z_l - z_j).
-The velocity takes its logs and exps per vortex (`kernel.pair_log_derivative`);
+The velocity uses numpy only for its pair block (`kernel.pair_log_derivative`);
 the Hamiltonian, which checks it, takes ln|P| of all 2 N^2 pair arguments.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
@@ -129,11 +129,10 @@ def _check_events(zs: np.ndarray, step: int) -> tuple[float, float]:
     """Smallest wall gap and smallest pair distance of the positions zs; raises
     VortexEscapeError for a vortex outside the open annulus (or non-finite)
     and VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
-    radii = np.abs(zs)
-    gaps = np.minimum(radii - 1.0, SQRT_PHI - radii)
-    wall = float(gaps.min(initial=math.inf))
-    if not wall > 0:
-        i = int(np.argmin(gaps > 0))
+    radii = list(map(abs, zs.tolist()))
+    wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
+    if not (wall > 0 and sum(radii) < math.inf):  # a nan radius makes the sum nan
+        i = next(i for i, r in enumerate(radii) if not 1.0 < r < SQRT_PHI)
         raise VortexEscapeError(step, i, complex(zs[i]))
     return wall, _check_pairs(zs, step)
 
@@ -148,41 +147,42 @@ class _Stage(NamedTuple):
     pairs_clear: bool = False
 
 
-def _stage(zs: np.ndarray, h: float, k: np.ndarray, gammas: np.ndarray,
-           closest: float) -> _Stage:
+def _stage(zs: list, h: float, k: list, gammas: np.ndarray, closest: float) -> _Stage:
     """The RK4 stage zs + h k of positions whose pairs are at least closest
     apart: each vortex moves at most h max|k|, so every pair there is at least
     closest - 2 h max|k| apart.  The factor 2 on COLLISION_DISTANCE absorbs the
     rounding of both.  A non-finite k makes a non-finite stage, which the
     escape check of n_vortex_rhs rejects before any pair check."""
-    clear = len(k) < 2 or closest - 2 * h * max(map(abs, k.tolist())) >= 2 * COLLISION_DISTANCE
-    return _Stage(zs + h * k, gammas, clear)
+    clear = len(k) < 2 or closest - 2 * h * max(map(abs, k)) >= 2 * COLLISION_DISTANCE
+    return _Stage(np.array([z + h * v for z, v in zip(zs, k)], dtype=complex), gammas, clear)
 
 
 def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     """dz_l/dt for every vortex, direct pair terms plus all images, as an array.
 
     conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
-    - K(z_l conj z_j), D_ll = -K(|z_l|^2): N logs, 3N exps and O(N^2)
-    arithmetic.  The pair term's relative precision is about 1e-16 / |z_l - z_j|,
-    far below the RK4 error for any pair the integrator resolves.
+    - K(z_l conj z_j), D_ll = -K(|z_l|^2): one np.log call, N cmath exps and
+    numpy for the O(N^2) pair block.  The pair term's relative precision is
+    about 1e-16 / |z_l - z_j|, far below the RK4 error for any pair it resolves.
 
     Checks come first, exponentials after: ln|z_l| of the one log taken per
-    call raises VortexEscapeError (step None) for a position outside the open
+    vortex raises VortexEscapeError (step None) for a position outside the open
     annulus or non-finite, then VortexCollisionError for a pair closer than
     COLLISION_DISTANCE (unless a _Stage's pairs_clear says none can be), so a
     bad stage emits no numpy warning.
     """
     zs = np.asarray(state.positions, dtype=complex)
-    gammas = np.asarray(state.circulations, dtype=float)
-    log_z = np.log(zs)
-    for i, log_r in enumerate(log_z.real.tolist()):
-        if not 0 < log_r < LOG_OUTER_RADIUS:
+    points = zs.tolist()  # np.log keeps ln|z| exact near |z| = 1, but warns on 0
+    log_z = (np.log(zs).tolist() if 0 not in points
+             else [cmath.log(z) if z else -math.inf for z in points])
+    for i, l in enumerate(log_z):
+        if not 0 < l.real < LOG_OUTER_RADIUS:
             raise VortexEscapeError(None, i, complex(zs[i]))
     if not (isinstance(state, _Stage) and state.pairs_clear):
         _check_pairs(zs, None)
-    pair = kernel.pair_log_derivative(zs, log_z, LEVEL)
-    return np.conj(((pair + 1) @ gammas) / (2j * math.pi * zs))
+    gammas = np.asarray(state.circulations, dtype=float)
+    pair = kernel.pair_log_derivative(log_z, gammas, LEVEL) + sum(gammas.tolist())
+    return np.conj(pair / (2j * math.pi * zs))
 
 
 @dataclass(eq=False)
@@ -232,17 +232,18 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
             f"smallest separation {scale:.3g}")
 
-    dt = cfg.dt
+    dt, half, sixth = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0
     times = np.empty(cfg.steps + 1)
     positions = np.empty((cfg.steps + 1, len(zs)), dtype=complex)
     times[0], positions[0] = 0.0, zs
-    t = 0.0
+    t, z = 0.0, zs.tolist()
     for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs(_Stage(zs, gammas, True))
-        k2 = n_vortex_rhs(_stage(zs, 0.5 * dt, k1, gammas, closest))
-        k3 = n_vortex_rhs(_stage(zs, 0.5 * dt, k2, gammas, closest))
-        k4 = n_vortex_rhs(_stage(zs, dt, k3, gammas, closest))
-        zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = n_vortex_rhs(_Stage(zs, gammas, True)).tolist()
+        k2 = n_vortex_rhs(_stage(z, half, k1, gammas, closest)).tolist()
+        k3 = n_vortex_rhs(_stage(z, half, k2, gammas, closest)).tolist()
+        k4 = n_vortex_rhs(_stage(z, dt, k3, gammas, closest)).tolist()
+        z = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+        zs = np.array(z, dtype=complex)
         t += dt
         closest = _check_events(zs, step)[1]
         times[step], positions[step] = t, zs

@@ -349,15 +349,17 @@ def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
     z.imag = ys[:, None]
     r = np.abs(z)
     keep = (annulus.inner_radius < r) & (r < r_out)
-    # an image more than `exclusion` outside the annulus excludes none of its
-    # points (the window is twice that wide so that rounding cannot matter);
-    # images that overflow to inf or nan at large k fall outside it
+    # an image 2 `exclusion` outside the annulus (twice, for rounding) excludes none of
+    # its points, one beyond 3 r_out none that the vortex does not; the ladders' radii
+    # |z0| phi^(k n), n in [-t, t], and phi^(k n) / |z0|, n in [1 - t, t], give the windows
+    lo = math.log(1 - 2 * exclusion) if exclusion < 0.5 else -math.inf
+    hi = math.log(r_out + 2 * min(exclusion, r_out))
+    step, t = annulus.k * kernel.LN_PHI, annulus.truncation
     for s in systems:
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = np.concatenate(_ladders(s))
-            radii = np.abs(images)
-            near = images[(radii >= 1 - 2 * exclusion) & (radii <= r_out + 2 * exclusion)]
-        for w in near:
+        a = math.log(abs(s.z0))
+        ns = [range(math.ceil(max((lo + b) / step, n0)), math.floor(min((hi + b) / step, t)) + 1)
+              for b, n0 in ((-a, -t), (a, 1 - t))]
+        for w in np.concatenate(_ladders(s, *ns)):
             keep &= ~(np.abs(w - z) < exclusion)
     z = z[keep]
     psi = np.empty(len(z))

@@ -43,7 +43,9 @@ use and cached; importing this module does no work.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -130,11 +132,11 @@ def _prime_parts(zeta, k: int):
     """zeta as an array, its Nome and what K and ln|P| share: L, sin x and cos x
     with x = pi L / lam in the dual form, the product factor count in the direct one."""
     zeta = np.asarray(zeta, dtype=complex)
-    nm = nome(k)
+    nm, modulus = nome(k), np.abs(zeta)
+    if not (np.isfinite(modulus) & (modulus > 0)).all():  # before any log
+        raise ValueError("prime function arguments must be finite and nonzero")
     if not nm.dual:
-        spread = float(np.max(np.abs(np.log(np.abs(zeta))), initial=0.0)) / nm.lam
-        if not math.isfinite(spread):
-            raise ValueError("prime function arguments must be finite and nonzero")
+        spread = float(np.max(np.abs(np.log(modulus)), initial=0.0)) / nm.lam
         return zeta, nm, _direct_terms(nm.lam, spread)
     log_z = np.log(zeta)
     x = (math.pi / nm.lam) * log_z
@@ -209,14 +211,14 @@ def pair_arguments(zs: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def _pair_branches(log_z: np.ndarray, nm: Nome) -> tuple[np.ndarray, int]:
+def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
     """log_z on the branches that need the fewest g(w) terms, and that number.
 
     The angular spread S of the branches bounds every |Im L|.  A gap between
     the points' angles wider than pi holds the angle pi or 0, so the principal
     cut at pi or a cut at 0 (angles <= 0 moved up a turn) gives the least S,
     2 pi less that gap.  O(N), with no sort."""
-    angles = log_z.imag.tolist()
+    angles = [l.imag for l in log_z]
     spread = max(angles) - min(angles) if angles else 0.0
     terms = pair_terms(nm, spread)
     if spread <= math.pi:  # the gap that holds pi is the widest
@@ -233,37 +235,47 @@ def _pair_branches(log_z: np.ndarray, nm: Nome) -> tuple[np.ndarray, int]:
     moved = top + 2 * math.pi - bottom
     if pair_terms(nm, moved) >= terms:
         return log_z, terms
-    log_z = log_z.copy()
-    log_z.imag += [2 * math.pi if a <= 0 else 0.0 for a in angles]
-    return log_z, pair_terms(nm, moved)
+    return [l + 2j * math.pi if a <= 0 else l for l, a in zip(log_z, angles)], pair_terms(nm, moved)
 
 
-def pair_log_derivative(zs: np.ndarray, log_z: np.ndarray, k: int) -> np.ndarray:
-    """D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for complex points zs with log_z = log(zs),
-    an (N, N) array whose diagonal is -K(|z_i|^2) (K(z_i/z_i) has no regular part).
+@lru_cache(maxsize=16)
+def _pair_offsets(n: int, k: int) -> np.ndarray:
+    """Block offsets: 1, and c / (w - offset) = -1/2 - i pi/lam where w = 1 on the diagonal."""
+    out = np.ones((n, 2 * n), dtype=complex)
+    out.ravel()[:: 2 * n + 1] = 1 + 2j * math.pi / (nome(k).lam / 2 + 1j * math.pi)
+    out.flags.writeable = False
+    return out
 
-    The caller takes log_z and checks it first, so a non-finite or out-of-annulus
-    point is rejected before any exponential; the dual form then takes 3N exps,
-    not 2 N^2 logs, sines and cosines, and the g(w) terms the points' angular
-    spread needs.  Coincident points divide by 0."""
-    nm, n = nome(k), len(zs)
+
+def pair_log_derivative(log_z: list, weights: np.ndarray, k: int) -> np.ndarray:
+    """D @ weights for weights of shape (N,) or (N, M): D_ij = K(z_i/z_j) -
+    K(z_i conj(z_j)) for the points z_j = exp(log_z[j]), D_ii = -K(|z_i|^2).
+
+    log_z, a list of Python complex numbers on any branch, is taken and checked
+    by the caller before any exponential.  The branch choice and N exps are
+    plain complex arithmetic; numpy does only the (N, 2N) block w = e_i /
+    [e_j, conj(e_j)], the g(w) terms the points' spread needs and one product
+    with [weights; -weights].  Coincident points divide by 0."""
+    nm, n = nome(k), len(log_z)
     if not nm.dual:
-        kk = log_derivative(pair_arguments(zs), k)
+        kk = log_derivative(pair_arguments(np.exp(np.array(log_z, dtype=complex))), k)
         kk[0].flat[:: n + 1] = 0.0
-        return kk[0] - kk[1]
+        return (kk[0] - kk[1]) @ weights
     log_z, terms = _pair_branches(log_z, nm)
     c = 2j * math.pi / nm.lam
-    e = np.exp(c * np.array([log_z, -log_z, log_z.conj()]))  # e_j, 1/e_j, 1/conj(e_j)
-    w = e[0, :, None] * e[1:, None]
-    g = w - 1
-    # c g = -1/2 - i pi/lam cancels the rest of K(z_i / z_i)
-    g[0].flat[:: n + 1] = 1 / (1j * nm.lam / (4 * math.pi) - 0.5)
+    e = [cmath.exp(c * l) for l in log_z]
+    e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
+    w = e[:n, None] / e
+    g = w - _pair_offsets(n, k)
     np.divide(c, g, out=g)
-    for j in range(1, terms + 1):
+    if terms:
         # term n over one denominator: q w/(1 - q w) - q w^-1/(1 - q w^-1)
-        # = q (w^2 - 1) / ((1 - q w)(w - q)), which vanishes at w = 1
-        qn = nm.q**j
-        den = qn * w - 1
-        den *= qn - w
-        g -= (c * qn) * (w * w - 1) / den
-    return g[0] - g[1] - (2 / nm.lam) * log_z.real
+        # = (w - 1/w) / (q + 1/q - w - 1/w), q = Q^n, which vanishes at w = 1
+        inv = 1 / w
+        ends, odd = w + inv, c * (w - inv)
+        for j in range(1, terms + 1):
+            g -= odd / ((nm.q**j + nm.q**-j) - ends)
+    # column j's term -(2/lam) ln|z_j|, summed in plain arithmetic for 1-D weights
+    ln_r = [l.real for l in log_z]
+    col = sum(map(operator.mul, ln_r, weights.tolist())) if weights.ndim == 1 else ln_r @ weights
+    return g.dot(np.concatenate((weights, -weights))) - (2 / nm.lam) * col

@@ -99,7 +99,7 @@ class TestNVortexRhs:
         with pytest.raises(VortexCollisionError):
             n_vortex_rhs(st)
 
-    @pytest.mark.parametrize("radius", [0.999, SQRT_PHI + 1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("radius", [0.0, 0.999, SQRT_PHI + 1e-3, math.nan, math.inf])
     def test_stage_outside_the_annulus_rejected(self, radius):
         # an RK4 stage is not validated; the rhs must not evaluate the
         # continuation of the flow beyond a wall, and a non-finite stage is
@@ -108,6 +108,23 @@ class TestNVortexRhs:
         with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
             n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5])))
         assert err.value.step is None and err.value.index == 1
+
+
+def array_rk4(state, cfg):
+    """Plain array RK4 that checks every stage's pairs: the reference for integrate."""
+    zs = np.asarray(state.positions, dtype=complex)
+    gammas = np.asarray(state.circulations)
+    f = lambda z: dynamics.n_vortex_rhs(dynamics._Stage(z, gammas))
+    dynamics._check_events(zs, 0)
+    dt = cfg.dt
+    for step in range(1, cfg.steps + 1):
+        k1 = f(zs)
+        k2 = f(zs + 0.5 * dt * k1)
+        k3 = f(zs + 0.5 * dt * k2)
+        k4 = f(zs + dt * k3)
+        zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        dynamics._check_events(zs, step)
+    return zs
 
 
 class TestIntegrate:
@@ -206,22 +223,7 @@ class TestIntegrate:
             monkeypatch.setattr(dynamics, "n_vortex_rhs", rhs)
             return len(calls), result, end
 
-        def checking_every_stage(state, cfg):
-            zs = np.asarray(state.positions, dtype=complex)
-            gammas = np.asarray(state.circulations)
-            f = lambda z: dynamics.n_vortex_rhs(dynamics._Stage(z, gammas))
-            dynamics._check_events(zs, 0)
-            dt = cfg.dt
-            for step in range(1, cfg.steps + 1):
-                k1 = f(zs)
-                k2 = f(zs + 0.5 * dt * k1)
-                k3 = f(zs + 0.5 * dt * k2)
-                k4 = f(zs + dt * k3)
-                zs = zs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                dynamics._check_events(zs, step)
-            return zs
-
-        ref_calls, ref_result, ref_end = outcome(checking_every_stage)
+        ref_calls, ref_result, ref_end = outcome(array_rk4)
         calls, result, traj = outcome(integrate)
         assert calls == ref_calls + 1  # integrate's dt guard evaluates once more
         assert result == ref_result
@@ -229,6 +231,21 @@ class TestIntegrate:
             assert result is None and np.array_equal(traj.positions[-1], ref_end)
         else:
             assert result[0] is VortexCollisionError
+
+    @pytest.mark.parametrize("positions, gammas", [
+        ((1.1 * cmath.exp(0.4j),), (1.3,)),
+        ((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7)),
+        (tuple(1.15 * cmath.exp(1j * (0.5 + 2 * math.pi * l / 3)) for l in range(3)), (1.0, 0.8, 1.2)),
+        (tuple(GEOMETRIC_MEAN_RADIUS * cmath.exp(2j * math.pi * l / 16 + 0.1j) for l in range(16)),
+         (1.0,) * 16),
+    ], ids=["n1", "n2", "n3", "ring16"])
+    def test_equals_plain_array_rk4(self, positions, gammas):
+        # integrate keeps positions and stages as Python numbers; the stage
+        # coefficients and the update must still be those of array RK4
+        st = VortexState(positions, gammas)
+        cfg = IntegratorConfig(1e-3, 200)
+        ref = array_rk4(st, cfg)
+        assert np.max(np.abs(integrate(st, cfg).positions[-1] - ref)) <= 1e-13
 
     def test_dt_guard(self):
         st = VortexState((1.001 + 0j,), (4.0,))

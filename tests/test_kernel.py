@@ -161,7 +161,7 @@ class TestPairLogDerivative:
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
         zs = data.draw(pair_points(k))
-        got = kernel.pair_log_derivative(zs, np.log(zs), k)
+        got = kernel.pair_log_derivative(np.log(zs).tolist(), np.eye(len(zs)), k)
         ref, k_squared = pair_reference(zs, k)
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
@@ -176,7 +176,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernel.pair_log_derivative(zs, np.log(zs), k)
+            got = kernel.pair_log_derivative(np.log(zs).tolist(), np.eye(200), k)
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -185,9 +185,53 @@ class TestPairLogDerivative:
         # K(phi^(k/2)) = 1, so the velocity factor D + 1 of a single vortex
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
-        zs = np.array([cmath.rect(PHI ** (k / 4), 0.9)])
-        got = kernel.pair_log_derivative(zs, np.log(zs), k)
+        got = kernel.pair_log_derivative([cmath.log(cmath.rect(PHI ** (k / 4), 0.9))], np.eye(1), k)
         assert abs(got[0, 0] + 1) < 1e-14
+
+
+@st.composite
+def rhs_states(draw) -> dynamics.VortexState:
+    """1 to 6 vortices of the k = 1 annulus, often within 1e-9 of a wall.  The
+    first two sit nearly antipodal (1e-9 to 0.1 rad from pi apart), on either
+    side of the cut at pi, or anywhere."""
+    kind = draw(st.sampled_from(["antipodal", "across the cut", "free"]))
+    first = draw(angles)
+    if kind == "antipodal":
+        second = first + math.pi + draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-9, 0.1))
+    elif kind == "across the cut":
+        first, second = math.pi - draw(st.floats(1e-9, 0.5)), draw(st.floats(1e-9, 0.5)) - math.pi
+    else:
+        second = draw(angles)
+    angs = ([first, second] + draw(st.lists(angles, max_size=4)))[:draw(st.integers(1, 6))]
+    zs = [point(1, draw(radial_fraction()), a) for a in angs]
+    assume(all(abs(a - b) > 2e-6 for i, a in enumerate(zs) for b in zs[i + 1:]))
+    return dynamics.VortexState(tuple(zs), tuple(draw(st.floats(-2, 2)) for _ in zs))
+
+
+class TestRhsAgainstPairReference:
+    @settings(max_examples=150, deadline=None)
+    @given(state=rhs_states())
+    def test_rhs_equals_velocity_from_log_derivative(self, state):
+        zs, gammas = np.array(state.positions), np.array(state.circulations)
+        ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
+        ref = np.conj((ref_d + 1) @ gammas / (2j * math.pi * zs))
+        # TestPairLogDerivative's bound on each D entry, summed with |gamma|
+        tol = ((1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas)
+               / (2 * math.pi * np.abs(zs)))
+        assert np.all(np.abs(dynamics.n_vortex_rhs(state) - ref) <= tol)
+
+
+class TestPrimeArguments:
+    @pytest.mark.parametrize("k", [1, 4, 20])
+    @pytest.mark.parametrize("bad", [0, -0j, math.inf, -math.inf, math.nan,
+                                     complex(1.2, math.inf), complex(math.nan, 0.3)])
+    def test_zero_or_non_finite_argument_rejected_before_any_warning(self, k, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for zeta in (bad, np.array([1.3 + 0.2j, bad, 0.7 - 0.1j])):
+                for f in (kernel.log_derivative, kernel.log_abs_prime, kernel.log_prime):
+                    with pytest.raises(ValueError, match="finite and nonzero"):
+                        f(zeta, k)
 
 
 class TestPairTermSizing:
@@ -206,7 +250,7 @@ class TestPairTermSizing:
     @pytest.mark.parametrize("angles", [(0.3, 1.5), (3.0, -3.0), (-0.1, 2.9), (2.0, -1.0)])
     def test_a_pair_at_k1_needs_no_term_unless_nearly_antipodal(self, angles):
         zs = np.array([cmath.rect(1.1, a) for a in angles])
-        assert kernel._pair_branches(np.log(zs), kernel.nome(1))[1] == 0
+        assert kernel._pair_branches(np.log(zs).tolist(), kernel.nome(1))[1] == 0
 
     CASES = {
         "antipodal": [(0.2, 0.4), (0.7, 0.4 - math.pi)],
@@ -222,12 +266,12 @@ class TestPairTermSizing:
     @pytest.mark.parametrize("k", LEVELS)
     @pytest.mark.parametrize("case", CASES)
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
-        zs = np.array([point(k, f, a) for f, a in self.CASES[case]], dtype=complex)
-        got = kernel.pair_log_derivative(zs, np.log(zs), k)
+        log_z = [cmath.log(point(k, f, a)) for f, a in self.CASES[case]]
+        got = kernel.pair_log_derivative(log_z, np.eye(len(log_z)), k)
         monkeypatch.setattr(kernel, "_pair_branches",
                             lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-        ref = kernel.pair_log_derivative(zs, np.log(zs), k)
-        assert got.shape == ref.shape == (len(zs), len(zs))
+        ref = kernel.pair_log_derivative(log_z, np.eye(len(log_z)), k)
+        assert got.shape == ref.shape == (len(log_z), len(log_z))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
