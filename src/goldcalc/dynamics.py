@@ -334,6 +334,6 @@ def load_initial_conditions(path) -> VortexState:
         try:
             positions.append(complex(float(rec["x"]), float(rec["y"])))
             circulations.append(float(rec["gamma"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
             raise ValueError(f"bad initial-condition record {rec!r}") from exc
     return VortexState(tuple(positions), tuple(circulations))

@@ -23,18 +23,20 @@ compare it against.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from goldcalc import kernel
-from goldcalc.functions import DEFAULT_TRUNCATION, SeriesTruncation, e_phi_product, ln_phi
 from goldcalc.ring import PHI
 
+if TYPE_CHECKING:  # the oracles below import goldcalc.functions when called
+    from goldcalc.functions import SeriesTruncation
+
 SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
-CHUNK = 4096  # points per array pass of field_grid and rows per block of write_csv
+CHUNK = 4096  # points per array pass of field_grid and rows per block of the file writers
 
 
 class SingularityProximityError(ValueError):
@@ -163,33 +165,43 @@ def pure_golden_flow(z: complex) -> tuple[complex, float, complex]:
     return f, psi, v
 
 
-def wm_fractal(t: float, d: float, t_trunc: int = 60) -> float:
-    """Golden Weierstrass-Mandelbrot sum over |n| <= t_trunc of
-    (1 - cos(phi^n t)) / phi^(n d); self-similar, W(phi t) = phi^d W(t)."""
+def _wm_orders(t: float, d: float, t_trunc: int) -> np.ndarray:
+    """The orders n in [-t_trunc, t_trunc] of a golden Weierstrass-Mandelbrot
+    sum, after checking that its largest phase phi^t_trunc t is finite."""
     if not 0 < d < 1:
         raise ValueError("fractal parameter d must lie in (0, 1)")
     if t <= 0:
         raise ValueError("t must be positive")
     if t_trunc < 1:
         raise ValueError("t_trunc must be >= 1")
-    ns = np.arange(-t_trunc, t_trunc + 1, dtype=float)
+    try:  # the largest phase PHI**ns * t of the sums, computed the same way
+        finite = math.isfinite(t * PHI**t_trunc)
+    except OverflowError:  # PHI**n overflows from n = 1475
+        finite = False
+    if not finite:
+        raise ValueError(f"phase phi^t_trunc t overflows for t = {t!r}, t_trunc = {t_trunc}")
+    return np.arange(-t_trunc, t_trunc + 1, dtype=float)
+
+
+def wm_fractal(t: float, d: float, t_trunc: int = 60) -> float:
+    """Golden Weierstrass-Mandelbrot sum over |n| <= t_trunc of
+    (1 - cos(phi^n t)) / phi^(n d); self-similar, W(phi t) = phi^d W(t)."""
+    ns = _wm_orders(t, d, t_trunc)
     return float(np.sum((1.0 - np.cos(PHI**ns * t)) / PHI ** (ns * d)))
 
 
 def wm_modulation(t: float, d: float, t_trunc: int = 60) -> complex:
     """Scale-periodic modulation A(t) = sum (1 - exp(i phi^n t)) / (phi^(d n) t^d);
     invariant under t -> phi t, with Re A = W(t) / t^d."""
-    if not 0 < d < 1:
-        raise ValueError("fractal parameter d must lie in (0, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    ns = np.arange(-t_trunc, t_trunc + 1, dtype=float)
+    ns = _wm_orders(t, d, t_trunc)
     return complex(np.sum((1.0 - np.exp(1j * PHI**ns * t)) / PHI ** (ns * d)) / t**d)
 
 
 # --- closed forms on the k = 1 annulus (1 < |z| < sqrt(phi)) ---------------
 
 def _ephi_ratio_log(z: complex, zs: complex, t: SeriesTruncation) -> complex:
+    from goldcalc.functions import e_phi_product
+
     num = e_phi_product(-PHI * z / zs, t) * e_phi_product(-PHI * zs / z, t)
     den = (e_phi_product(-PHI * z * zs.conjugate(), t)
            * e_phi_product(-PHI**2 / (z * zs.conjugate()), t))
@@ -202,14 +214,17 @@ def _vortex_clearance(z: complex, zs: complex) -> None:
     _check_clearance(z, pts)
 
 
-def potential_via_e_phi(vortices, z: complex,
-                        t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
+def potential_via_e_phi(vortices, z: complex, t: SeriesTruncation | None = None) -> complex:
     """Complex potential of vortices (z_s, kappa_s) in the k=1 annulus, written
     through the zeros of the phi-exponential instead of explicit image sums.
 
     Matches the image-ladder potential up to an additive constant; a vortex of
-    circulation Gamma corresponds to kappa = -Gamma / (2 pi).
+    circulation Gamma corresponds to kappa = -Gamma / (2 pi).  t defaults to
+    functions.DEFAULT_TRUNCATION.
     """
+    from goldcalc.functions import DEFAULT_TRUNCATION
+
+    t = DEFAULT_TRUNCATION if t is None else t
     total = 0j
     for zs, kappa in vortices:
         if kappa == 0:
@@ -219,10 +234,13 @@ def potential_via_e_phi(vortices, z: complex,
     return total
 
 
-def velocity_via_ln_phi(vortices, z: complex,
-                        t: SeriesTruncation = DEFAULT_TRUNCATION) -> complex:
+def velocity_via_ln_phi(vortices, z: complex, t: SeriesTruncation | None = None) -> complex:
     """Conjugate velocity of vortices (z_s, kappa_s) in the k=1 annulus via four
-    phi-logarithms per vortex (pole-sum form, valid across the annulus)."""
+    phi-logarithms per vortex (pole-sum form, valid across the annulus); t
+    defaults to functions.DEFAULT_TRUNCATION."""
+    from goldcalc.functions import DEFAULT_TRUNCATION, ln_phi
+
+    t = DEFAULT_TRUNCATION if t is None else t
     total = 0j
     for zs, kappa in vortices:
         if kappa == 0:
@@ -277,16 +295,38 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
 
 # --- sampled fields ---------------------------------------------------------
 
+def _column_text(column: np.ndarray, spell) -> list[str]:
+    """spell(v) for each entry v of a 1-D array, called once per distinct value.
+
+    Values are told apart by their bits, not by ==: 0.0 and -0.0 are equal but
+    spelt differently."""
+    keys, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    text = np.array(list(map(spell, keys.view(column.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _text_blocks(n_rows: int, block, spells, sep: str, row_sep: str):
+    """The n_rows rows of block(rows) as one string per CHUNK rows: column c
+    spelt by spells[c], cells joined by sep and rows by row_sep.  block(rows)
+    returns the columns of the row slice rows as arrays."""
+    for start in range(0, n_rows, CHUNK):
+        columns = block(slice(start, min(start + CHUNK, n_rows)))
+        yield row_sep.join(map(sep.join, zip(*map(_column_text, columns, spells))))
+
+
 def write_csv(path, header: tuple[str, ...], n_rows: int, block) -> None:
     """Write the header, then n_rows rows of comma-joined reprs, CRLF-terminated
-    as csv.writer writes them.  block(rows) returns the columns of the row
-    slice rows as arrays; it is called for CHUNK rows at a time."""
+    as csv.writer writes them; block is as in _text_blocks."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, CHUNK):
-            columns = block(slice(start, min(start + CHUNK, n_rows)))
-            text = (map(repr, c.tolist()) for c in columns)
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+        for text in _text_blocks(n_rows, block, [repr] * len(header), ",", "\r\n"):
+            fh.write(text + "\r\n")
+
+
+def _json_number(v) -> str:
+    """v as json.dumps spells it: its repr, but NaN, Infinity and -Infinity."""
+    text = repr(v)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
 
 
 @dataclass(eq=False)
@@ -316,14 +356,24 @@ class FlowGrid:
     def __len__(self) -> int:
         return len(self.x)
 
+    def _block(self, rows: slice) -> list[np.ndarray]:
+        return [c[rows] for c in self.columns]
+
     def to_csv(self, path) -> None:
         """Header plus one row of float reprs per point."""
-        write_csv(path, self.FIELDS, len(self), lambda rows: (c[rows] for c in self.columns))
+        write_csv(path, self.FIELDS, len(self), self._block)
 
     def to_json(self, path) -> None:
-        data = [dict(zip(self.FIELDS, row)) for row in self.rows]
+        """The bytes of json.dumps of one {"x": x, "y": y, ...} record per point."""
+        # each cell carries its key, as json.dumps writes these plain ASCII names
+        spells = [lambda v, key=f'"{name}": ': key + _json_number(v) for name in self.FIELDS]
         with open(path, "w") as fh:
-            fh.write(json.dumps(data))  # json.dump streams through the pure-Python encoder
+            fh.write("[")
+            sep = "{"
+            for text in _text_blocks(len(self), self._block, spells, ", ", "}, {"):
+                fh.write(sep + text)
+                sep = "}, {"
+            fh.write("}]" if len(self) else "]")
 
 
 def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],

@@ -112,6 +112,17 @@ class TestEval:
         assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
         assert flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("fn", ["wm", "wm-modulation"])
+    @pytest.mark.parametrize("flags", [["--x", "1e300"], ["--trunc", "2000"], ["--trunc", "0"],
+                                       ["--trunc", "-3"], ["--trunc", "100000000"]],
+                             ids=["x=1e300", "trunc=2000", "trunc=0", "trunc=-3", "trunc=1e8"])
+    def test_weierstrass_sum_out_of_range_is_usage_error(self, capsys, fn, flags):
+        # phi^n t overflows for t = 1e300 at n = 60 and for t = 1 from n = 1475;
+        # --trunc below 1 leaves no sum
+        assert run_cli(["eval", "--fn", fn, "--x", "1", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
+
 
 class TestField:
     def test_csv_schema_and_summary(self, tmp_path, capsys):
@@ -266,6 +277,17 @@ class TestSimulate:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["x", "y", "gamma"])
+    def test_integer_beyond_float_range_exit_one(self, tmp_path, capsys, key):
+        init = tmp_path / "big.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0, key: 10**400}]))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
+                        "--steps", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("goldcalc simulate: error: cannot load") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_dt_exit_one(self, tmp_path, capsys):
         init = tmp_path / "init.json"
         init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
@@ -349,16 +371,18 @@ class TestVerify:
 
 
 # a fresh interpreter imports goldcalc (or runs cli.main on its arguments) and
-# prints the exit code and the names in sys.modules as its last line
+# prints the exit code and the names then in sys.modules as its last line
 _LOADED = """
-import json, sys
+import sys
 if sys.argv[1:]:
     from goldcalc import cli
     rc = cli.main(sys.argv[1:])
 else:
     import goldcalc
     rc = 0
-print(json.dumps([rc, sorted(sys.modules)]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([rc, loaded]))
 """
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -395,4 +419,8 @@ class TestStartup:
                      ["simulate", "--init", str(init), "--dt", "1e-3", "--steps", "5",
                       "--out", str(tmp_path / "t.csv")]):
             loaded = modules_loaded(argv, tmp_path)
-            assert "goldcalc.kernel" in loaded and "goldcalc.verify" not in loaded, argv
+            assert "goldcalc.kernel" in loaded, argv
+            for oracles in ("goldcalc.verify", "goldcalc.functions", "goldcalc.combinatorics"):
+                assert oracles not in loaded, (argv, oracles)
+            if argv[0] == "field":  # simulate reads its --init with json
+                assert "json" not in loaded

@@ -366,6 +366,9 @@ class TestIO:
         rng = np.random.default_rng(5)
         times = np.cumsum(np.full(1501, 1e-3)) - 1e-3
         positions = rng.uniform(-1.2, 1.2, (1501, 3)) + 1j * rng.uniform(-1.2, 1.2, (1501, 3))
+        # equal but spelt apart: the writer must tell signed zeros by their bits
+        positions[::5, 0] = complex(-0.0, 0.0)
+        positions[1::5, 0] = complex(0.0, -0.0)
         assert 1501 * 3 > hydro.CHUNK
         path = tmp_path / "traj.csv"
         Trajectory(times, positions).to_csv(path, every=every)

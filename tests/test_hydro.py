@@ -274,6 +274,26 @@ class TestFieldGrid:
         records = [dict(zip(("x", "y", "psi", "u", "v"), row)) for row in grid.rows]
         assert path.read_bytes() == json.dumps(records).encode()
 
+    def test_writers_spell_values_by_their_bits(self, tmp_path):
+        # each distinct value is formatted once: 0.0 and -0.0 are equal but spelt
+        # apart, a constant column has one value, and the values of every column
+        # repeat on both sides of a block boundary
+        i = np.arange(hydro.CHUNK + 40)
+        grid = FlowGrid(np.where(i % 3, 0.0, -0.0), np.full(len(i), 0.25), (i % 7 - 3) / 10,
+                        np.where(i % 2, 1e-300, -2.5), (i % 5) * PHI)
+        grid.u[[4, hydro.CHUNK + 1]] = math.nan
+        grid.v[[5, hydro.CHUNK + 2]] = math.inf, -math.inf
+        grid.to_csv(tmp_path / "grid.csv")
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(FlowGrid.FIELDS)
+        w.writerows([repr(v) for v in row] for row in grid.rows)
+        assert (tmp_path / "grid.csv").read_bytes() == expected.getvalue().encode()
+        # json spells the non-finite values NaN, Infinity and -Infinity
+        grid.to_json(tmp_path / "grid.json")
+        records = [dict(zip(FlowGrid.FIELDS, row)) for row in grid.rows]
+        assert (tmp_path / "grid.json").read_bytes() == json.dumps(records).encode()
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             field_grid(self.ANN, [], (1, 5))
