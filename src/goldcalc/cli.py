@@ -52,6 +52,13 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word that starts with "-" for an option unless it
+        # matches this pattern; no option here starts with a digit, so
+        # "-0.72-0.93i" and "-.5" are values, as "-5" already was
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on usage errors; the contract here says 1
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -4,8 +4,18 @@ The velocity of each vortex, the Hamiltonian and the Green function are all
 evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1),
 for every vortex pair at once as an (N, N) array.  The pair term K(z_l/z_j)
 of the velocity already contains the direct Biot-Savart term 1/(z_l - z_j).
-The velocity uses numpy only for its pair block (`kernel.pair_log_derivative`);
-the Hamiltonian, which checks it, takes ln|P| of all 2 N^2 pair arguments.
+The Hamiltonian, which checks the velocity, takes ln|P| of all 2 N^2 pair
+arguments in numpy.
+
+The velocity, the RK4 stages and the pair checks keep positions in lists of
+Python complex numbers, and the number of vortices N chooses how the pairs
+are summed (`kernel.LIST_MAX_POINTS`, set at the measured crossover; see
+`goldcalc.kernel`).  Up to that N everything is plain complex arithmetic,
+and an RK4 stage makes one numpy call, the np.log that keeps ln|z| exact near
+|z| = 1.  Per RK4 step that is about 3x, 2x and 1.4x faster than numpy's
+block at N = 1, 2 and 3 (2-core Xeon VM, Python 3.11, numpy 2.4), since
+each numpy call has a fixed cost of about a microsecond.  Above that N numpy
+builds the pair block and the N x N distance matrix.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -110,26 +120,38 @@ def single_vortex_omega(r: float, kappa: float) -> float:
     return PHI * kappa / (r * r) * float(vals[0] - vals[1])
 
 
-def _check_pairs(zs: np.ndarray, step: int | None) -> float:
-    """Smallest pair distance (inf for fewer than two vortices); raises
-    VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
+def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
+    """Smallest pair distance of the positions zs (inf for fewer than two
+    vortices); raises VortexCollisionError for a pair closer than
+    COLLISION_DISTANCE.  Up to kernel.LIST_MAX_POINTS vortices the pairs are
+    taken one by one, above that as one N x N numpy matrix."""
     n = len(zs)
     if n < 2:
         return math.inf
-    dist = np.abs(zs[:, None] - zs)
-    dist.flat[:: n + 1] = np.inf
-    closest = float(dist.min())
-    if closest < COLLISION_DISTANCE:
+    if n <= kernel.LIST_MAX_POINTS:  # ties keep the first pair in row order, as argmin does
+        closest = math.inf
+        for a in range(n - 1):
+            z = zs[a]
+            for b in range(a + 1, n):
+                d = abs(z - zs[b])
+                if d < closest:
+                    closest, i, j = d, a, b
+    else:
+        zs = np.asarray(zs, dtype=complex)
+        dist = np.abs(zs[:, None] - zs)
+        dist.flat[:: n + 1] = np.inf
+        closest = float(dist.min())
         i, j = sorted(divmod(int(dist.argmin()), n))
+    if closest < COLLISION_DISTANCE:
         raise VortexCollisionError(step, i, j, closest)
     return closest
 
 
-def _check_events(zs: np.ndarray, step: int) -> tuple[float, float]:
+def _check_events(zs: list, step: int) -> tuple[float, float]:
     """Smallest wall gap and smallest pair distance of the positions zs; raises
     VortexEscapeError for a vortex outside the open annulus (or non-finite)
     and VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
-    radii = list(map(abs, zs.tolist()))
+    radii = list(map(abs, zs))
     wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
     if not (wall > 0 and sum(radii) < math.inf):  # a nan radius makes the sum nan
         i = next(i for i, r in enumerate(radii) if not 1.0 < r < SQRT_PHI)
@@ -138,11 +160,12 @@ def _check_events(zs: np.ndarray, step: int) -> tuple[float, float]:
 
 
 class _Stage(NamedTuple):
-    """Positions and circulations of an RK4 stage, as arrays, not validated;
-    pairs_clear marks positions whose pairs are known to be at least
-    2 COLLISION_DISTANCE apart, which n_vortex_rhs then does not check."""
+    """Positions of an RK4 stage as a list of Python complex numbers, and the
+    circulations as a float array, not validated; pairs_clear marks positions
+    whose pairs are known to be at least 2 COLLISION_DISTANCE apart, which
+    n_vortex_rhs then does not check."""
 
-    positions: np.ndarray
+    positions: list
     circulations: np.ndarray
     pairs_clear: bool = False
 
@@ -154,16 +177,21 @@ def _stage(zs: list, h: float, k: list, gammas: np.ndarray, closest: float) -> _
     rounding of both.  A non-finite k makes a non-finite stage, which the
     escape check of n_vortex_rhs rejects before any pair check."""
     clear = len(k) < 2 or closest - 2 * h * max(map(abs, k)) >= 2 * COLLISION_DISTANCE
-    return _Stage(np.array([z + h * v for z, v in zip(zs, k)], dtype=complex), gammas, clear)
+    return _Stage([z + h * v for z, v in zip(zs, k)], gammas, clear)
 
 
-def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
-    """dz_l/dt for every vortex, direct pair terms plus all images, as an array.
+def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
+    """dz_l/dt for every vortex, direct pair terms plus all images, as a list
+    of Python complex numbers.
 
     conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
     - K(z_l conj z_j), D_ll = -K(|z_l|^2): one np.log call, N cmath exps and
-    numpy for the O(N^2) pair block.  The pair term's relative precision is
-    about 1e-16 / |z_l - z_j|, far below the RK4 error for any pair it resolves.
+    the O(N^2) pair sums of kernel.pair_log_derivative.  Up to
+    kernel.LIST_MAX_POINTS vortices those sums and everything here are plain
+    complex arithmetic, so the np.log is the only numpy call; above it numpy
+    does the pair block and the division by z_l.  The pair term's relative
+    precision is about 1e-16 / |z_l - z_j|, far below the RK4 error for any
+    pair it resolves.
 
     Checks come first, exponentials after: ln|z_l| of the one log taken per
     vortex raises VortexEscapeError (step None) for a position outside the open
@@ -171,18 +199,29 @@ def n_vortex_rhs(state: VortexState | _Stage) -> np.ndarray:
     COLLISION_DISTANCE (unless a _Stage's pairs_clear says none can be), so a
     bad stage emits no numpy warning.
     """
-    zs = np.asarray(state.positions, dtype=complex)
-    points = zs.tolist()  # np.log keeps ln|z| exact near |z| = 1, but warns on 0
+    if isinstance(state, _Stage):
+        points, gammas, clear = state
+        small = len(points) <= kernel.LIST_MAX_POINTS
+        zs = points if small else np.asarray(points, dtype=complex)
+    else:
+        zs = np.asarray(state.positions, dtype=complex)
+        points, small = zs.tolist(), len(zs) <= kernel.LIST_MAX_POINTS
+        gammas, clear = np.asarray(state.circulations, dtype=float), False
+    # np.log keeps ln|z| exact near |z| = 1, but warns on 0
     log_z = (np.log(zs).tolist() if 0 not in points
              else [cmath.log(z) if z else -math.inf for z in points])
     for i, l in enumerate(log_z):
         if not 0 < l.real < LOG_OUTER_RADIUS:
-            raise VortexEscapeError(None, i, complex(zs[i]))
-    if not (isinstance(state, _Stage) and state.pairs_clear):
+            raise VortexEscapeError(None, i, complex(points[i]))
+    if not clear:
         _check_pairs(zs, None)
-    gammas = np.asarray(state.circulations, dtype=float)
+    if small:
+        weights = gammas.tolist()
+        total = sum(weights)
+        pair = kernel.pair_log_derivative(log_z, weights, LEVEL)
+        return [((d + total) / (2j * math.pi * z)).conjugate() for d, z in zip(pair, points)]
     pair = kernel.pair_log_derivative(log_z, gammas, LEVEL) + sum(gammas.tolist())
-    return np.conj(pair / (2j * math.pi * zs))
+    return np.conj(pair / (2j * math.pi * zs)).tolist()
 
 
 @dataclass(eq=False)
@@ -220,13 +259,11 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     0).  The first stage of the next step is at those positions; each later
     stage checks its pairs only when the distance it can have moved leaves no
     proof that they stay 2 COLLISION_DISTANCE apart (see _stage)."""
-    zs = np.asarray(state.positions, dtype=complex)
+    z = np.asarray(state.positions, dtype=complex).tolist()
     gammas = np.asarray(state.circulations, dtype=float)
-
-    wall, closest = _check_events(zs, 0)
+    wall, closest = _check_events(z, 0)
     scale = min(wall, closest)
-    v0 = n_vortex_rhs(_Stage(zs, gammas, True))
-    vmax = float(np.max(np.abs(v0))) if len(zs) else 0.0
+    vmax = max(map(abs, n_vortex_rhs(_Stage(z, gammas, True))), default=0.0)
     if vmax * cfg.dt > 0.5 * scale:
         raise ValueError(
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
@@ -234,19 +271,18 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
 
     dt, half, sixth = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0
     times = np.empty(cfg.steps + 1)
-    positions = np.empty((cfg.steps + 1, len(zs)), dtype=complex)
-    times[0], positions[0] = 0.0, zs
-    t, z = 0.0, zs.tolist()
+    positions = np.empty((cfg.steps + 1, len(z)), dtype=complex)
+    times[0], positions[0] = 0.0, z
+    t = 0.0
     for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs(_Stage(zs, gammas, True)).tolist()
-        k2 = n_vortex_rhs(_stage(z, half, k1, gammas, closest)).tolist()
-        k3 = n_vortex_rhs(_stage(z, half, k2, gammas, closest)).tolist()
-        k4 = n_vortex_rhs(_stage(z, dt, k3, gammas, closest)).tolist()
+        k1 = n_vortex_rhs(_Stage(z, gammas, True))
+        k2 = n_vortex_rhs(_stage(z, half, k1, gammas, closest))
+        k3 = n_vortex_rhs(_stage(z, half, k2, gammas, closest))
+        k4 = n_vortex_rhs(_stage(z, dt, k3, gammas, closest))
         z = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
-        zs = np.array(z, dtype=complex)
         t += dt
-        closest = _check_events(zs, step)[1]
-        times[step], positions[step] = t, zs
+        closest = _check_events(z, step)[1]
+        times[step], positions[step] = t, z
     return Trajectory(times, positions)
 
 
@@ -330,10 +366,18 @@ def load_initial_conditions(path) -> VortexState:
         raise ValueError("initial conditions must be a non-empty JSON array")
     positions = []
     circulations = []
-    for rec in data:
-        try:
-            positions.append(complex(float(rec["x"]), float(rec["y"])))
-            circulations.append(float(rec["gamma"]))
-        except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
-            raise ValueError(f"bad initial-condition record {rec!r}") from exc
+    for index, rec in enumerate(data):
+        # name the record and the key, not the value, which may be 400 digits long
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {index}: not an object")
+        values = []
+        for key in ("x", "y", "gamma"):
+            if key not in rec:
+                raise ValueError(f"record {index}: no {key!r}")
+            try:
+                values.append(float(rec[key]))
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+                raise ValueError(f"record {index}: {key!r} is not a float") from None
+        positions.append(complex(values[0], values[1]))
+        circulations.append(values[2])
     return VortexState(tuple(positions), tuple(circulations))

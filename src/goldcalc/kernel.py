@@ -39,6 +39,14 @@ terms there.  As k grows Q tends to 1 while p vanishes, and the direct
 product in p converges faster; each k uses whichever form needs fewer terms
 to push the neglected tail below TAIL.  Per-k constants are computed on first
 use and cached; importing this module does no work.
+
+The pair sums have two evaluators, chosen by the number of points N.  Above
+LIST_MAX_POINTS numpy builds the (N, 2N) block; up to it every pair is summed
+in plain complex arithmetic, since each numpy call has a fixed cost of about
+a microsecond, which at a few points outweighs the arithmetic.  Timed per
+RK4 step of `dynamics.integrate` at k = 1 (2-core Xeon VM, Python 3.11,
+numpy 2.4), the plain sums are 1.2x faster at N = 4; at N = 5 they are
+0.8x with a g(w) term and 1.0x without, and from N = 6 they lose.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ TAIL = 1e-17
 PHI = (1 + math.sqrt(5)) / 2
 LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
+# pair_log_derivative sums up to this many points in plain complex arithmetic,
+# and numpy's block above it: the measured crossover (see above)
+LIST_MAX_POINTS = 4
 
 
 class Nome(NamedTuple):
@@ -247,21 +258,10 @@ def _pair_offsets(n: int, k: int) -> np.ndarray:
     return out
 
 
-def pair_log_derivative(log_z: list, weights: np.ndarray, k: int) -> np.ndarray:
-    """D @ weights for weights of shape (N,) or (N, M): D_ij = K(z_i/z_j) -
-    K(z_i conj(z_j)) for the points z_j = exp(log_z[j]), D_ii = -K(|z_i|^2).
-
-    log_z, a list of Python complex numbers on any branch, is taken and checked
-    by the caller before any exponential.  The branch choice and N exps are
-    plain complex arithmetic; numpy does only the (N, 2N) block w = e_i /
-    [e_j, conj(e_j)], the g(w) terms the points' spread needs and one product
-    with [weights; -weights].  Coincident points divide by 0."""
-    nm, n = nome(k), len(log_z)
-    if not nm.dual:
-        kk = log_derivative(pair_arguments(np.exp(np.array(log_z, dtype=complex))), k)
-        kk[0].flat[:: n + 1] = 0.0
-        return (kk[0] - kk[1]) @ weights
-    log_z, terms = _pair_branches(log_z, nm)
+def _pair_block(log_z: list, weights: np.ndarray, nm: Nome, terms: int, k: int) -> np.ndarray:
+    """D @ weights through the (N, 2N) block w = e_i / [e_j, conj(e_j)] in numpy."""
+    n = len(log_z)
+    weights = np.asarray(weights)
     c = 2j * math.pi / nm.lam
     e = [cmath.exp(c * l) for l in log_z]
     e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
@@ -279,3 +279,71 @@ def pair_log_derivative(log_z: list, weights: np.ndarray, k: int) -> np.ndarray:
     ln_r = [l.real for l in log_z]
     col = sum(map(operator.mul, ln_r, weights.tolist())) if weights.ndim == 1 else ln_r @ weights
     return g.dot(np.concatenate((weights, -weights))) - (2 / nm.lam) * col
+
+
+def _pair_sums(log_z: list, weights: list, nm: Nome, terms: int) -> list:
+    """D @ weights in plain complex arithmetic, pair by pair; weights is a
+    list of N numbers, or of N numpy rows for a matrix of weights.
+
+    The block's entry g(w), w = e_i/v for v = e_j or conj(e_j), is
+    c v / (e_i - v) less the g(w) terms, each over the common denominator
+    w (q + 1/q - w - 1/w): c (e_i^2 - v^2) / ((q + 1/q) e_i v - e_i^2 - v^2).
+    Since g(1/w) = -c - g(w) and g(1/conj(w)) = -c + conj(g(w)), each
+    unordered pair is evaluated once: D_ij = d - h and D_ji = -d - conj(h)
+    with d = g(e_i/e_j), h = g(e_i/conj(e_j)), plus the column terms."""
+    c = 2j * math.pi / nm.lam
+    q_sums = [nm.q**n + nm.q**-n for n in range(1, terms + 1)] if terms else ()
+
+    def g(ei: complex, v: complex) -> complex:
+        out = c * v / (ei - v)
+        if q_sums:
+            e2, v2, prod = ei * ei, v * v, ei * v
+            num, ends = c * (e2 - v2), e2 + v2
+            for s in q_sums:
+                out -= num / (s * prod - ends)
+        return out
+
+    # the diagonal c/(w - offset) = -1/2 - i pi/lam of the direct block (see
+    # _pair_offsets), and every row's column terms -(2/lam) ln|z_j| w_j
+    diag = -0.5 - 1j * math.pi / nm.lam
+    e, out, col = [], [], 0.0
+    for l, x in zip(log_z, weights):
+        ei = cmath.exp(c * l)
+        e.append(ei)
+        out.append(x * (diag - g(ei, ei.conjugate())))
+        col += l.real * x
+    col *= -2 / nm.lam
+    for i, (ei, wi) in enumerate(zip(e, weights)):
+        for j in range(i + 1, len(e)):
+            ej = e[j]
+            d, h = g(ei, ej), g(ei, ej.conjugate())
+            out[i] += weights[j] * (d - h)
+            out[j] -= wi * (d + h.conjugate())
+    return [x + col for x in out]
+
+
+def pair_log_derivative(log_z: list, weights, k: int):
+    """D @ weights for weights of shape (N,) or (N, M): D_ij = K(z_i/z_j) -
+    K(z_i conj(z_j)) for the points z_j = exp(log_z[j]), D_ii = -K(|z_i|^2).
+
+    log_z, a list of Python complex numbers on any branch, is taken and checked
+    by the caller before any exponential.  The branch choice and N exps are
+    plain complex arithmetic.  The number of points chooses the pair sums:
+    - above LIST_MAX_POINTS (and for every N in the direct form) numpy does
+      the (N, 2N) block w = e_i / [e_j, conj(e_j)], the g(w) terms the
+      points' spread needs and one product with [weights; -weights];
+    - up to LIST_MAX_POINTS the same terms are summed pair by pair in plain
+      complex arithmetic, and weights given as a list of N numbers give a
+      list, with no numpy call.
+    Coincident points divide by 0."""
+    nm, n = nome(k), len(log_z)
+    if not nm.dual:
+        kk = log_derivative(pair_arguments(np.exp(np.array(log_z, dtype=complex))), k)
+        kk[0].flat[:: n + 1] = 0.0
+        return (kk[0] - kk[1]) @ weights
+    log_z, terms = _pair_branches(log_z, nm)
+    if n > LIST_MAX_POINTS:
+        return _pair_block(log_z, weights, nm, terms, k)
+    if isinstance(weights, list):
+        return _pair_sums(log_z, weights, nm, terms)
+    return np.array(_pair_sums(log_z, list(weights), nm, terms), dtype=complex).reshape(weights.shape)

@@ -100,6 +100,22 @@ class TestEval:
     def test_unknown_function(self, capsys):
         assert run_cli(["eval", "--fn", "mystery", "--x", "1"]) == 1
 
+    @pytest.mark.parametrize("value", ["-0.5+0.2i", "-0.5-0.2i", "-5e-1+2e-1i", "-2e-1-1i"])
+    def test_negative_complex_as_separate_argument(self, capsys, value):
+        assert run_cli(["eval", "--fn", "e-phi", "--x", value]) == 0
+        separate = capsys.readouterr()
+        assert run_cli(["eval", "--fn", "e-phi", f"--x={value}"]) == 0
+        assert separate == capsys.readouterr() and separate.out
+
+    @pytest.mark.parametrize("argv", [
+        ["--x"], ["--x", "--k", "1"], ["--x", "-0.5+0.2i", "--bogus"], ["--x", "-0.5+0.2iz"],
+        ["--x", "-0.5+0.2i", "-0.3"]], ids=["missing", "missing before option", "unknown option",
+                                            "garbage", "extra value"])
+    def test_negative_complex_keeps_usage_errors(self, capsys, argv):
+        assert run_cli(["eval", "--fn", "e-phi", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert not out and "error:" in err
+
     def test_ln_phi_near_pole_is_usage_error(self, capsys):
         bad = repr(-PHI)
         assert run_cli(["eval", "--fn", "ln-phi", "--x", bad, "--k", "1"]) == 1
@@ -162,6 +178,16 @@ class TestField:
         records = json.loads(out.read_text())
         assert records
         assert all(list(rec) == ["x", "y", "psi", "u", "v"] for rec in records)
+
+    def test_negative_complex_z0_as_separate_argument(self, tmp_path, capsys):
+        flags = ["--gamma", "1.0", "--grid", "20x20"]
+        assert run_cli(["field", "--z0", "-0.72-0.93i", *flags, "--out", str(tmp_path / "a.csv")]) == 0
+        assert run_cli(["field", "--z0=-0.72-0.93i", *flags, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli(["field", "--z0", *flags, "--out", str(tmp_path / "c.csv")]) == 1
+        assert "--z0: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_vortex_outside_annulus_is_usage_error(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -286,6 +312,23 @@ class TestSimulate:
                         "--steps", "10", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("goldcalc simulate: error: cannot load") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record, key", [
+        ({"x": 1.1, "y": 0.0, "gamma": 10**400}, "'gamma'"),
+        ({"x": 1.1, "y": [0.0] * 200, "gamma": 1.0}, "'y'"),
+        ({"x": 1.1, "y": 0.0}, "'gamma'"),
+        ({"x": "x" * 400, "y": 0.0, "gamma": 1.0}, "'x'"),
+    ], ids=["int beyond float range", "list", "missing", "long string"])
+    def test_bad_record_named_by_index_and_key(self, tmp_path, capsys, record, key):
+        init = tmp_path / "bad.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}] * 2 + [record]))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-3",
+                        "--steps", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.replace(str(init), "INIT")
+        assert err.startswith("goldcalc simulate: error: cannot load INIT: ")
+        assert "record 2" in err and key in err and len(err) < 100 and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_finite_dt_exit_one(self, tmp_path, capsys):

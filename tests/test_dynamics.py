@@ -4,11 +4,12 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from goldcalc import dynamics, hydro
+from goldcalc import dynamics, hydro, kernel
 from goldcalc.dynamics import (
     GEOMETRIC_MEAN_RADIUS,
     SQRT_PHI,
@@ -27,6 +28,8 @@ from goldcalc.dynamics import (
     single_vortex_omega,
 )
 from goldcalc.ring import PHI
+
+LIST_MAX = kernel.LIST_MAX_POINTS  # the most vortices summed without numpy
 
 
 class TestVortexState:
@@ -99,14 +102,26 @@ class TestNVortexRhs:
         with pytest.raises(VortexCollisionError):
             n_vortex_rhs(st)
 
+    @pytest.mark.parametrize("n", [3, LIST_MAX + 1], ids=["list", "numpy"])
+    def test_tied_pairs_name_the_first_on_both_paths(self, n):
+        # 1.125 + m 2^-21 are exact, so pairs (0, 1) and (1, 2) tie
+        zs = [1.125 + m * 2.0**-21 for m in range(3)] + [1.2j * cmath.exp(0.3j * l) for l in range(n - 3)]
+        with pytest.raises(VortexCollisionError) as err:
+            n_vortex_rhs(VortexState(tuple(zs), (1.0,) * n))
+        assert err.value.pair == (0, 1)
+
+    @pytest.mark.parametrize("n", [2, LIST_MAX + 1], ids=["list", "numpy"])
     @pytest.mark.parametrize("radius", [0.0, 0.999, SQRT_PHI + 1e-3, math.nan, math.inf])
-    def test_stage_outside_the_annulus_rejected(self, radius):
+    def test_stage_outside_the_annulus_rejected(self, radius, n):
         # an RK4 stage is not validated; the rhs must not evaluate the
         # continuation of the flow beyond a wall, and a non-finite stage is
         # rejected before any arithmetic that would warn
-        zs = np.array([1.1 * cmath.exp(0.3j), radius * cmath.exp(2.0j)])
-        with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
-            n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5])))
+        zs = [1.1 * cmath.exp(0.3j), radius * cmath.exp(2.0j)]
+        zs += [1.2 * cmath.exp(-0.5j * l) for l in range(1, n - 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
+                n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5] + [0.3] * (n - 2))))
         assert err.value.step is None and err.value.index == 1
 
 
@@ -114,7 +129,7 @@ def array_rk4(state, cfg):
     """Plain array RK4 that checks every stage's pairs: the reference for integrate."""
     zs = np.asarray(state.positions, dtype=complex)
     gammas = np.asarray(state.circulations)
-    f = lambda z: dynamics.n_vortex_rhs(dynamics._Stage(z, gammas))
+    f = lambda z: np.array(dynamics.n_vortex_rhs(dynamics._Stage(z.tolist(), gammas)))
     dynamics._check_events(zs, 0)
     dt = cfg.dt
     for step in range(1, cfg.steps + 1):
@@ -153,14 +168,16 @@ class TestIntegrate:
             integrate(st, IntegratorConfig(1e-3, 10))
         assert err.value.step == 0
 
-    def test_escape_detected(self):
+    @pytest.mark.parametrize("n", [1, LIST_MAX + 1], ids=["list", "numpy"])
+    def test_escape_detected(self, n):
         # bypass state validation to model a corrupted/boundary-contact state
         st = object.__new__(VortexState)
-        object.__setattr__(st, "positions", (SQRT_PHI + 0.01 + 0j,))
-        object.__setattr__(st, "circulations", (1.0,))
+        object.__setattr__(st, "positions", tuple(1.15 * cmath.exp(1j * l) for l in range(1, n))
+                           + (SQRT_PHI + 0.01 + 0j,))
+        object.__setattr__(st, "circulations", (1.0,) * n)
         with pytest.raises(VortexEscapeError) as err:
             integrate(st, IntegratorConfig(1e-3, 10))
-        assert err.value.step == 0
+        assert err.value.step == 0 and err.value.index == n - 1
 
     def test_arrays_start_at_input_and_add_dt_per_step(self):
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
@@ -176,7 +193,7 @@ class TestIntegrate:
         # N = 2 for 1e4 steps: 16 B per vortex-step plus 8 B per time, about 0.4 MB;
         # a uniform rotation stands in for the pair velocity, which tracemalloc
         # would slow to seconds and which keeps nothing between calls
-        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: 1j * stage.positions)
+        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: [1j * z for z in stage.positions])
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
         tracemalloc.start()
         try:
@@ -197,16 +214,20 @@ class TestIntegrate:
         integrate(st, IntegratorConfig(1e-3, 50))
         assert steps == list(range(51))
 
+    @pytest.mark.parametrize("spectators", [0, LIST_MAX - 2], ids=["list", "numpy"])
     @pytest.mark.parametrize("orientation, dt_fraction", [(1, 0.2), (1, 0.9), (-1, 0.9)])
     def test_near_collision_aborts_where_checking_every_stage_does(
-            self, monkeypatch, orientation, dt_fraction):
+            self, monkeypatch, orientation, dt_fraction, spectators):
         # circulations (2, 2, -1) with sum gamma_i gamma_j d_ij^2 = 0 collapse
         # (orientation 1) or expand self-similarly; the pairs start 2.2e-6 to
         # 3.6e-6 apart, where the stage bound cannot clear and the exact check
-        # must run
+        # must run.  Far vortices of zero circulation take N past LIST_MAX
+        # without moving the triple.
         s = 3e-6
         c = 1.15 + 0j
-        st = VortexState((c, c + s, c + s * complex(0.94, orientation * 0.746)), (2.0, 2.0, -1.0))
+        far = tuple(1.1 * cmath.exp(1j * (1.5 + l)) for l in range(spectators))
+        st = VortexState((c, c + s, c + s * complex(0.94, orientation * 0.746)) + far,
+                         (2.0, 2.0, -1.0) + (0.0,) * spectators)
         vmax = float(np.max(np.abs(n_vortex_rhs(st))))
         closest = abs(st.positions[2] - st.positions[1])
         cfg = IntegratorConfig(dt_fraction * 0.5 * closest / vmax, 200)
@@ -238,7 +259,11 @@ class TestIntegrate:
         (tuple(1.15 * cmath.exp(1j * (0.5 + 2 * math.pi * l / 3)) for l in range(3)), (1.0, 0.8, 1.2)),
         (tuple(GEOMETRIC_MEAN_RADIUS * cmath.exp(2j * math.pi * l / 16 + 0.1j) for l in range(16)),
          (1.0,) * 16),
-    ], ids=["n1", "n2", "n3", "ring16"])
+        (tuple(1.12 * cmath.exp(1j * (0.4 + 2 * math.pi * l / LIST_MAX)) for l in range(LIST_MAX)),
+         tuple(1.0 - 0.4 * l for l in range(LIST_MAX))),
+        (tuple((1.1 + 0.02 * l) * cmath.exp(1j * (0.4 + 2 * math.pi * l / (LIST_MAX + 1)))
+               for l in range(LIST_MAX + 1)), tuple(1.0 - 0.3 * l for l in range(LIST_MAX + 1))),
+    ], ids=["n1", "n2", "n3", "ring16", "list_max", "list_max_plus_1"])
     def test_equals_plain_array_rk4(self, positions, gammas):
         # integrate keeps positions and stages as Python numbers; the stage
         # coefficients and the update must still be those of array RK4

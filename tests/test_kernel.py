@@ -8,12 +8,13 @@ phi-exponential Euler product.
 """
 
 import cmath
+import contextlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldcalc import dynamics, hydro, kernel
@@ -189,11 +190,15 @@ class TestPairLogDerivative:
         assert abs(got[0, 0] + 1) < 1e-14
 
 
+LIST_MAX = kernel.LIST_MAX_POINTS
+DUAL_LEVELS = [k for k in LEVELS if kernel.nome(k).dual]
+
+
 @st.composite
-def rhs_states(draw) -> dynamics.VortexState:
-    """1 to 6 vortices of the k = 1 annulus, often within 1e-9 of a wall.  The
-    first two sit nearly antipodal (1e-9 to 0.1 rad from pi apart), on either
-    side of the cut at pi, or anywhere."""
+def spread_points(draw, k: int, sizes: tuple[int, int]) -> list[complex]:
+    """sizes[0] to sizes[1] points of the level-k annulus, often within 1e-9
+    of a wall.  The first two sit nearly antipodal (1e-9 to 0.1 rad from pi
+    apart), on either side of the cut at pi, or anywhere."""
     kind = draw(st.sampled_from(["antipodal", "across the cut", "free"]))
     first = draw(angles)
     if kind == "antipodal":
@@ -202,15 +207,66 @@ def rhs_states(draw) -> dynamics.VortexState:
         first, second = math.pi - draw(st.floats(1e-9, 0.5)), draw(st.floats(1e-9, 0.5)) - math.pi
     else:
         second = draw(angles)
-    angs = ([first, second] + draw(st.lists(angles, max_size=4)))[:draw(st.integers(1, 6))]
-    zs = [point(1, draw(radial_fraction()), a) for a in angs]
+    n = draw(st.integers(*sizes))
+    extra = max(0, n - 2)
+    angs = ([first, second] + draw(st.lists(angles, min_size=extra, max_size=extra)))[:n]
+    zs = [point(k, draw(radial_fraction()), a) for a in angs]
     assume(all(abs(a - b) > 2e-6 for i, a in enumerate(zs) for b in zs[i + 1:]))
+    return zs
+
+
+@st.composite
+def rhs_states(draw) -> dynamics.VortexState:
+    """1 to LIST_MAX + 2 vortices of the k = 1 annulus (see spread_points):
+    both sides of the size that chooses the pair evaluator."""
+    zs = draw(spread_points(1, (1, LIST_MAX + 2)))
     return dynamics.VortexState(tuple(zs), tuple(draw(st.floats(-2, 2)) for _ in zs))
+
+
+@contextlib.contextmanager
+def counting(name: str):
+    """The calls of kernel.<name> made inside the block, one entry each."""
+    calls, original = [], getattr(kernel, name)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    setattr(kernel, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(kernel, name, original)
+
+
+class TestListSumsAgainstNumpyBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.sampled_from(DUAL_LEVELS))
+    def test_equal_within_the_pair_bound(self, data, k):
+        # up to LIST_MAX points pair_log_derivative sums D in plain complex
+        # arithmetic; the numpy block, which runs above, is the reference
+        zs = data.draw(spread_points(k, (1, LIST_MAX)))
+        gammas = data.draw(st.lists(st.floats(-2, 2), min_size=len(zs), max_size=len(zs)))
+        nm = kernel.nome(k)
+        log_z, terms = kernel._pair_branches(np.log(zs).tolist(), nm)
+        eye = np.eye(len(zs))
+        ref = kernel._pair_block(log_z, eye, nm, terms, k)
+        _, k_squared = pair_reference(np.array(zs), k)
+        tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared  # TestPairLogDerivative's
+        assert np.all(np.abs(np.array(kernel._pair_sums(log_z, list(eye), nm, terms)) - ref) <= tol)
+        got = kernel._pair_sums(log_z, gammas, nm, terms)
+        assert np.all(np.abs(got - ref @ gammas) <= tol @ np.abs(gammas))
 
 
 class TestRhsAgainstPairReference:
     @settings(max_examples=150, deadline=None)
     @given(state=rhs_states())
+    @example(state=dynamics.VortexState(
+        tuple(point(1, 0.5, 0.3 + 2 * math.pi * l / LIST_MAX) for l in range(LIST_MAX)),
+        tuple(1.0 - 0.4 * l for l in range(LIST_MAX))))
+    @example(state=dynamics.VortexState(
+        tuple(point(1, 0.5, 0.3 + 2 * math.pi * l / (LIST_MAX + 2)) for l in range(LIST_MAX + 2)),
+        tuple(1.0 - 0.4 * l for l in range(LIST_MAX + 2))))
     def test_rhs_equals_velocity_from_log_derivative(self, state):
         zs, gammas = np.array(state.positions), np.array(state.circulations)
         ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
@@ -218,7 +274,12 @@ class TestRhsAgainstPairReference:
         # TestPairLogDerivative's bound on each D entry, summed with |gamma|
         tol = ((1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas)
                / (2 * math.pi * np.abs(zs)))
-        assert np.all(np.abs(dynamics.n_vortex_rhs(state) - ref) <= tol)
+        # the size of the state chooses the evaluator: plain sums up to
+        # LIST_MAX vortices, the numpy block above (both are in the examples)
+        with counting("_pair_sums") as sums, counting("_pair_block") as block:
+            got = dynamics.n_vortex_rhs(state)
+        assert (sums, block) == (([len(zs)], []) if len(zs) <= LIST_MAX else ([], [len(zs)]))
+        assert np.all(np.abs(got - ref) <= tol)
 
 
 class TestPrimeArguments:
