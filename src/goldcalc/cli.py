@@ -25,9 +25,10 @@ EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_VERIFY = 3
 
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"(?:(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)i)?$")
+# one grammar for both parts: digits with an optional fraction, or a fraction
+# alone, then an optional exponent; a bare sign before "i" means 1
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_NUMBER})(?:(?P<im>[+-](?:{_NUMBER})?)i)?$")
 
 
 def parse_complex(text: str) -> complex:

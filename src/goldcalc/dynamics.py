@@ -1,20 +1,20 @@
 """Vortex motion in the golden annulus 1 < |z| < sqrt(phi).
 
 The velocity of each vortex, the Hamiltonian and the Green function are all
-evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1),
-for every vortex pair at once as an (N, N) array.  The pair term K(z_l/z_j)
-of the velocity already contains the direct Biot-Savart term 1/(z_l - z_j).
-The Hamiltonian, which checks the velocity, takes ln|P| of all 2 N^2 pair
-arguments in numpy.
+evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1).
+The pair term K(z_l/z_j) of the velocity already contains the direct
+Biot-Savart term 1/(z_l - z_j).  The Hamiltonian, which checks the velocity,
+takes ln|P| of all 2 N^2 pair arguments as (N, N) numpy arrays.
 
-The velocity, the RK4 stages and the pair checks keep positions in lists of
-Python complex numbers, and the number of vortices N chooses how the pairs
-are summed (`kernel.LIST_MAX_POINTS`, set at the measured crossover; see
-`goldcalc.kernel`).  Up to that N everything is plain complex arithmetic,
-and an RK4 stage makes one numpy call, the np.log that keeps ln|z| exact near
-|z| = 1.  Per RK4 step that is about 3x, 2x and 1.4x faster than numpy's
-block at N = 1, 2 and 3 (2-core Xeon VM, Python 3.11, numpy 2.4), since
-each numpy call has a fixed cost of about a microsecond.  Above that N numpy
+`integrate` builds the run's velocity field once (`_velocity_field`, on
+`kernel.pair_evaluator`), with the circulations, their sum and the level's
+constants bound, so an RK4 stage does only what its positions need: one
+np.log, which keeps ln|z| exact near |z| = 1, the escape and pair checks, N
+complex exps and the pair sums.  The stages and the pair checks keep
+positions in lists of Python complex numbers, and the number of vortices N
+chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at the
+measured crossover; see `goldcalc.kernel`): up to that N in plain complex
+arithmetic, so a stage makes one numpy call, the np.log; above it numpy
 builds the pair block and the N x N distance matrix.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
@@ -30,7 +30,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,54 +159,75 @@ def _check_events(zs: list, step: int) -> tuple[float, float]:
     return wall, _check_pairs(zs, step)
 
 
+def _velocity_field(circulations) -> Callable[[list, list], list]:
+    """The velocity of vortices of these circulations, built once per run: the
+    callable (log_z, zs) -> dz_l/dt as a list of Python complex numbers, for
+    positions zs whose logs log_z the caller has checked: a list of Python
+    complex numbers up to kernel.LIST_MAX_POINTS vortices, an array above.
+
+    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
+    - K(z_l conj z_j), D_ll = -K(|z_l|^2), from kernel.pair_evaluator: N cmath
+    exps and the O(N^2) pair sums.  Up to kernel.LIST_MAX_POINTS vortices
+    those sums and everything here are plain complex arithmetic; above it
+    numpy does the pair block and the division by z_l."""
+    two_pi_i = 2j * math.pi
+    if len(circulations) > kernel.LIST_MAX_POINTS:
+        gammas = np.asarray(circulations, dtype=float)
+        pair, total = kernel.pair_evaluator(gammas, LEVEL), sum(gammas.tolist())
+
+        def velocity(log_z: list, zs: np.ndarray) -> list:
+            v = pair(log_z, zs)
+            v += total
+            v /= two_pi_i * zs
+            return np.conj(v, out=v).tolist()
+        return velocity
+    gammas = list(map(float, circulations))
+    pair, total = kernel.pair_evaluator(gammas, LEVEL), sum(gammas)
+    return lambda log_z, zs: [((d + total) / (two_pi_i * z)).conjugate() for d, z in zip(pair(log_z, zs), zs)]
+
+
 class _Stage(NamedTuple):
-    """Positions of an RK4 stage as a list of Python complex numbers, and the
-    circulations as a float array, not validated; pairs_clear marks positions
-    whose pairs are known to be at least 2 COLLISION_DISTANCE apart, which
+    """Positions of an RK4 stage as a list of Python complex numbers, not
+    validated, and the run's _velocity_field; pairs_clear marks positions whose
+    pairs are known to be at least 2 COLLISION_DISTANCE apart, which
     n_vortex_rhs then does not check."""
 
     positions: list
-    circulations: np.ndarray
+    field: Callable[[list, list], list]
     pairs_clear: bool = False
 
 
-def _stage(zs: list, h: float, k: list, gammas: np.ndarray, closest: float) -> _Stage:
+def _stage(zs: list, h: float, k: list, field: Callable, closest: float) -> _Stage:
     """The RK4 stage zs + h k of positions whose pairs are at least closest
     apart: each vortex moves at most h max|k|, so every pair there is at least
     closest - 2 h max|k| apart.  The factor 2 on COLLISION_DISTANCE absorbs the
     rounding of both.  A non-finite k makes a non-finite stage, which the
     escape check of n_vortex_rhs rejects before any pair check."""
     clear = len(k) < 2 or closest - 2 * h * max(map(abs, k)) >= 2 * COLLISION_DISTANCE
-    return _Stage([z + h * v for z, v in zip(zs, k)], gammas, clear)
+    return _Stage([z + h * v for z, v in zip(zs, k)], field, clear)
 
 
 def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
     """dz_l/dt for every vortex, direct pair terms plus all images, as a list
-    of Python complex numbers.
+    of Python complex numbers: the stage's _velocity_field, or for a
+    VortexState one built for this call.  The pair term's relative precision
+    is about 1e-16 / |z_l - z_j|, far below the RK4 error for any pair it
+    resolves.
 
-    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
-    - K(z_l conj z_j), D_ll = -K(|z_l|^2): one np.log call, N cmath exps and
-    the O(N^2) pair sums of kernel.pair_log_derivative.  Up to
-    kernel.LIST_MAX_POINTS vortices those sums and everything here are plain
-    complex arithmetic, so the np.log is the only numpy call; above it numpy
-    does the pair block and the division by z_l.  The pair term's relative
-    precision is about 1e-16 / |z_l - z_j|, far below the RK4 error for any
-    pair it resolves.
-
-    Checks come first, exponentials after: ln|z_l| of the one log taken per
-    vortex raises VortexEscapeError (step None) for a position outside the open
+    Checks come first, exponentials after: ln|z_l| of the one np.log call
+    raises VortexEscapeError (step None) for a position outside the open
     annulus or non-finite, then VortexCollisionError for a pair closer than
     COLLISION_DISTANCE (unless a _Stage's pairs_clear says none can be), so a
     bad stage emits no numpy warning.
     """
+    # the numpy pair block and distance matrix above LIST_MAX_POINTS take an array
     if isinstance(state, _Stage):
-        points, gammas, clear = state
-        small = len(points) <= kernel.LIST_MAX_POINTS
-        zs = points if small else np.asarray(points, dtype=complex)
+        points, field, clear = state
+        zs = np.array(points) if len(points) > kernel.LIST_MAX_POINTS else points
     else:
         zs = np.asarray(state.positions, dtype=complex)
-        points, small = zs.tolist(), len(zs) <= kernel.LIST_MAX_POINTS
-        gammas, clear = np.asarray(state.circulations, dtype=float), False
+        points, field, clear = zs.tolist(), _velocity_field(state.circulations), False
+        zs = zs if len(points) > kernel.LIST_MAX_POINTS else points
     # np.log keeps ln|z| exact near |z| = 1, but warns on 0
     log_z = (np.log(zs).tolist() if 0 not in points
              else [cmath.log(z) if z else -math.inf for z in points])
@@ -215,13 +236,7 @@ def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
             raise VortexEscapeError(None, i, complex(points[i]))
     if not clear:
         _check_pairs(zs, None)
-    if small:
-        weights = gammas.tolist()
-        total = sum(weights)
-        pair = kernel.pair_log_derivative(log_z, weights, LEVEL)
-        return [((d + total) / (2j * math.pi * z)).conjugate() for d, z in zip(pair, points)]
-    pair = kernel.pair_log_derivative(log_z, gammas, LEVEL) + sum(gammas.tolist())
-    return np.conj(pair / (2j * math.pi * zs)).tolist()
+    return field(log_z, zs)
 
 
 @dataclass(eq=False)
@@ -260,10 +275,10 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     stage checks its pairs only when the distance it can have moved leaves no
     proof that they stay 2 COLLISION_DISTANCE apart (see _stage)."""
     z = np.asarray(state.positions, dtype=complex).tolist()
-    gammas = np.asarray(state.circulations, dtype=float)
+    field = _velocity_field(state.circulations)
     wall, closest = _check_events(z, 0)
     scale = min(wall, closest)
-    vmax = max(map(abs, n_vortex_rhs(_Stage(z, gammas, True))), default=0.0)
+    vmax = max(map(abs, n_vortex_rhs(_Stage(z, field, True))), default=0.0)
     if vmax * cfg.dt > 0.5 * scale:
         raise ValueError(
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
@@ -275,10 +290,10 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     times[0], positions[0] = 0.0, z
     t = 0.0
     for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs(_Stage(z, gammas, True))
-        k2 = n_vortex_rhs(_stage(z, half, k1, gammas, closest))
-        k3 = n_vortex_rhs(_stage(z, half, k2, gammas, closest))
-        k4 = n_vortex_rhs(_stage(z, dt, k3, gammas, closest))
+        k1 = n_vortex_rhs(_Stage(z, field, True))
+        k2 = n_vortex_rhs(_stage(z, half, k1, field, closest))
+        k3 = n_vortex_rhs(_stage(z, half, k2, field, closest))
+        k4 = n_vortex_rhs(_stage(z, dt, k3, field, closest))
         z = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
         t += dt
         closest = _check_events(z, step)[1]

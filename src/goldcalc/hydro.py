@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # the oracles below import goldcalc.functions when called
     from goldcalc.functions import SeriesTruncation
 
 SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
-CHUNK = 4096  # points per array pass of field_grid and rows per block of the file writers
+CHUNK = kernel.CHUNK  # points per array pass of field_grid and rows per block of the file writers
 
 
 class SingularityProximityError(ValueError):

@@ -25,14 +25,16 @@ branch, c = cos(2 pi L / lam) and s = sin(2 pi L / lam):
 
 With w = exp(2 pi i L / lam), K = 1/2 + L/lam + i pi/lam + (2 pi i/lam) g(w),
 g(w) = 1/(w - 1) - sum_n [Q^n w/(1 - Q^n w) - Q^n w^-1/(1 - Q^n w^-1)].  For
-points z_j, `pair_log_derivative` takes L = l_i - l_j and l_i + conj(l_j),
+points z_j, `pair_evaluator` takes L = l_i - l_j and l_i + conj(l_j),
 l_j = log z_j, so w = e_i/e_j and e_i/conj(e_j), e_j = exp(2 pi i l_j / lam),
 and the two L differ by -2 ln|z_j|.  Moving l_i by 2 pi i m, w gains Q^m for
 both and g(w Q^m) = g(w) - m, so D is the same on every branch of every l_j.
 The branches are chosen to put the cut at pi or at 0, whichever narrows
 the points' angular spread S more; every pair then has |Im L| <= S, and
 the g(w) terms are sized from S: none for an N = 2 pair at k = 1 unless it is
-within about 0.1 rad of antipodal.
+within about 0.1 rad of antipodal.  The diagonal D_ii = -K(|z_i|^2) has the
+real L = 2 ln|z_i| on every branch, so it takes the terms of spread 0: none
+at k = 1, whatever S is.
 
 Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the dual series needs one or two
 terms there.  As k grows Q tends to 1 while p vanishes, and the direct
@@ -40,13 +42,19 @@ product in p converges faster; each k uses whichever form needs fewer terms
 to push the neglected tail below TAIL.  Per-k constants are computed on first
 use and cached; importing this module does no work.
 
-The pair sums have two evaluators, chosen by the number of points N.  Above
-LIST_MAX_POINTS numpy builds the (N, 2N) block; up to it every pair is summed
-in plain complex arithmetic, since each numpy call has a fixed cost of about
-a microsecond, which at a few points outweighs the arithmetic.  Timed per
-RK4 step of `dynamics.integrate` at k = 1 (2-core Xeon VM, Python 3.11,
-numpy 2.4), the plain sums are 1.2x faster at N = 4; at N = 5 they are
-0.8x with a g(w) term and 1.0x without, and from N = 6 they lose.
+`pair_evaluator(weights, k)` binds the level's constants, the weights and
+the pair indices once, so `dynamics.integrate` builds one per run and an RK4
+stage pays only for the work its points need: the branch choice, N complex
+exps and the pair sums.  Those have two forms, chosen by the number of
+points N.  Above LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of
+rows whose temporaries hold about CHUNK entries (64 KB), so its memory does
+not grow as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair
+is summed in plain complex arithmetic, since each numpy call has a fixed
+cost of about a microsecond, which at a few points outweighs the
+arithmetic.  Per call of evaluators built once, at k = 1 (2-core Xeon VM,
+Python 3.11, numpy 2.4), the plain sums take 0.6x (no g(w) term) to 0.9x
+(one term) of the block's time at N = 4, 0.9x to 1.0x at N = 5 and 1.1x to
+1.5x at N = 6.
 """
 
 from __future__ import annotations
@@ -63,9 +71,12 @@ TAIL = 1e-17
 PHI = (1 + math.sqrt(5)) / 2
 LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
-# pair_log_derivative sums up to this many points in plain complex arithmetic,
+# pair_evaluator sums up to this many points in plain complex arithmetic,
 # and numpy's block above it: the measured crossover (see above)
 LIST_MAX_POINTS = 4
+# entries of a temporary array in a pass that is split to bound memory: the
+# pair block's rows here, hydro's field points and file rows
+CHUNK = 4096
 
 
 class Nome(NamedTuple):
@@ -77,6 +88,7 @@ class Nome(NamedTuple):
     q: float                # dual nome exp(-4 pi^2 / lam)
     terms: int              # dual-series terms kept (dual form only)
     pair_order: float       # log_Q(TAIL lam (1 - Q)^2 / (4 pi)), see pair_terms
+    dual_sums: tuple        # Q^n + Q^-n for the pair_terms of the widest spread, 2 pi
     log_euler: float        # ln (p; p)_inf = sum_n ln(1 - p^n)
     const: float            # C_k of ln|P| in the dual form
 
@@ -126,9 +138,11 @@ def nome(k: int) -> Nome:
     pair_order = math.log(TAIL * lam / (4 * math.pi) * (1 - q) ** 2, q)
     # the direct form is sized for the arguments the flows use, |ln|zeta|| <= lam
     dual = terms <= _direct_terms(lam, 1.0)
+    widest = int(pair_order + 1) if dual else 0  # pair_terms at spread 2 pi
+    dual_sums = tuple(q**n + q**-n for n in range(1, widest + 1))
     log_euler = _log_pochhammer(p)
     const = 2 * log_euler - math.log(math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
-    return Nome(lam, p, dual, q, terms, pair_order, log_euler, const)
+    return Nome(lam, p, dual, q, terms, pair_order, dual_sums, log_euler, const)
 
 
 def pair_terms(nm: Nome, spread: float) -> int:
@@ -250,38 +264,67 @@ def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=16)
-def _pair_offsets(n: int, k: int) -> np.ndarray:
-    """Block offsets: 1, and c / (w - offset) = -1/2 - i pi/lam where w = 1 on the diagonal."""
-    out = np.ones((n, 2 * n), dtype=complex)
-    out.ravel()[:: 2 * n + 1] = 1 + 2j * math.pi / (nome(k).lam / 2 + 1j * math.pi)
-    out.flags.writeable = False
-    return out
+def _pair_rows(n: int, k: int) -> list:
+    """The (N, 2N) block as blocks of rows, each a temporary of about CHUNK
+    entries, with their offsets: 1, and the value that makes
+    c / (w - offset) = -1/2 - i pi/lam where w = 1 on the diagonal.  The
+    offsets of every block are views of one flat array: with top the start
+    of the last block, the m rows from row a take the 2N m entries from
+    top - a, whose diagonal entries a + r (2N + 1) hold that value."""
+    rows = min(n, max(1, CHUNK // (2 * n)))
+    top = (n - 1) // rows * rows
+    flat = np.ones(top + 2 * n * rows, dtype=complex)
+    flat[top :: 2 * n + 1] = 1 + 2j * math.pi / (nome(k).lam / 2 + 1j * math.pi)
+    flat.flags.writeable = False
+    return [(slice(a, min(a + rows, n)), flat[top - a: top - a + 2 * n * rows].reshape(-1, 2 * n)[: n - a])
+            for a in range(0, n, rows)]
 
 
-def _pair_block(log_z: list, weights: np.ndarray, nm: Nome, terms: int, k: int) -> np.ndarray:
-    """D @ weights through the (N, 2N) block w = e_i / [e_j, conj(e_j)] in numpy."""
-    n = len(log_z)
-    weights = np.asarray(weights)
-    c = 2j * math.pi / nm.lam
-    e = [cmath.exp(c * l) for l in log_z]
-    e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
-    w = e[:n, None] / e
-    g = w - _pair_offsets(n, k)
-    np.divide(c, g, out=g)
-    if terms:
-        # term n over one denominator: q w/(1 - q w) - q w^-1/(1 - q w^-1)
-        # = (w - 1/w) / (q + 1/q - w - 1/w), q = Q^n, which vanishes at w = 1
-        inv = 1 / w
-        ends, odd = w + inv, c * (w - inv)
-        for j in range(1, terms + 1):
-            g -= odd / ((nm.q**j + nm.q**-j) - ends)
-    # column j's term -(2/lam) ln|z_j|, summed in plain arithmetic for 1-D weights
-    ln_r = [l.real for l in log_z]
-    col = sum(map(operator.mul, ln_r, weights.tolist())) if weights.ndim == 1 else ln_r @ weights
-    return g.dot(np.concatenate((weights, -weights))) - (2 / nm.lam) * col
+def _pair_block(weights: np.ndarray, k: int):
+    """D @ weights through the (N, 2N) block w = e_i / [e_j, conj(e_j)] in
+    numpy, in the blocks of rows of _pair_rows."""
+    nm, blocks = nome(k), _pair_rows(len(weights), k)
+    c, scale, sums = 2j * math.pi / nm.lam, 2 / nm.lam, nm.dual_sums
+    signed = np.concatenate((weights, -weights))
+    weight_list = weights.tolist() if weights.ndim == 1 else None
+
+    def evaluate(log_z: list, zs) -> np.ndarray:
+        log_z, terms = _pair_branches(log_z, nm)
+        e = [cmath.exp(c * l) for l in log_z]
+        e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
+        out = np.empty(weights.shape, dtype=complex)
+        for part, offsets in blocks:
+            w = e[part, None] / e
+            g = w - offsets
+            np.divide(c, g, out=g)
+            if terms:
+                # term n over one denominator: q w/(1 - q w) - q w^-1/(1 - q w^-1)
+                # = (w - 1/w) / (q + 1/q - w - 1/w), q = Q^n, which vanishes at w = 1
+                inv = 1 / w
+                ends, odd = w + inv, c * (w - inv)
+                for s in sums[:terms]:
+                    g -= odd / (s - ends)
+            g.dot(signed, out=out[part])
+        # column j's term -(2/lam) ln|z_j|, summed in plain arithmetic for 1-D weights
+        ln_r = [l.real for l in log_z]
+        col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
+        out -= scale * col
+        return out
+
+    return evaluate
 
 
-def _pair_sums(log_z: list, weights: list, nm: Nome, terms: int) -> list:
+@lru_cache(maxsize=64)
+def _sum_plan(n: int, k: int) -> tuple:
+    """What _pair_sums binds for n points at level k besides the weights: the
+    Nome, c = 2 pi i/lam, -2/lam, the diagonal's g(w) sums and constant (see
+    _pair_sums) and the pair indices."""
+    nm = nome(k)
+    return (nm, 2j * math.pi / nm.lam, -2 / nm.lam, nm.dual_sums[: pair_terms(nm, 0.0)],
+            -0.5 - 1j * math.pi / nm.lam, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def _pair_sums(weights: list, k: int):
     """D @ weights in plain complex arithmetic, pair by pair; weights is a
     list of N numbers, or of N numpy rows for a matrix of weights.
 
@@ -290,60 +333,83 @@ def _pair_sums(log_z: list, weights: list, nm: Nome, terms: int) -> list:
     w (q + 1/q - w - 1/w): c (e_i^2 - v^2) / ((q + 1/q) e_i v - e_i^2 - v^2).
     Since g(1/w) = -c - g(w) and g(1/conj(w)) = -c + conj(g(w)), each
     unordered pair is evaluated once: D_ij = d - h and D_ji = -d - conj(h)
-    with d = g(e_i/e_j), h = g(e_i/conj(e_j)), plus the column terms."""
-    c = 2j * math.pi / nm.lam
-    q_sums = [nm.q**n + nm.q**-n for n in range(1, terms + 1)] if terms else ()
+    with d = g(e_i/e_j), h = g(e_i/conj(e_j)), plus the column terms.  The
+    diagonal's L = l_i + conj(l_i) = 2 ln|z_i| is real on every branch, so it
+    takes the terms of spread 0: none at k = 1."""
+    # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
+    nm, c, scale, diag_sums, diag, pairs = _sum_plan(len(weights), k)
+    sums, exp = nm.dual_sums, cmath.exp
 
-    def g(ei: complex, v: complex) -> complex:
-        out = c * v / (ei - v)
-        if q_sums:
-            e2, v2, prod = ei * ei, v * v, ei * v
-            num, ends = c * (e2 - v2), e2 + v2
-            for s in q_sums:
-                out -= num / (s * prod - ends)
+    def series(out: complex, ei: complex, v: complex, q_sums: tuple) -> complex:
+        """out, the leading term c v / (e_i - v), less the g(w) terms of q_sums."""
+        e2, v2, prod = ei * ei, v * v, ei * v
+        num, ends = c * (e2 - v2), e2 + v2
+        for s in q_sums:
+            out -= num / (s * prod - ends)
         return out
 
-    # the diagonal c/(w - offset) = -1/2 - i pi/lam of the direct block (see
-    # _pair_offsets), and every row's column terms -(2/lam) ln|z_j| w_j
-    diag = -0.5 - 1j * math.pi / nm.lam
-    e, out, col = [], [], 0.0
-    for l, x in zip(log_z, weights):
-        ei = cmath.exp(c * l)
-        e.append(ei)
-        out.append(x * (diag - g(ei, ei.conjugate())))
-        col += l.real * x
-    col *= -2 / nm.lam
-    for i, (ei, wi) in enumerate(zip(e, weights)):
-        for j in range(i + 1, len(e)):
-            ej = e[j]
-            d, h = g(ei, ej), g(ei, ej.conjugate())
+    def evaluate(log_z: list, zs) -> list:
+        log_z, terms = _pair_branches(log_z, nm)
+        q_sums = sums[:terms]
+        e, out, col = [], [], 0.0
+        for l, x in zip(log_z, weights):
+            ei = exp(c * l)
+            e.append(ei)
+            v = ei.conjugate()
+            d = c * v / (ei - v)
+            if diag_sums:
+                d = series(d, ei, v, diag_sums)
+            out.append(x * (diag - d))
+            col += l.real * x
+        col *= scale  # every row's column terms -(2/lam) ln|z_j| w_j
+        for i, j in pairs:
+            ei, ej = e[i], e[j]
+            vj = ej.conjugate()
+            d, h = c * ej / (ei - ej), c * vj / (ei - vj)
+            if q_sums:
+                d, h = series(d, ei, ej, q_sums), series(h, ei, vj, q_sums)
             out[i] += weights[j] * (d - h)
-            out[j] -= wi * (d + h.conjugate())
-    return [x + col for x in out]
+            out[j] -= weights[i] * (d + h.conjugate())
+        return [x + col for x in out]
+
+    return evaluate
 
 
-def pair_log_derivative(log_z: list, weights, k: int):
-    """D @ weights for weights of shape (N,) or (N, M): D_ij = K(z_i/z_j) -
-    K(z_i conj(z_j)) for the points z_j = exp(log_z[j]), D_ii = -K(|z_i|^2).
+def pair_evaluator(weights, k: int):
+    """The callable (log_z, zs) -> D @ weights for fixed weights of shape (N,)
+    or (N, M), at level k: D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for the points
+    zs, D_ii = -K(|z_i|^2).  Built once per set of weights (an RK4 run), it
+    binds the level's constants, the weights and the pair indices, so a call
+    does only the work the points need.
 
-    log_z, a list of Python complex numbers on any branch, is taken and checked
-    by the caller before any exponential.  The branch choice and N exps are
-    plain complex arithmetic.  The number of points chooses the pair sums:
-    - above LIST_MAX_POINTS (and for every N in the direct form) numpy does
-      the (N, 2N) block w = e_i / [e_j, conj(e_j)], the g(w) terms the
-      points' spread needs and one product with [weights; -weights];
+    log_z, the list of Python complex numbers log z_j on any branch, is taken
+    and checked by the caller before any exponential; the dual form reads only
+    it, the direct form builds its arguments from the points zs.  The branch
+    choice and N exps are plain complex arithmetic.  In the dual form the
+    number of points chooses the pair sums:
+    - above LIST_MAX_POINTS numpy does the (N, 2N) block
+      w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, the g(w)
+      terms the points' spread needs and one product with [weights; -weights];
     - up to LIST_MAX_POINTS the same terms are summed pair by pair in plain
       complex arithmetic, and weights given as a list of N numbers give a
       list, with no numpy call.
+    The direct form takes log_derivative of all 2 N^2 pair arguments at once.
     Coincident points divide by 0."""
-    nm, n = nome(k), len(log_z)
+    nm, n = nome(k), len(weights)
     if not nm.dual:
-        kk = log_derivative(pair_arguments(np.exp(np.array(log_z, dtype=complex))), k)
-        kk[0].flat[:: n + 1] = 0.0
-        return (kk[0] - kk[1]) @ weights
-    log_z, terms = _pair_branches(log_z, nm)
+        def direct(log_z: list, zs) -> np.ndarray:
+            kk = log_derivative(pair_arguments(np.asarray(zs, dtype=complex)), k)
+            kk[0].flat[:: n + 1] = 0.0
+            return (kk[0] - kk[1]) @ weights
+        return direct
     if n > LIST_MAX_POINTS:
-        return _pair_block(log_z, weights, nm, terms, k)
+        return _pair_block(np.asarray(weights), k)
     if isinstance(weights, list):
-        return _pair_sums(log_z, weights, nm, terms)
-    return np.array(_pair_sums(log_z, list(weights), nm, terms), dtype=complex).reshape(weights.shape)
+        return _pair_sums(weights, k)
+    sums = _pair_sums(list(weights), k)
+    return lambda log_z, zs: np.array(sums(log_z, zs), dtype=complex).reshape(weights.shape)
+
+
+def pair_log_derivative(log_z: list, zs, weights, k: int):
+    """D @ weights for the points zs with logs log_z: pair_evaluator(weights, k) called once."""
+    return pair_evaluator(weights, k)(log_z, zs)

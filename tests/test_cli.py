@@ -116,6 +116,20 @@ class TestEval:
         out, err = capsys.readouterr()
         assert not out and "error:" in err
 
+    @pytest.mark.parametrize("value, spelt", [(".5", "0.5"), ("-.5+2e-1i", "-0.5+2e-1i"),
+                                              ("1+.5i", "1+0.5i")])
+    def test_number_may_start_with_a_dot(self, capsys, value, spelt):
+        assert run_cli(["eval", "--fn", "e-phi", "--x", value]) == 0
+        dotted = capsys.readouterr()
+        assert run_cli(["eval", "--fn", "e-phi", "--x", spelt]) == 0
+        assert dotted == capsys.readouterr() and dotted.out
+
+    @pytest.mark.parametrize("value", [".", "1+.i", "1+e5i"])
+    def test_malformed_number_is_a_parse_error(self, capsys, value):
+        assert run_cli(["eval", "--fn", "e-phi", f"--x={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and f"cannot parse complex value {value!r}" in err
+
     def test_ln_phi_near_pole_is_usage_error(self, capsys):
         bad = repr(-PHI)
         assert run_cli(["eval", "--fn", "ln-phi", "--x", bad, "--k", "1"]) == 1

@@ -121,15 +121,15 @@ class TestNVortexRhs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(VortexEscapeError, match="vortex 1 .* during evaluation") as err:
-                n_vortex_rhs(dynamics._Stage(zs, np.array([1.0, -0.5] + [0.3] * (n - 2))))
+                n_vortex_rhs(dynamics._Stage(zs, dynamics._velocity_field([1.0, -0.5] + [0.3] * (n - 2))))
         assert err.value.step is None and err.value.index == 1
 
 
 def array_rk4(state, cfg):
     """Plain array RK4 that checks every stage's pairs: the reference for integrate."""
     zs = np.asarray(state.positions, dtype=complex)
-    gammas = np.asarray(state.circulations)
-    f = lambda z: np.array(dynamics.n_vortex_rhs(dynamics._Stage(z.tolist(), gammas)))
+    field = dynamics._velocity_field(state.circulations)
+    f = lambda z: np.array(dynamics.n_vortex_rhs(dynamics._Stage(z.tolist(), field)))
     dynamics._check_events(zs, 0)
     dt = cfg.dt
     for step in range(1, cfg.steps + 1):

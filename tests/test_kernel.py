@@ -10,6 +10,7 @@ phi-exponential Euler product.
 import cmath
 import contextlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,13 +163,21 @@ class TestPairLogDerivative:
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
         zs = data.draw(pair_points(k))
-        got = kernel.pair_log_derivative(np.log(zs).tolist(), np.eye(len(zs)), k)
+        got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(len(zs)), k)
         ref, k_squared = pair_reference(zs, k)
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
         # together), and the two routes round different quantities
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared
         assert np.all(np.abs(got - ref) <= tol)
+
+    def test_direct_form_reads_the_points_near_the_outer_wall(self):
+        # at k = 20 (direct form) exp(log z) would round z near |z| = phi^10,
+        # next to the pole of K at |z|^2 = phi^20, by more than this bound allows
+        zs = np.array([1.000000117346493, -122.99186926383625 - 0.00012299186926600664j])
+        got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(2), 20)
+        ref, k_squared = pair_reference(zs, 20)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
     @pytest.mark.parametrize("k", LEVELS)
     def test_full_circle_of_200_points(self, k):
@@ -177,7 +186,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernel.pair_log_derivative(np.log(zs).tolist(), np.eye(200), k)
+            got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(200), k)
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -186,7 +195,8 @@ class TestPairLogDerivative:
         # K(phi^(k/2)) = 1, so the velocity factor D + 1 of a single vortex
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
-        got = kernel.pair_log_derivative([cmath.log(cmath.rect(PHI ** (k / 4), 0.9))], np.eye(1), k)
+        z = cmath.rect(PHI ** (k / 4), 0.9)
+        got = kernel.pair_log_derivative([cmath.log(z)], [z], np.eye(1), k)
         assert abs(got[0, 0] + 1) < 1e-14
 
 
@@ -225,12 +235,17 @@ def rhs_states(draw) -> dynamics.VortexState:
 
 @contextlib.contextmanager
 def counting(name: str):
-    """The calls of kernel.<name> made inside the block, one entry each."""
+    """The calls of the evaluators that kernel.<name> builds inside the block,
+    one entry, the number of points, per call."""
     calls, original = [], getattr(kernel, name)
 
     def counted(*args):
-        calls.append(len(args[0]))
-        return original(*args)
+        evaluate = original(*args)
+
+        def run(log_z, zs):
+            calls.append(len(log_z))
+            return evaluate(log_z, zs)
+        return run
 
     setattr(kernel, name, counted)
     try:
@@ -247,14 +262,14 @@ class TestListSumsAgainstNumpyBlock:
         # arithmetic; the numpy block, which runs above, is the reference
         zs = data.draw(spread_points(k, (1, LIST_MAX)))
         gammas = data.draw(st.lists(st.floats(-2, 2), min_size=len(zs), max_size=len(zs)))
-        nm = kernel.nome(k)
-        log_z, terms = kernel._pair_branches(np.log(zs).tolist(), nm)
+        log_z = np.log(zs).tolist()
         eye = np.eye(len(zs))
-        ref = kernel._pair_block(log_z, eye, nm, terms, k)
+        # the block sums every term its spread needs on the diagonal too
+        ref = kernel._pair_block(eye, k)(log_z, zs)
         _, k_squared = pair_reference(np.array(zs), k)
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared  # TestPairLogDerivative's
-        assert np.all(np.abs(np.array(kernel._pair_sums(log_z, list(eye), nm, terms)) - ref) <= tol)
-        got = kernel._pair_sums(log_z, gammas, nm, terms)
+        assert np.all(np.abs(np.array(kernel._pair_sums(list(eye), k)(log_z, zs)) - ref) <= tol)
+        got = kernel._pair_sums(gammas, k)(log_z, zs)
         assert np.all(np.abs(got - ref @ gammas) <= tol @ np.abs(gammas))
 
 
@@ -280,6 +295,41 @@ class TestRhsAgainstPairReference:
             got = dynamics.n_vortex_rhs(state)
         assert (sums, block) == (([len(zs)], []) if len(zs) <= LIST_MAX else ([], [len(zs)]))
         assert np.all(np.abs(got - ref) <= tol)
+
+
+def ring_stage(n: int) -> dynamics._Stage:
+    """n vortices of varied circulation around the whole k = 1 annulus, which
+    needs a g(w) term, as an RK4 stage whose pairs are known to be clear."""
+    zs = [point(1, 0.1 + 0.8 * (l % 7) / 6, 2 * math.pi * l / n - 3) for l in range(n)]
+    return dynamics._Stage(zs, dynamics._velocity_field([1.0 - 1.5 * l / n for l in range(n)]), True)
+
+
+class TestPairBlockRows:
+    """Above LIST_MAX points the numpy block goes in rows of about
+    kernel.CHUNK entries, so its temporaries do not grow as N^2."""
+
+    def test_rhs_memory_at_600_vortices(self):
+        # one (N, 2N) temporary of the whole block would take 11.5 MB
+        stage = ring_stage(600)
+        tracemalloc.start()
+        try:
+            dynamics.n_vortex_rhs(stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_rows_equal_the_pair_reference(self):
+        # 150 points take 12 blocks of rows, the last of 7 rows
+        stage = ring_stage(150)
+        zs = np.array(stage.positions)
+        gammas = np.array([1.0 - 1.5 * l / 150 for l in range(150)])
+        ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
+        ref = np.conj((ref_d + 1) @ gammas / (2j * math.pi * zs))
+        # TestPairLogDerivative's bound on each D entry, summed with |gamma|
+        tol = ((1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas)
+               / (2 * math.pi * np.abs(zs)))
+        assert np.all(np.abs(dynamics.n_vortex_rhs(stage) - ref) <= tol)
 
 
 class TestPrimeArguments:
@@ -313,6 +363,19 @@ class TestPairTermSizing:
         zs = np.array([cmath.rect(1.1, a) for a in angles])
         assert kernel._pair_branches(np.log(zs).tolist(), kernel.nome(1))[1] == 0
 
+    @pytest.mark.parametrize("k", DUAL_LEVELS)
+    @pytest.mark.parametrize("n", range(2, LIST_MAX + 1))
+    def test_diagonal_takes_the_terms_of_spread_zero(self, k, n):
+        # D_ii = -K(|z_i|^2) has the real L = 2 ln|z_i| on every branch, so the
+        # plain sums give it pair_terms(nm, 0) g(w) terms, while the pairs of
+        # these evenly spread points take at least one; two lie within 1e-9 of a wall
+        zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2][:n])]
+        log_z = [cmath.log(z) for z in zs]
+        assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
+        got = np.diag(kernel.pair_log_derivative(log_z, zs, np.eye(n), k))
+        ref = -kernel.log_derivative(np.abs(zs) ** 2, k)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
+
     CASES = {
         "antipodal": [(0.2, 0.4), (0.7, 0.4 - math.pi)],
         "antipodal across the cut": [(0.2, 3.1), (0.7, 3.1 - math.pi)],
@@ -327,11 +390,12 @@ class TestPairTermSizing:
     @pytest.mark.parametrize("k", LEVELS)
     @pytest.mark.parametrize("case", CASES)
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
-        log_z = [cmath.log(point(k, f, a)) for f, a in self.CASES[case]]
-        got = kernel.pair_log_derivative(log_z, np.eye(len(log_z)), k)
+        zs = [point(k, f, a) for f, a in self.CASES[case]]
+        log_z = [cmath.log(z) for z in zs]
+        got = kernel.pair_log_derivative(log_z, zs, np.eye(len(log_z)), k)
         monkeypatch.setattr(kernel, "_pair_branches",
                             lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-        ref = kernel.pair_log_derivative(log_z, np.eye(len(log_z)), k)
+        ref = kernel.pair_log_derivative(log_z, zs, np.eye(len(log_z)), k)
         assert got.shape == ref.shape == (len(log_z), len(log_z))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
