@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--form", choices=["series", "pole_sum"], default="pole_sum")
     ev.add_argument("--d", type=float, default=0.5, help="fractal parameter in (0,1)")
     ev.add_argument("--trunc", type=int, default=60)
-    ev.add_argument("--max-terms", type=int, default=200)
-    ev.add_argument("--tail-tol", type=float, default=1e-15)
 
     fl = sub.add_parser("field", help="sample a vortex flow field onto a grid file")
     fl.add_argument("--z0", type=parse_complex, required=True, help="vortex position a+bi")
@@ -137,11 +135,10 @@ def run_seq(args) -> int:
 
 
 def run_eval(args) -> int:
-    from goldcalc.functions import SeriesTruncation, TruncationError, E_phi, e_phi, \
-        e_phi_product, golden_exp, golden_trig, ln_phi, phi_number
+    from goldcalc.functions import E_phi, e_phi, e_phi_product, golden_exp, golden_trig, \
+        ln_phi, phi_number
 
     try:
-        t = SeriesTruncation(args.max_terms, args.tail_tol)
         if args.fn == "phi-number":
             if args.n is None or args.n < 1:
                 print("goldcalc eval: error: phi-number needs --n >= 1", file=sys.stderr)
@@ -154,19 +151,19 @@ def run_eval(args) -> int:
             return EXIT_USAGE
         x = args.x
         if args.fn == "golden-exp":
-            out = golden_exp(x, args.k, args.variant, t)
+            out = golden_exp(x, args.k, args.variant)
         elif args.fn == "golden-cos":
-            out = golden_trig(x.real, args.k, "cos", t)
+            out = golden_trig(x.real, args.k, "cos")
         elif args.fn == "golden-sin":
-            out = golden_trig(x.real, args.k, "sin", t)
+            out = golden_trig(x.real, args.k, "sin")
         elif args.fn == "e-phi":
-            out = e_phi(x, t)
+            out = e_phi(x)
         elif args.fn == "E-phi":
-            out = E_phi(x, t)
+            out = E_phi(x)
         elif args.fn == "e-phi-product":
-            out = e_phi_product(x, t)
+            out = e_phi_product(x)
         elif args.fn == "ln-phi":
-            out = ln_phi(x, args.k, args.form, t)
+            out = ln_phi(x, args.k, args.form)
         elif args.fn == "wm":
             from goldcalc.hydro import wm_fractal
             out = wm_fractal(x.real, args.d, args.trunc)
@@ -182,7 +179,7 @@ def run_eval(args) -> int:
             return EXIT_OK
         else:  # pragma: no cover
             raise AssertionError(args.fn)
-    except (ValueError, TruncationError) as exc:
+    except ValueError as exc:
         print(f"goldcalc eval: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(out, complex):

@@ -15,7 +15,7 @@ positions in lists of Python complex numbers, and the number of vortices N
 chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at the
 measured crossover; see `goldcalc.kernel`): up to that N in plain complex
 arithmetic, so a stage makes one numpy call, the np.log; above it numpy
-builds the pair block and the N x N distance matrix.
+builds the pair block and the N x N distance matrix, both in blocks of rows.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -124,12 +124,14 @@ def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
     """Smallest pair distance of the positions zs (inf for fewer than two
     vortices); raises VortexCollisionError for a pair closer than
     COLLISION_DISTANCE.  Up to kernel.LIST_MAX_POINTS vortices the pairs are
-    taken one by one, above that as one N x N numpy matrix."""
+    taken one by one, above that as rows of the N x N distance matrix in
+    numpy, in blocks of about kernel.CHUNK entries.  Ties keep the first pair
+    in row order, as argmin does."""
     n = len(zs)
     if n < 2:
         return math.inf
-    if n <= kernel.LIST_MAX_POINTS:  # ties keep the first pair in row order, as argmin does
-        closest = math.inf
+    closest = math.inf
+    if n <= kernel.LIST_MAX_POINTS:
         for a in range(n - 1):
             z = zs[a]
             for b in range(a + 1, n):
@@ -138,10 +140,14 @@ def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
                     closest, i, j = d, a, b
     else:
         zs = np.asarray(zs, dtype=complex)
-        dist = np.abs(zs[:, None] - zs)
-        dist.flat[:: n + 1] = np.inf
-        closest = float(dist.min())
-        i, j = sorted(divmod(int(dist.argmin()), n))
+        rows = max(1, kernel.CHUNK // n)
+        for a in range(0, n, rows):
+            dist = np.abs(zs[a:a + rows, None] - zs)
+            dist.flat[a :: n + 1] = np.inf  # the entries (a + r, a + r)
+            at = int(dist.argmin())
+            if dist.flat[at] < closest:
+                closest = float(dist.flat[at])
+                i, j = sorted(divmod(a * n + at, n))
     if closest < COLLISION_DISTANCE:
         raise VortexCollisionError(step, i, j, closest)
     return closest

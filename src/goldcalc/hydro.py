@@ -25,15 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from goldcalc import kernel
 from goldcalc.ring import PHI
-
-if TYPE_CHECKING:  # the oracles below import goldcalc.functions when called
-    from goldcalc.functions import SeriesTruncation
 
 SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
 CHUNK = kernel.CHUNK  # points per array pass of field_grid and rows per block of the file writers
@@ -199,12 +195,11 @@ def wm_modulation(t: float, d: float, t_trunc: int = 60) -> complex:
 
 # --- closed forms on the k = 1 annulus (1 < |z| < sqrt(phi)) ---------------
 
-def _ephi_ratio_log(z: complex, zs: complex, t: SeriesTruncation) -> complex:
+def _ephi_ratio_log(z: complex, zs: complex) -> complex:
     from goldcalc.functions import e_phi_product
 
-    num = e_phi_product(-PHI * z / zs, t) * e_phi_product(-PHI * zs / z, t)
-    den = (e_phi_product(-PHI * z * zs.conjugate(), t)
-           * e_phi_product(-PHI**2 / (z * zs.conjugate()), t))
+    num = e_phi_product(-PHI * z / zs) * e_phi_product(-PHI * zs / z)
+    den = e_phi_product(-PHI * z * zs.conjugate()) * e_phi_product(-PHI**2 / (z * zs.conjugate()))
     return cmath.log(num / den)
 
 
@@ -214,33 +209,27 @@ def _vortex_clearance(z: complex, zs: complex) -> None:
     _check_clearance(z, pts)
 
 
-def potential_via_e_phi(vortices, z: complex, t: SeriesTruncation | None = None) -> complex:
+def potential_via_e_phi(vortices, z: complex) -> complex:
     """Complex potential of vortices (z_s, kappa_s) in the k=1 annulus, written
     through the zeros of the phi-exponential instead of explicit image sums.
 
     Matches the image-ladder potential up to an additive constant; a vortex of
-    circulation Gamma corresponds to kappa = -Gamma / (2 pi).  t defaults to
-    functions.DEFAULT_TRUNCATION.
+    circulation Gamma corresponds to kappa = -Gamma / (2 pi).
     """
-    from goldcalc.functions import DEFAULT_TRUNCATION
-
-    t = DEFAULT_TRUNCATION if t is None else t
     total = 0j
     for zs, kappa in vortices:
         if kappa == 0:
             continue
         _vortex_clearance(z, zs)
-        total += 1j * kappa * (cmath.log(z - zs) + _ephi_ratio_log(z, zs, t))
+        total += 1j * kappa * (cmath.log(z - zs) + _ephi_ratio_log(z, zs))
     return total
 
 
-def velocity_via_ln_phi(vortices, z: complex, t: SeriesTruncation | None = None) -> complex:
+def velocity_via_ln_phi(vortices, z: complex) -> complex:
     """Conjugate velocity of vortices (z_s, kappa_s) in the k=1 annulus via four
-    phi-logarithms per vortex (pole-sum form, valid across the annulus); t
-    defaults to functions.DEFAULT_TRUNCATION."""
-    from goldcalc.functions import DEFAULT_TRUNCATION, ln_phi
+    phi-logarithms per vortex (pole-sum form, valid across the annulus)."""
+    from goldcalc.functions import ln_phi
 
-    t = DEFAULT_TRUNCATION if t is None else t
     total = 0j
     for zs, kappa in vortices:
         if kappa == 0:
@@ -249,10 +238,10 @@ def velocity_via_ln_phi(vortices, z: complex, t: SeriesTruncation | None = None)
         zc = zs.conjugate()
         total += 1j * kappa / (z - zs)
         total += (1j * PHI / z) * kappa * (
-            ln_phi(-z / zs, 1, "pole_sum", t)
-            - ln_phi(-z * zc, 1, "pole_sum", t)
-            + ln_phi(-PHI / (z * zc), 1, "pole_sum", t)
-            - ln_phi(-zs / z, 1, "pole_sum", t))
+            ln_phi(-z / zs, 1, "pole_sum")
+            - ln_phi(-z * zc, 1, "pole_sum")
+            + ln_phi(-PHI / (z * zc), 1, "pole_sum")
+            - ln_phi(-zs / z, 1, "pole_sum"))
     return total
 
 

@@ -67,7 +67,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-TAIL = 1e-17
+from goldcalc.ring import TAIL
+
 PHI = (1 + math.sqrt(5)) / 2
 LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
@@ -408,8 +409,3 @@ def pair_evaluator(weights, k: int):
         return _pair_sums(weights, k)
     sums = _pair_sums(list(weights), k)
     return lambda log_z, zs: np.array(sums(log_z, zs), dtype=complex).reshape(weights.shape)
-
-
-def pair_log_derivative(log_z: list, zs, weights, k: int):
-    """D @ weights for the points zs with logs log_z: pair_evaluator(weights, k) called once."""
-    return pair_evaluator(weights, k)(log_z, zs)

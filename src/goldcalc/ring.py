@@ -13,6 +13,8 @@ import math
 
 PHI: float = (1 + math.sqrt(5)) / 2
 PHI_PRIME: float = 1 - PHI  # conjugate root of x^2 = x + 1, equals -1/phi
+# relative tail that every truncated series, product and kernel sum may leave
+TAIL: float = 1e-17
 
 
 class GoldenExact:

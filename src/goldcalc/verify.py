@@ -24,7 +24,6 @@ from goldcalc.combinatorics import (
 )
 from goldcalc.functions import (
     GoldenAnalyticFunction,
-    SeriesTruncation,
     e_phi,
     e_phi_product,
     golden_analytic_eval,
@@ -245,15 +244,13 @@ def _cr_residuals(coeffs, k: int) -> tuple[float, float]:
 
 def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
     out = []
-    t = SeriesTruncation(300, 1e-16)
-
     worst = 0.0
     for lam in (0.3, 1.0):
         for k in (1, 2):
             for x in (0.1, 0.4, 0.7, 1.0):
-                f = lambda s: golden_exp(lam * s, k, "e", t)
+                f = lambda s: golden_exp(lam * s, k, "e")
                 lhs = golden_derivative_numeric(f, x, k)
-                rhs = lam * golden_exp(lam * x, k, "e", t)
+                rhs = lam * golden_exp(lam * x, k, "e")
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(_check("golden exponential eigenfunction property",
                       worst < 1e-9 * tol, f"worst rel {worst:.2e}"))
@@ -263,9 +260,9 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
         for k in (1, 2):
             sgn = -1 if k % 2 else 1
             for x in (0.1, 0.5, 1.0):
-                f = lambda s: golden_exp(lam * s, k, "E", t)
+                f = lambda s: golden_exp(lam * s, k, "E")
                 lhs = golden_derivative_numeric(f, x, k)
-                rhs = lam * golden_exp(sgn * lam * x, k, "E", t)
+                rhs = lam * golden_exp(sgn * lam * x, k, "E")
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(_check("E-exponential derivative property",
                       worst < 1e-9 * tol, f"worst rel {worst:.2e}"))
@@ -277,7 +274,7 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
     for k in (1, 2, 3):
         for x in (-0.5, -0.2, 0.3, 0.5):
             for y in (-0.4, 0.25, 0.5):
-                lhs = golden_exp(x, k, "E", t) * golden_exp(y, k, "e", t)
+                lhs = golden_exp(x, k, "E") * golden_exp(y, k, "e")
                 rhs = binomial_power_series(y, x, k)
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     out.append(_check("E(x) e(y) equals the golden-binomial series",
@@ -298,7 +295,7 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
     worst = 0.0
     for _ in range(200):
         z = cmath.rect(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi)))
-        worst = max(worst, abs(e_phi(z, t) - e_phi_product(z, t)))
+        worst = max(worst, abs(e_phi(z) - e_phi_product(z)))
     out.append(_check("Euler identity: e_phi series vs product on |z| <= 1",
                       worst < 1e-10 * tol, f"worst {worst:.2e}"))
 
@@ -306,7 +303,7 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
     for k in (1, 2):
         for _ in range(60):
             z = cmath.rect(float(rng.uniform(0, 0.9)), float(rng.uniform(0, 2 * math.pi)))
-            worst = max(worst, abs(ln_phi(z, k, "series", t) - ln_phi(z, k, "pole_sum", t)))
+            worst = max(worst, abs(ln_phi(z, k, "series") - ln_phi(z, k, "pole_sum")))
     out.append(_check("ln_phi series vs pole sum, k in {1,2}, |z| <= 0.9",
                       worst < 1e-9 * tol, f"worst {worst:.2e}"))
     return out
@@ -424,7 +421,6 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
     out.append(_check("WM fractal self-similarity W(phi t) = phi^d W(t)",
                       worst < 1e-5 * tol, f"worst rel {worst:.2e}"))
 
-    t = SeriesTruncation(400, 1e-16)
     kappa = -gamma / (2 * math.pi)
     sys200 = hydro.ImageSystem(z0, gamma, hydro.AnnulusSpec(1, 200))
     worst = 0.0
@@ -436,7 +432,7 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
         if abs(z - z0) < 0.1:
             continue
         count += 1
-        worst = max(worst, abs(hydro.velocity_via_ln_phi([(z0, kappa)], z, t)
+        worst = max(worst, abs(hydro.velocity_via_ln_phi([(z0, kappa)], z)
                                - hydro.vortex_velocity(sys200, z)))
     out.append(_check("phi-logarithm velocity equals image-sum velocity",
                       worst < 1e-7 * tol, f"worst {worst:.2e}"))

@@ -134,13 +134,30 @@ class TestEval:
         bad = repr(-PHI)
         assert run_cli(["eval", "--fn", "ln-phi", "--x", bad, "--k", "1"]) == 1
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--tail-tol", "inf"), ("--tail-tol", "nan"), ("--max-terms", "0")])
-    def test_bad_truncation_is_usage_error(self, capsys, flag, value):
-        assert run_cli(["eval", "--fn", "e-phi", "--x", "1", flag, value]) == 1
+    @pytest.mark.parametrize("flag", ["--max-terms", "--tail-tol"])
+    def test_truncation_is_not_an_option(self, capsys, flag):
+        # every series sizes itself from its own tail bound
+        assert run_cli(["eval", "--fn", "e-phi", "--x", "1", flag, "5"]) == 1
         out, err = capsys.readouterr()
-        assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
-        assert flag[2:].replace("-", "_") in err
+        assert not out and f"unrecognized arguments: {flag} 5" in err
+
+    @pytest.mark.parametrize("x", ["1e20", "1e300", "-1e300"])
+    @pytest.mark.parametrize("fn", [["golden-exp"], ["golden-cos"], ["golden-sin"], ["e-phi"],
+                                    ["E-phi"], ["e-phi-product"], ["ln-phi", "--form", "series"],
+                                    ["ln-phi", "--form", "pole_sum"]],
+                             ids=["golden-exp", "golden-cos", "golden-sin", "e-phi", "E-phi",
+                                  "e-phi-product", "ln-phi-series", "ln-phi-pole_sum"])
+    def test_series_print_a_finite_value_or_refuse(self, capsys, fn, x):
+        code = run_cli(["eval", "--fn", *fn, "--x", x])
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
+            return
+        assert code == 0 and not err
+        value = parse_complex(out.strip())  # rejects nan and inf
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        if fn[-1] == "pole_sum" and x == "1e20":
+            assert out.startswith("58.836")
 
     @pytest.mark.parametrize("fn", ["wm", "wm-modulation"])
     @pytest.mark.parametrize("flags", [["--x", "1e300"], ["--trunc", "2000"], ["--trunc", "0"],

@@ -125,6 +125,52 @@ class TestNVortexRhs:
         assert err.value.step is None and err.value.index == 1
 
 
+def matrix_pairs(zs) -> tuple[float, tuple[int, int]]:
+    """Closest distance and first closest pair in row order, from the whole
+    N x N distance matrix: the rule the blocked pair check keeps."""
+    zs = np.asarray(zs, dtype=complex)
+    dist = np.abs(zs[:, None] - zs)
+    dist.flat[:: len(zs) + 1] = np.inf
+    return float(dist.min()), tuple(sorted(divmod(int(dist.argmin()), len(zs))))
+
+
+class TestCheckPairs:
+    @staticmethod
+    def tied_state(n: int, seed: int) -> np.ndarray:
+        """n distinct points of the 2^-10 grid, three pairs of them moved to
+        the exact distance 2^-12, closer than any other pair."""
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(2**24, n, replace=False)
+        zs = (cells % 2**12 + 1j * (cells // 2**12)) / 2**10
+        ends = rng.choice(n, 6, replace=False)
+        for a, b, step in zip(ends[::2], ends[1::2], (2.0**-12, 2.0**-12 * 1j, -(2.0**-12))):
+            zs[b] = zs[a] + step
+        return zs
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [LIST_MAX + 2, 16, 100, 600])
+    def test_blocks_equal_the_matrix_rule(self, monkeypatch, n, seed):
+        zs = self.tied_state(n, seed)
+        closest, pair = matrix_pairs(zs)
+        assert closest == 2.0**-12
+        assert dynamics._check_pairs(zs, None) == closest
+        monkeypatch.setattr(dynamics, "COLLISION_DISTANCE", 1.0)
+        with pytest.raises(VortexCollisionError) as err:
+            dynamics._check_pairs(list(zs), 7)
+        assert err.value.pair == pair and err.value.step == 7
+
+    def test_memory_at_600_vortices(self):
+        # the N x N complex matrix and its abs took 8.7 MB
+        zs = [1.2 * cmath.exp(2j * math.pi * l / 600) for l in range(600)]
+        tracemalloc.start()
+        try:
+            dynamics._check_pairs(zs, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
 def array_rk4(state, cfg):
     """Plain array RK4 that checks every stage's pairs: the reference for integrate."""
     zs = np.asarray(state.positions, dtype=complex)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from goldcalc import functions
 from goldcalc.functions import (
+    MAX_TERMS,
     E_phi,
     GoldenAnalyticFunction,
-    SeriesTruncation,
-    TruncationError,
     e_phi,
     e_phi_product,
     golden_analytic_eval,
@@ -21,14 +21,34 @@ from goldcalc.functions import (
 from goldcalc.operators import golden_derivative_numeric
 from goldcalc.ring import PHI, GoldenExact, fib_divisor, fibonacci
 
-TIGHT = SeriesTruncation(400, 1e-16)
+SERIES = {
+    "golden_exp": golden_exp,
+    "golden_exp_E": lambda z: golden_exp(z, 2, "E"),
+    "golden_cos": lambda z: golden_trig(z.real, 1, "cos"),
+    "e_phi": e_phi,
+    "E_phi": E_phi,
+    "e_phi_product": e_phi_product,
+    "ln_phi_series": lambda z: ln_phi(z, 1, "series"),
+    "ln_phi_pole_sum": lambda z: ln_phi(z, 1, "pole_sum"),
+}
 
 
-@pytest.mark.parametrize("max_terms,tail_tol", [
-    (0, 1e-15), (200, -1e-15), (200, math.inf), (200, math.nan)])
-def test_truncation_validation(max_terms, tail_tol):
-    with pytest.raises(ValueError):
-        SeriesTruncation(max_terms, tail_tol)
+@pytest.mark.parametrize("name", SERIES)
+@pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), complex(-math.inf, 0)],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_argument_refused(name, z):
+    with pytest.raises(ValueError, match="finite argument"):
+        SERIES[name](z)
+
+
+@pytest.mark.parametrize("call", [lambda: golden_exp(1e20), lambda: golden_exp(-1e300, 3, "E"),
+                                  lambda: golden_trig(1e20), lambda: e_phi(1e20),
+                                  lambda: e_phi_product(1e20), lambda: e_phi_product(-1e300)],
+                         ids=["golden_exp", "golden_exp_E", "golden_trig", "e_phi",
+                              "e_phi_product", "e_phi_product_negative"])
+def test_overflowing_sum_or_product_refused(call):
+    with pytest.raises(ValueError, match="partial (sum|product) is not finite"):
+        call()
 
 
 class TestGoldenExp:
@@ -52,22 +72,22 @@ class TestGoldenExp:
     @pytest.mark.parametrize("k", [1, 2, 3, -2])
     def test_E_equals_e_at_negated_level(self, k):
         for x in (0.7, -1.3, 2.1 + 0.5j):
-            lhs = golden_exp(x, k, "E", TIGHT)
-            rhs = golden_exp(x, -k, "e", TIGHT)
+            lhs = golden_exp(x, k, "E")
+            rhs = golden_exp(x, -k, "e")
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_eigenfunction_property(self):
         for lam in (0.3, 1.0):
             for k in (1, 2):
                 for x in (0.1, 0.5, 1.0):
-                    f = lambda s: golden_exp(lam * s, k, "e", TIGHT)
+                    f = lambda s: golden_exp(lam * s, k, "e")
                     lhs = golden_derivative_numeric(f, x, k)
-                    rhs = lam * golden_exp(lam * x, k, "e", TIGHT)
+                    rhs = lam * golden_exp(lam * x, k, "e")
                     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
-    def test_truncation_error(self):
-        with pytest.raises(TruncationError):
-            golden_exp(30.0, 1, "e", SeriesTruncation(4, 1e-15))
+    def test_divisors_beyond_float_range(self):
+        # F_2^(1500) = L_1500 overflows a double; the sum is 1 + 1 + 1/L_1500 + ...
+        assert golden_exp(1.0, 1500) == 2.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -84,9 +104,9 @@ class TestGoldenTrig:
     def test_parts_of_exponential(self):
         for k in (1, 2):
             for x in (0.25, 0.8, -1.1):
-                c = golden_trig(x, k, "cos", TIGHT)
-                s = golden_trig(x, k, "sin", TIGHT)
-                assert abs(complex(c, s) - golden_exp(1j * x, -k, "E", TIGHT)) < 1e-12
+                c = golden_trig(x, k, "cos")
+                s = golden_trig(x, k, "sin")
+                assert abs(complex(c, s) - golden_exp(1j * x, -k, "E")) < 1e-12
 
     def test_direct_series_oracle(self):
         # E(ix, -k) = e(ix, k): sum (i x)^n / F_n^(k)! with exact divisors
@@ -138,16 +158,22 @@ class TestPhiExponentials:
         rng = random.Random(9)
         for _ in range(200):
             z = cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            assert abs(e_phi(z, TIGHT) - e_phi_product(z, TIGHT)) < 1e-10
+            assert abs(e_phi(z) - e_phi_product(z)) < 1e-10
 
     def test_reciprocal_pair(self):
         for z in (0.3, -0.8, 0.5 + 0.4j):
-            assert abs(e_phi(z, TIGHT) * E_phi(-z, TIGHT) - 1.0) < 1e-12
+            assert abs(e_phi(z) * E_phi(-z) - 1.0) < 1e-12
 
-    def test_E_phi_domain_limit(self):
+    @pytest.mark.parametrize("z", [3.0, PHI**2, -2.7j])
+    def test_E_phi_domain_refused_before_summing(self, monkeypatch, z):
         # series only converges for |z| < phi^2
-        with pytest.raises(TruncationError):
-            E_phi(3.0, SeriesTruncation(500, 1e-15))
+        monkeypatch.setattr(functions, "_ratio_series", lambda *args: pytest.fail("summed"))
+        with pytest.raises(ValueError, match=r"\|z\| < phi\^2"):
+            E_phi(z)
+
+    def test_E_phi_near_radius_refused_with_term_count(self):
+        with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
+            E_phi(0.9999 * PHI**2)
 
 
 class TestLnPhi:
@@ -160,14 +186,42 @@ class TestLnPhi:
         rng = random.Random(31 + k)
         for _ in range(80):
             z = cmath.rect(rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi))
-            a = ln_phi(z, k, "series", TIGHT)
-            b = ln_phi(z, k, "pole_sum", TIGHT)
+            a = ln_phi(z, k, "series")
+            b = ln_phi(z, k, "pole_sum")
             assert abs(a - b) < 1e-10
 
     def test_series_domain(self):
         with pytest.raises(ValueError):
             ln_phi(PHI + 0.1, 1, "series")
         ln_phi(PHI + 0.1, 1, "pole_sum")  # fine away from poles
+        with pytest.raises(ValueError, match="k > 0"):
+            ln_phi(0.1, -1, "pole_sum")  # the poles phi^(k n) would shrink to 0
+
+    def test_series_near_radius_refused_with_term_count(self):
+        with pytest.raises(ValueError, match=f"more than {MAX_TERMS} terms"):
+            ln_phi(0.9999 * PHI, 1, "series")
+
+    def test_series_sums_as_many_terms_as_its_ratio_needs(self):
+        # ratio bound 1.5/phi = 0.93: about 550 terms
+        a, b = ln_phi(1.5, 1, "series"), ln_phi(1.5, 1, "pole_sum")
+        assert abs(a - b) <= 1e-14 * abs(b)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("z", [1e-20, 1e-8, 1e-3])
+    def test_small_argument_keeps_relative_precision(self, z, k):
+        a, b = ln_phi(z, k, "series"), ln_phi(z, k, "pole_sum")
+        assert abs(a - b) <= 1e-15 * abs(a)
+        if z == 1e-20:  # Ln(1 + z) = z to first order
+            assert abs(a - z) <= 1e-15 * z and abs(b - z) <= 1e-15 * z
+
+    def test_pole_sum_beyond_float_range_refused(self):
+        with pytest.raises(ValueError, match="float range"):
+            ln_phi(1e300, 1, "pole_sum")
+
+    @pytest.mark.parametrize("form", ["series", "pole_sum"])
+    def test_base_beyond_float_range_refused(self, form):
+        with pytest.raises(ValueError, match="phi\\^2000 overflows"):
+            ln_phi(0.5, 2000, form)
 
     def test_pole_proximity_rejected(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ class TestPairLogDerivative:
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
         zs = data.draw(pair_points(k))
-        got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(len(zs)), k)
+        got = kernel.pair_evaluator(np.eye(len(zs)), k)(np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, k)
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
@@ -175,7 +175,7 @@ class TestPairLogDerivative:
         # at k = 20 (direct form) exp(log z) would round z near |z| = phi^10,
         # next to the pole of K at |z|^2 = phi^20, by more than this bound allows
         zs = np.array([1.000000117346493, -122.99186926383625 - 0.00012299186926600664j])
-        got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(2), 20)
+        got = kernel.pair_evaluator(np.eye(2), 20)(np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, 20)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -186,7 +186,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernel.pair_log_derivative(np.log(zs).tolist(), zs, np.eye(200), k)
+            got = kernel.pair_evaluator(np.eye(200), k)(np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -196,7 +196,7 @@ class TestPairLogDerivative:
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
         z = cmath.rect(PHI ** (k / 4), 0.9)
-        got = kernel.pair_log_derivative([cmath.log(z)], [z], np.eye(1), k)
+        got = kernel.pair_evaluator(np.eye(1), k)([cmath.log(z)], [z])
         assert abs(got[0, 0] + 1) < 1e-14
 
 
@@ -258,7 +258,7 @@ class TestListSumsAgainstNumpyBlock:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), k=st.sampled_from(DUAL_LEVELS))
     def test_equal_within_the_pair_bound(self, data, k):
-        # up to LIST_MAX points pair_log_derivative sums D in plain complex
+        # up to LIST_MAX points pair_evaluator sums D in plain complex
         # arithmetic; the numpy block, which runs above, is the reference
         zs = data.draw(spread_points(k, (1, LIST_MAX)))
         gammas = data.draw(st.lists(st.floats(-2, 2), min_size=len(zs), max_size=len(zs)))
@@ -346,7 +346,7 @@ class TestPrimeArguments:
 
 
 class TestPairTermSizing:
-    """pair_log_derivative sums the g(w) terms its points' angular spread
+    """pair_evaluator sums the g(w) terms its points' angular spread
     needs, on branches that put the cut in a gap wider than pi if there is one."""
 
     def test_terms_from_spread(self):
@@ -372,7 +372,7 @@ class TestPairTermSizing:
         zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2][:n])]
         log_z = [cmath.log(z) for z in zs]
         assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
-        got = np.diag(kernel.pair_log_derivative(log_z, zs, np.eye(n), k))
+        got = np.diag(kernel.pair_evaluator(np.eye(n), k)(log_z, zs))
         ref = -kernel.log_derivative(np.abs(zs) ** 2, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
 
@@ -392,10 +392,10 @@ class TestPairTermSizing:
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
         zs = [point(k, f, a) for f, a in self.CASES[case]]
         log_z = [cmath.log(z) for z in zs]
-        got = kernel.pair_log_derivative(log_z, zs, np.eye(len(log_z)), k)
+        got = kernel.pair_evaluator(np.eye(len(log_z)), k)(log_z, zs)
         monkeypatch.setattr(kernel, "_pair_branches",
                             lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-        ref = kernel.pair_log_derivative(log_z, zs, np.eye(len(log_z)), k)
+        ref = kernel.pair_evaluator(np.eye(len(log_z)), k)(log_z, zs)
         assert got.shape == ref.shape == (len(log_z), len(log_z))
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
