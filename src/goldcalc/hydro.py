@@ -59,11 +59,6 @@ class AnnulusSpec:
     def outer_radius(self) -> float:
         return PHI ** (self.k / 2)
 
-    @property
-    def radius_ratio_sq(self) -> float:
-        """q = r2^2 / r1^2 = phi^k."""
-        return PHI**self.k
-
     def contains(self, z: complex) -> bool:
         return self.inner_radius < abs(z) < self.outer_radius
 

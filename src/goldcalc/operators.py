@@ -8,8 +8,7 @@ away from x = 0, where the quotient is singular.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from goldcalc.combinatorics import golden_binomial
 from goldcalc.ring import PHI, PHI_PRIME, fib_divisor
@@ -64,25 +63,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)})"
-
-
-@dataclass(frozen=True)
-class ScalarField1D:
-    """Pointwise evaluation rule with a declared domain interval.
-
-    Golden derivatives sample the rule at phi^k x and phi'^k x, so the domain
-    must cover those rescalings; for odd k the second base is negative and the
-    rule must accept negative arguments.
-    """
-
-    func: Callable[[float], float]
-    domain: tuple[float, float] = (float("-inf"), float("inf"))
-
-    def __call__(self, x: float) -> float:
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"argument {x} outside declared domain [{lo}, {hi}]")
-        return self.func(x)
 
 
 def golden_derivative_poly(p: Polynomial, k: int = 1) -> Polynomial:

@@ -1,10 +1,14 @@
 """Invariant suites behind `goldcalc verify` and the acceptance tests.
 
 Each suite returns a list of CheckResult records; a suite passes when every
-check does.  All randomized checks draw from a caller-seeded generator so
-runs are reproducible.  Convergence ("monotone decay") checks stop enforcing
-strict decrease once values fall to NOISE_FLOOR, where double-precision
-rounding dominates and ordering is meaningless.
+check does.  A check is exact (an identity in the integers or Z[phi]) or
+measured: a measured check passes when its error stays strictly below the
+one bound stated with it, and its record carries that value and bound, or
+for a check of several quantities the one nearest its bound.  All
+randomized checks draw from a caller-seeded generator so runs are
+reproducible.  Convergence ("monotone decay") checks stop enforcing strict
+decrease once values fall to NOISE_FLOOR, where double-precision rounding
+dominates and ordering is meaningless.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from goldcalc.operators import (
     Polynomial,
     golden_derivative_numeric,
     golden_derivative_poly,
-    is_golden_periodic,
     translate,
 )
 from goldcalc.ring import (
@@ -56,10 +59,26 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    value: float | None = None  # None for an exact check
+    bound: float | None = None
 
 
 def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
+
+
+def _bounded(name: str, *measured: tuple[str, float, float], ok: bool = True) -> CheckResult:
+    """A measured check: each (text, value, bound) passes when value < bound.
+
+    The comparison is strict, so NaN fails.  The record keeps the quantity
+    nearest its bound (a failing one first) and prints every quantity's text
+    followed by its bound.  `ok` carries an exact condition that the same
+    check also requires.
+    """
+    passed = ok and all(value < bound for _, value, bound in measured)
+    _, value, bound = max(measured, key=lambda m: m[1] / m[2] if m[1] < m[2] else math.inf)
+    detail = ", ".join(f"{t} (bound {b:g})" for t, _, b in measured)
+    return CheckResult(name, passed, detail, float(value), bound)
 
 
 def _worst(pairs) -> float:
@@ -69,7 +88,7 @@ def _worst(pairs) -> float:
 # --------------------------------------------------------------------------
 # ring
 
-def suite_ring(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
+def suite_ring(rng: np.random.Generator) -> list[CheckResult]:
     out = []
 
     errs = []
@@ -77,8 +96,9 @@ def suite_ring(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
         exact = golden_pow(n).to_real()
         direct = PHI**n
         errs.append(abs(exact - direct) / abs(direct))
-    out.append(_check("golden_pow matches floating powers, |n| <= 60",
-                      _worst(errs) < 1e-12 * tol, f"worst rel {_worst(errs):.2e}"))
+    worst = _worst(errs)
+    out.append(_bounded("golden_pow matches floating powers, |n| <= 60",
+                        (f"worst rel {worst:.2e}", worst, 1e-12)))
 
     bad = [(k, n) for k in range(1, 13) for n in range(1, 31)
            if fib_divisor(n, k) != fib_divisor_recursion(n, k)]
@@ -112,7 +132,7 @@ def _scaled_product(u, v):
     return out
 
 
-def suite_calculus(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
+def suite_calculus(rng: np.random.Generator) -> list[CheckResult]:
     out = []
 
     ok = True
@@ -160,10 +180,10 @@ def suite_calculus(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
             lhs_q = golden_derivative_numeric(lambda s: f(s) / g(s), x, k)
             rhs_q = (df * gp - f(PHI**k * x) * dg) / (gp * gq)
             worst_q = max(worst_q, abs(lhs_q - rhs_q) / max(1.0, abs(lhs_q)))
-    out.append(_check("Leibniz rule on random polynomial pairs",
-                      worst < 1e-10 * tol, f"worst rel {worst:.2e}"))
-    out.append(_check("quotient rule where denominator is safe",
-                      worst_q < 1e-10 * tol, f"worst rel {worst_q:.2e}"))
+    out.append(_bounded("Leibniz rule on random polynomial pairs",
+                        (f"worst rel {worst:.2e}", worst, 1e-10)))
+    out.append(_bounded("quotient rule where denominator is safe",
+                        (f"worst rel {worst_q:.2e}", worst_q, 1e-10)))
 
     worst = 0.0
     for _ in range(40):
@@ -173,13 +193,14 @@ def suite_calculus(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
         sym = golden_derivative_poly(p, k)(x)
         num = golden_derivative_numeric(p, x, k)
         worst = max(worst, abs(sym - num) / max(1.0, abs(sym)))
-    out.append(_check("symbolic and numeric golden derivatives agree",
-                      worst < 1e-11 * tol, f"worst rel {worst:.2e}"))
+    out.append(_bounded("symbolic and numeric golden derivatives agree",
+                        (f"worst rel {worst:.2e}", worst, 1e-11)))
 
     f1 = lambda x: math.sin(2 * math.pi * math.log(abs(x)) / math.log(PHI))
     samples = [0.3, 0.7, 1.1, 1.9, 2.6, -0.8, -1.5]
-    ok = all(is_golden_periodic(f1, k, samples, 1e-9 * tol) for k in (1, 2, 3))
-    out.append(_check("level-1 periodic function stays periodic at k = 2, 3", ok, ""))
+    worst = max(abs(golden_derivative_numeric(f1, x, k)) for k in (1, 2, 3) for x in samples)
+    out.append(_bounded("level-1 periodic function stays periodic at k = 2, 3",
+                        (f"worst {worst:.2e}", worst, 1e-9)))
 
     ok = True
     for _ in range(20):
@@ -194,19 +215,19 @@ def suite_calculus(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
 # --------------------------------------------------------------------------
 # functions
 
-def binomial_power_series(x: float, y: float, k: int, n_max: int = 60) -> float:
+def binomial_power_series(x: float, y: float, k: int) -> float:
     """sum_n (x + y)^n_F / F_n^(k)! expanded termwise as
     sum_{m<=n} sign * x^(n-m) y^m / (F_m^(k)! F_{n-m}^(k)!).
 
     Inverse factorials are carried as floats, so the huge fibonomial integers
     never materialize.  The stopping rule uses the absolute-value bound of each
-    degree-n term, which cannot cancel.
+    degree-n term, which cannot cancel; the sum ends at degree 60 at the latest.
     """
     inv_fact = [1.0]
-    for i in range(1, n_max + 1):
+    for i in range(1, 61):
         inv_fact.append(inv_fact[-1] / fib_divisor(i, k))
     total = 0.0
-    for n in range(n_max + 1):
+    for n in range(len(inv_fact)):
         term = 0.0
         bound = 0.0
         for m in range(n + 1):
@@ -242,7 +263,7 @@ def _cr_residuals(coeffs, k: int) -> tuple[float, float]:
     return worst_cr, worst_lap
 
 
-def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
+def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
     out = []
     worst = 0.0
     for lam in (0.3, 1.0):
@@ -252,8 +273,8 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
                 lhs = golden_derivative_numeric(f, x, k)
                 rhs = lam * golden_exp(lam * x, k, "e")
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out.append(_check("golden exponential eigenfunction property",
-                      worst < 1e-9 * tol, f"worst rel {worst:.2e}"))
+    out.append(_bounded("golden exponential eigenfunction property",
+                        (f"worst rel {worst:.2e}", worst, 1e-9)))
 
     worst = 0.0
     for lam in (0.3, 1.0):
@@ -264,8 +285,8 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
                 lhs = golden_derivative_numeric(f, x, k)
                 rhs = lam * golden_exp(sgn * lam * x, k, "E")
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out.append(_check("E-exponential derivative property",
-                      worst < 1e-9 * tol, f"worst rel {worst:.2e}"))
+    out.append(_bounded("E-exponential derivative property",
+                        (f"worst rel {worst:.2e}", worst, 1e-9)))
 
     # the e-variable fills the first binomial slot, the E-variable the second
     # (sign-collecting) one; writing the slots the other way round breaks the
@@ -277,8 +298,8 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
                 lhs = golden_exp(x, k, "E") * golden_exp(y, k, "e")
                 rhs = binomial_power_series(y, x, k)
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    out.append(_check("E(x) e(y) equals the golden-binomial series",
-                      worst < 1e-9 * tol, f"worst rel {worst:.2e}"))
+    out.append(_bounded("E(x) e(y) equals the golden-binomial series",
+                        (f"worst rel {worst:.2e}", worst, 1e-9)))
 
     worst_cr = 0.0
     worst_lap = 0.0
@@ -287,39 +308,39 @@ def suite_functions(rng: np.random.Generator, tol: float = 1.0) -> list[CheckRes
         cr, lap = _cr_residuals(coeffs, k)
         worst_cr = max(worst_cr, cr)
         worst_lap = max(worst_lap, lap)
-    out.append(_check("golden Cauchy-Riemann residuals",
-                      worst_cr < 1e-8 * tol, f"worst {worst_cr:.2e}"))
-    out.append(_check("golden Laplace residuals",
-                      worst_lap < 1e-7 * tol, f"worst {worst_lap:.2e}"))
+    out.append(_bounded("golden Cauchy-Riemann residuals",
+                        (f"worst {worst_cr:.2e}", worst_cr, 1e-8)))
+    out.append(_bounded("golden Laplace residuals",
+                        (f"worst {worst_lap:.2e}", worst_lap, 1e-7)))
 
     worst = 0.0
     for _ in range(200):
         z = cmath.rect(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi)))
         worst = max(worst, abs(e_phi(z) - e_phi_product(z)))
-    out.append(_check("Euler identity: e_phi series vs product on |z| <= 1",
-                      worst < 1e-10 * tol, f"worst {worst:.2e}"))
+    out.append(_bounded("Euler identity: e_phi series vs product on |z| <= 1",
+                        (f"worst {worst:.2e}", worst, 1e-10)))
 
     worst = 0.0
     for k in (1, 2):
         for _ in range(60):
             z = cmath.rect(float(rng.uniform(0, 0.9)), float(rng.uniform(0, 2 * math.pi)))
             worst = max(worst, abs(ln_phi(z, k, "series") - ln_phi(z, k, "pole_sum")))
-    out.append(_check("ln_phi series vs pole sum, k in {1,2}, |z| <= 0.9",
-                      worst < 1e-9 * tol, f"worst {worst:.2e}"))
+    out.append(_bounded("ln_phi series vs pole sum, k in {1,2}, |z| <= 0.9",
+                        (f"worst {worst:.2e}", worst, 1e-9)))
     return out
 
 
 # --------------------------------------------------------------------------
 # hydro
 
-def _boundary_std(sys: hydro.ImageSystem, radius: float, n_angles: int = 64) -> float:
+def _boundary_std(sys: hydro.ImageSystem, radius: float) -> float:
     vals = [hydro.stream_function(sys, radius * cmath.exp(1j * th))
-            for th in np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)]
+            for th in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)]
     return float(np.std(vals))
 
 
-def boundary_decay(k: int, gamma: float = 1.0):
-    """psi std-dev per boundary circle at N = 10, 20, 40, 80."""
+def boundary_decay(k: int):
+    """psi std-dev per boundary circle at N = 10, 20, 40, 80, for unit circulation."""
     outer = PHI ** (k / 2)
     z0 = (1 + 0.4 * (outer - 1)) * cmath.exp(0.6j)
     stds = {}
@@ -327,29 +348,25 @@ def boundary_decay(k: int, gamma: float = 1.0):
         radius = 1.0 if circle == "inner" else outer
         seq = []
         for n in (10, 20, 40, 80):
-            sys = hydro.ImageSystem(z0, gamma, hydro.AnnulusSpec(k, n))
+            sys = hydro.ImageSystem(z0, 1.0, hydro.AnnulusSpec(k, n))
             seq.append(_boundary_std(sys, radius))
         stds[circle] = seq
     return stds
 
 
-def monotone_until_floor(seq, floor: float = NOISE_FLOOR) -> bool:
-    return all(b <= a for a, b in zip(seq, seq[1:]) if a > floor)
+def monotone_until_floor(seq) -> bool:
+    return all(b <= a for a, b in zip(seq, seq[1:]) if a > NOISE_FLOOR)
 
 
-def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
+def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
     out = []
 
-    ok = True
-    detail = []
-    for k in (1, 2):
-        stds = boundary_decay(k)
-        for circle, seq in stds.items():
-            if seq[-1] >= 1e-6 * tol or not monotone_until_floor(seq):
-                ok = False
-            detail.append(f"k={k} {circle}: " + "/".join(f"{s:.1e}" for s in seq))
-    out.append(_check("boundary psi constant per circle, decaying in N",
-                      ok, "; ".join(detail)))
+    # the bound is on the N = 80 figure, the last of each sequence
+    seqs = {f"k={k} {circle}": seq for k in (1, 2) for circle, seq in boundary_decay(k).items()}
+    out.append(_bounded("boundary psi constant per circle, decaying in N",
+                        *((f"{c}: " + "/".join(f"{s:.1e}" for s in seq), seq[-1], 1e-6)
+                          for c, seq in seqs.items()),
+                        ok=all(monotone_until_floor(seq) for seq in seqs.values())))
 
     worst_f = 0.0
     worst_v = 0.0
@@ -372,10 +389,10 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
             va = hydro.vortex_velocity(sys, PHI**k * z)
             vb = hydro.vortex_velocity(sys, z, fam1_range=sh1, fam2_range=sh2)
             worst_v = max(worst_v, abs(va - vb / PHI**k))
-    out.append(_check("potential golden-periodic (difference comparison, reindexed)",
-                      worst_f < 1e-7 * tol, f"worst {worst_f:.2e}"))
-    out.append(_check("velocity self-similar V(phi^k z) = phi^-k V(z)",
-                      worst_v < 1e-8 * tol, f"worst {worst_v:.2e}"))
+    out.append(_bounded("potential golden-periodic (difference comparison, reindexed)",
+                        (f"worst {worst_f:.2e}", worst_f, 1e-7)))
+    out.append(_bounded("velocity self-similar V(phi^k z) = phi^-k V(z)",
+                        (f"worst {worst_v:.2e}", worst_v, 1e-8)))
 
     ann = hydro.AnnulusSpec(1, 120)
     z0 = 1.14 * cmath.exp(1.1j)
@@ -387,25 +404,23 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
     # trapezoid rule for the contour integral of V dz around the vortex
     integral = sum(hydro.vortex_velocity(sys, complex(z)) * 1j * (z - z0)
                    for z in pts) * (2 * math.pi / len(ts))
-    circ = integral.real
-    out.append(_check("circulation around the vortex recovers gamma",
-                      abs(circ - gamma) / abs(gamma) < 1e-6 * tol,
-                      f"rel err {abs(circ - gamma) / abs(gamma):.2e}"))
+    err = abs(integral.real - gamma) / abs(gamma)
+    out.append(_bounded("circulation around the vortex recovers gamma",
+                        (f"rel err {err:.2e}", err, 1e-6)))
 
     worst = 0.0
     for n in (-2, -1, 0, 1, 2):
         r = PHI ** (n / 2)
         for th in np.linspace(-0.3, math.pi, 16):
             worst = max(worst, abs(hydro.pure_golden_flow(r * cmath.exp(1j * th))[1]))
-    ok_psi = worst < 1e-12 * tol
     worst_p = 0.0
     for th in np.linspace(-0.3, math.pi, 8):
         z = 1.17 * cmath.exp(1j * th)
         worst_p = max(worst_p, abs(hydro.pure_golden_flow(PHI * z)[0]
                                    - hydro.pure_golden_flow(z)[0]))
-    out.append(_check("pure flow: zero streamlines at r = phi^(n/2), F(phi z) = F(z)",
-                      ok_psi and worst_p < 1e-10 * tol,
-                      f"worst psi {worst:.2e}, worst period {worst_p:.2e}"))
+    out.append(_bounded("pure flow: zero streamlines at r = phi^(n/2), F(phi z) = F(z)",
+                        (f"worst psi {worst:.2e}", worst, 1e-12),
+                        (f"worst period {worst_p:.2e}", worst_p, 1e-10)))
 
     a, b = golden_pow(-1), golden_pow(1)
     ok = (b - a == GoldenExact(1) and a * b == GoldenExact(1))
@@ -418,8 +433,8 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
             lhs = hydro.wm_fractal(PHI * t_val, d, 60)
             rhs = PHI**d * hydro.wm_fractal(t_val, d, 60)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    out.append(_check("WM fractal self-similarity W(phi t) = phi^d W(t)",
-                      worst < 1e-5 * tol, f"worst rel {worst:.2e}"))
+    out.append(_bounded("WM fractal self-similarity W(phi t) = phi^d W(t)",
+                        (f"worst rel {worst:.2e}", worst, 1e-5)))
 
     kappa = -gamma / (2 * math.pi)
     sys200 = hydro.ImageSystem(z0, gamma, hydro.AnnulusSpec(1, 200))
@@ -434,14 +449,14 @@ def suite_hydro(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]
         count += 1
         worst = max(worst, abs(hydro.velocity_via_ln_phi([(z0, kappa)], z)
                                - hydro.vortex_velocity(sys200, z)))
-    out.append(_check("phi-logarithm velocity equals image-sum velocity",
-                      worst < 1e-7 * tol, f"worst {worst:.2e}"))
+    out.append(_bounded("phi-logarithm velocity equals image-sum velocity",
+                        (f"worst {worst:.2e}", worst, 1e-7)))
 
     worst_v, worst_psi, worst_pole = _kernel_against_oracles(rng)
-    out.append(_check("kernel equals ladder and pole-sum forms",
-                      max(worst_v, worst_pole) < 1e-10 * tol and worst_psi < 1e-10 * tol,
-                      f"velocity {worst_v:.1e}, psi differences {worst_psi:.1e}, "
-                      f"pole-sum rhs {worst_pole:.1e}"))
+    out.append(_bounded("kernel equals ladder and pole-sum forms",
+                        (f"velocity {worst_v:.1e}", worst_v, 1e-10),
+                        (f"psi differences {worst_psi:.1e}", worst_psi, 1e-10),
+                        (f"pole-sum rhs {worst_pole:.1e}", worst_pole, 1e-10)))
     return out
 
 
@@ -488,8 +503,9 @@ def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # dynamics
 
-def omega_zero_by_bisection(kappa: float = 1.0) -> tuple[float, int]:
-    """Locate the zero of the rotation frequency; also count sign changes."""
+def omega_zero_by_bisection() -> tuple[float, int]:
+    """Locate the zero of the rotation frequency at kappa = 1; also count sign changes."""
+    kappa = 1.0
     lo, hi = 1.0 + 1e-9, dynamics.SQRT_PHI - 1e-9
     rs = np.linspace(lo, hi, 200)
     vals = [dynamics.single_vortex_omega(float(r), kappa) for r in rs]
@@ -508,20 +524,20 @@ def omega_zero_by_bisection(kappa: float = 1.0) -> tuple[float, int]:
     return 0.5 * (a + b), changes
 
 
-def suite_dynamics(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResult]:
+def suite_dynamics(rng: np.random.Generator) -> list[CheckResult]:
     out = []
 
     st = dynamics.VortexState((1.1 + 0j,), (1.0,))
     traj = dynamics.integrate(st, dynamics.IntegratorConfig(1e-3, 10000))
     drift = float(np.max(np.abs(np.abs(traj.positions[:, 0]) - 1.1)))
-    out.append(_check("single-vortex trajectory stays circular over 1e4 steps",
-                      drift < 1e-7 * tol, f"radius drift {drift:.2e}"))
+    out.append(_bounded("single-vortex trajectory stays circular over 1e4 steps",
+                        (f"radius drift {drift:.2e}", drift, 1e-7)))
 
     root, changes = omega_zero_by_bisection()
     err = abs(root - dynamics.GEOMETRIC_MEAN_RADIUS)
-    out.append(_check("omega has a single zero, at the geometric-mean radius",
-                      changes == 1 and err < 1e-9 * tol,
-                      f"{changes} sign changes, |root - phi^(1/4)| = {err:.2e}"))
+    out.append(_bounded("omega has a single zero, at the geometric-mean radius",
+                        (f"{changes} sign changes, |root - phi^(1/4)| = {err:.2e}", err, 1e-9),
+                        ok=changes == 1))
 
     worst = 0.0
     for n_v, pos, gs in (
@@ -533,8 +549,8 @@ def suite_dynamics(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
         traj = dynamics.integrate(st, dynamics.IntegratorConfig(1e-3, 10000))
         h1 = dynamics.hamiltonian(dynamics.VortexState(tuple(traj.positions[-1].tolist()), gs))
         worst = max(worst, abs(h1 - h0) / abs(h0))
-    out.append(_check("Hamiltonian conserved for 2- and 3-vortex runs",
-                      worst < 1e-6 * tol, f"worst rel drift {worst:.2e}"))
+    out.append(_bounded("Hamiltonian conserved for 2- and 3-vortex runs",
+                        (f"worst rel drift {worst:.2e}", worst, 1e-6)))
 
     worst = 0.0
     for r in (1.05, 1.1, dynamics.GEOMETRIC_MEAN_RADIUS, 1.25):
@@ -543,8 +559,8 @@ def suite_dynamics(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
         v = dynamics.n_vortex_rhs(st)[0]
         om = dynamics.single_vortex_omega(r, -1.0 / (2 * math.pi))
         worst = max(worst, abs(v - 1j * om * z0))
-    out.append(_check("single-vortex rhs equals the closed rotation law",
-                      worst < 1e-7 * tol, f"worst {worst:.2e}"))
+    out.append(_bounded("single-vortex rhs equals the closed rotation law",
+                        (f"worst {worst:.2e}", worst, 1e-7)))
 
     zl = 1.18 * cmath.exp(0.9j)
     zs = 1.07 * cmath.exp(2.1j)
@@ -554,9 +570,10 @@ def suite_dynamics(rng: np.random.Generator, tol: float = 1.0) -> list[CheckResu
     target = math.log(abs(math.sqrt(PHI) / zl)) / (2 * math.pi)
     inner = max(abs(dynamics.green_function(cmath.exp(1j * th), zl) - target)
                 for th in np.linspace(0, 2 * math.pi, 64, endpoint=False))
-    out.append(_check("Green function symmetric with exact boundary values",
-                      sym < 1e-9 * tol and outer < 1e-7 * tol and inner < 1e-7 * tol,
-                      f"sym {sym:.1e}, outer {outer:.1e}, inner {inner:.1e}"))
+    out.append(_bounded("Green function symmetric with exact boundary values",
+                        (f"sym {sym:.1e}", sym, 1e-9),
+                        (f"outer {outer:.1e}", outer, 1e-7),
+                        (f"inner {inner:.1e}", inner, 1e-7)))
     return out
 
 
@@ -571,14 +588,14 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 12345, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 12345) -> list[CheckResult]:
     """Run one named suite, or all of them."""
     if name == "all":
         results = []
         for s in SUITE_NAMES:
-            results.extend(run_suite(s, seed, tol_scale))
+            results.extend(run_suite(s, seed))
         return results
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     rng = np.random.default_rng(seed)
-    return _SUITES[name](rng, tol_scale)
+    return _SUITES[name](rng)

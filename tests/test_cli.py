@@ -170,6 +170,17 @@ class TestEval:
         out, err = capsys.readouterr()
         assert not out and err.startswith("goldcalc eval: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fn", ["golden-cos", "golden-sin", "wm", "wm-modulation"])
+    def test_real_functions_refuse_an_imaginary_part(self, capsys, fn):
+        assert run_cli(["eval", "--fn", fn, "--x", "1+2i"]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"goldcalc eval: error: --fn {fn} takes a real --x, got 1.0+2.0i\n"
+        assert run_cli(["eval", "--fn", fn, "--x", "1"]) == 0
+        real = capsys.readouterr()
+        assert run_cli(["eval", "--fn", fn, "--x", "1+0i"]) == 0
+        assert capsys.readouterr() == real and real.out and not real.err
+
 
 class TestField:
     def test_csv_schema_and_summary(self, tmp_path, capsys):
@@ -269,6 +280,16 @@ class TestField:
 
 
 class TestSimulate:
+    def test_unwritable_path_is_error(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
+        out = tmp_path / "missing" / "t.csv"
+        assert run_cli(["simulate", "--init", str(init), "--dt", "1e-2", "--steps", "5",
+                        "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert not stdout and err.count("\n") == 1
+        assert err.startswith(f"goldcalc simulate: error: cannot write {out}:")
+
     def test_stationary_vortex(self, tmp_path, capsys):
         r = PHI**0.25
         init = tmp_path / "init.json"
@@ -423,14 +444,16 @@ class TestVerify:
         assert not ran and not out
         assert err.startswith("goldcalc verify: error: --suite 'nope'") and err.count("\n") == 1
         assert all(name in err for name in (*verify.SUITE_NAMES, "all"))
-        for flag, value in (("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
-                            ("--tol", "nan"), ("--tol", "2"), ("--tol", "1e300"),
-                            ("--seed", "-1")):
-            capsys.readouterr()
-            assert run_cli(["verify", "--suite", "ring", flag, value]) == 1, (flag, value)
-            out, err = capsys.readouterr()
-            assert not ran and not out
-            assert err.startswith(f"goldcalc verify: error: {flag}") and err.count("\n") == 1
+        assert run_cli(["verify", "--suite", "ring", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert not ran and not out
+        assert err.startswith("goldcalc verify: error: --seed") and err.count("\n") == 1
+
+    def test_tol_is_not_an_option(self, capsys):
+        # each check has one stated bound, printed next to its measured value
+        assert run_cli(["verify", "--suite", "ring", "--tol", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and "unrecognized arguments: --tol 0.5" in err
 
     def test_deterministic_given_seed(self, capsys):
         run_cli(["verify", "--suite", "calculus", "--seed", "7"])
@@ -439,9 +462,13 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_impossible_tolerance_exit_three(self, capsys):
-        # shrinking every tolerance by 1e-12 must trip at least one check
-        assert run_cli(["verify", "--suite", "calculus", "--tol", "1e-12"]) == 3
+    def test_failing_check_exit_three(self, capsys, monkeypatch):
+        failing = verify._bounded("stated bound", ("worst 2.00e-09", 2e-9, 1e-9))
+        monkeypatch.setitem(verify._SUITES, "ring", lambda rng: [failing])
+        assert run_cli(["verify", "--suite", "ring"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["[FAIL] stated bound  worst 2.00e-09 (bound 1e-09)",
+                         "0/1 checks passed"]
 
 
 # a fresh interpreter imports goldcalc (or runs cli.main on its arguments) and

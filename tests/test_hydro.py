@@ -34,7 +34,6 @@ class TestAnnulusSpec:
         ann = AnnulusSpec(k=2, truncation=40)
         assert ann.inner_radius == 1.0
         assert ann.outer_radius == pytest.approx(PHI)
-        assert ann.radius_ratio_sq == pytest.approx(PHI**2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from goldcalc.operators import (
     Polynomial,
-    ScalarField1D,
     golden_derivative_continuous,
     golden_derivative_numeric,
     golden_derivative_poly,
@@ -71,12 +70,6 @@ class TestGoldenDerivativeNumeric:
             sym = golden_derivative_poly(p, k)(x)
             num = golden_derivative_numeric(p, x, k)
             assert abs(sym - num) <= 1e-11 * max(1.0, abs(sym))
-
-    def test_scalar_field_domain_enforced(self):
-        f = ScalarField1D(math.sqrt, (0.0, 10.0))
-        golden_derivative_numeric(f, 1.0, 2)  # phi'^2 x > 0, fine
-        with pytest.raises(ValueError):
-            golden_derivative_numeric(f, 1.0, 1)  # phi' x < 0, outside domain
 
 
 class TestContinuousBranch:
