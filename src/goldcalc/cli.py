@@ -18,7 +18,7 @@ import math
 import re
 import sys
 
-from goldcalc.ring import fib_divisor
+from goldcalc.ring import PHI, fib_divisor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,12 +119,31 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real!r}{z.imag:+}i"
 
 
+def _log10_fib_divisor(n: int, k: int) -> float:
+    """log10 |F_{kn} / F_k| for n >= 1 by Binet's formula,
+    a (n - 1) log10(phi) + log10((1 - r^(a n)) / (1 - r^a)), a = |k|,
+    r = -1/phi^2; inf when a n does not fit a float."""
+    a, r = abs(k), -1 / PHI**2
+    try:
+        return a * (n - 1) * math.log10(PHI) + math.log10((1 - r ** (a * n)) / (1 - r**a))
+    except OverflowError:
+        return math.inf
+
+
 def run_seq(args) -> int:
     if args.k == 0:
         print("goldcalc seq: error: --k must be nonzero", file=sys.stderr)
         return EXIT_USAGE
     if args.n_max < 1:
         print("goldcalc seq: error: --n-max must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    # str() refuses an int of more than this many digits (0: no limit, as
+    # before Python 3.10.7); the last value is the longest, with
+    # floor(log10) + 1 digits, and the margin covers the rounding of its log
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and _log10_fib_divisor(args.n_max, args.k) + 1e-9 >= limit:
+        print(f"goldcalc seq: error: --n-max {args.n_max} at --k {args.k} reaches a value of more "
+              f"than {limit} digits, Python's limit for printing an int", file=sys.stderr)
         return EXIT_USAGE
     for n in range(1, args.n_max + 1):
         print(fib_divisor(n, args.k))

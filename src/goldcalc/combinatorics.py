@@ -9,7 +9,9 @@ the exact ring product is retained as an independent oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from goldcalc.ring import GoldenExact, fib_divisor, golden_pow
 
@@ -26,16 +28,29 @@ def fibonorial(n: int, k: int = 1) -> int:
     return out
 
 
+def _fibonorials(n: int, k: int) -> list[int]:
+    """[F_0^(k)!, F_1^(k)!, ..., F_n^(k)!], each product built from the one before."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if k == 0:
+        raise ValueError("k must be nonzero")
+    return list(accumulate((fib_divisor(i, k) for i in range(1, n + 1)), operator.mul, initial=1))
+
+
+def _fibonomial(facts: list[int], m: int, k: int) -> int:
+    """fibonomial(n, m, k) from the fibonorials facts = _fibonorials(n, k)."""
+    n = len(facts) - 1
+    q, r = divmod(facts[n], facts[m] * facts[n - m])
+    if r:
+        raise ArithmeticError(f"fibonomial({n},{m},{k}) is not an integer")
+    return q
+
+
 def fibonomial(n: int, m: int, k: int = 1) -> int:
     """Fibonomial coefficient F_n^(k)! / (F_m^(k)! F_{n-m}^(k)!), an exact integer."""
     if not 0 <= m <= n:
         raise ValueError(f"require 0 <= m <= n, got m={m}, n={n}")
-    num = fibonorial(n, k)
-    den = fibonorial(m, k) * fibonorial(n - m, k)
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"fibonomial({n},{m},{k}) is not an integer")
-    return q
+    return _fibonomial(_fibonorials(n, k), m, k)
 
 
 def _binomial_sign(m: int, k: int) -> int:
@@ -57,11 +72,8 @@ class GoldenBinomial:
 
 def golden_binomial(n: int, k: int = 1) -> GoldenBinomial:
     """Level-k golden binomial of degree n in expanded coefficient form."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    coeffs = tuple(_binomial_sign(m, k) * fibonomial(n, m, k) for m in range(n + 1))
+    facts = _fibonorials(n, k)
+    coeffs = tuple(_binomial_sign(m, k) * _fibonomial(facts, m, k) for m in range(n + 1))
     return GoldenBinomial(n, k, coeffs)
 
 

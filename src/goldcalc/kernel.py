@@ -29,12 +29,18 @@ points z_j, `pair_evaluator` takes L = l_i - l_j and l_i + conj(l_j),
 l_j = log z_j, so w = e_i/e_j and e_i/conj(e_j), e_j = exp(2 pi i l_j / lam),
 and the two L differ by -2 ln|z_j|.  Moving l_i by 2 pi i m, w gains Q^m for
 both and g(w Q^m) = g(w) - m, so D is the same on every branch of every l_j.
-The branches are chosen to put the cut at pi or at 0, whichever narrows
-the points' angular spread S more; every pair then has |Im L| <= S, and
-the g(w) terms are sized from S: none for an N = 2 pair at k = 1 unless it is
-within about 0.1 rad of antipodal.  The diagonal D_ii = -K(|z_i|^2) has the
-real L = 2 ln|z_i| on every branch, so it takes the terms of spread 0: none
-at k = 1, whatever S is.
+Both L of a pair have |Im L| = |gap|, the gap between the two points'
+angles, and the g(w) terms it needs grow with |gap| (pair_terms).  The
+plain pair sums move a gap wider than pi a turn, so each pair takes the
+terms of its own |gap| <= pi: none at k = 1 unless it is within about
+0.11 rad of antipodal.  The numpy block takes one count for all its
+entries, from the points' angular spread S with the cut at pi or at 0,
+whichever gives the smaller S: every pair then has |Im L| <= S.  Sizing its
+entries one by one would add passes over the block and save nothing for
+points all round the circle, whose nearly antipodal pairs need the terms
+either way (the one term of a 16-vortex ring at k = 1).  The
+diagonal D_ii = -K(|z_i|^2) has the real L = 2 ln|z_i| on every branch, so
+the plain sums give it the terms of gap 0: none at k = 1.
 
 Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the dual series needs one or two
 terms there.  As k grows Q tends to 1 while p vanishes, and the direct
@@ -44,17 +50,18 @@ use and cached; importing this module does no work.
 
 `pair_evaluator(weights, k)` binds the level's constants, the weights and
 the pair indices once, so `dynamics.integrate` builds one per run and an RK4
-stage pays only for the work its points need: the branch choice, N complex
-exps and the pair sums.  Those have two forms, chosen by the number of
-points N.  Above LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of
-rows whose temporaries hold about CHUNK entries (64 KB), so its memory does
-not grow as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair
-is summed in plain complex arithmetic, since each numpy call has a fixed
-cost of about a microsecond, which at a few points outweighs the
-arithmetic.  Per call of evaluators built once, at k = 1 (2-core Xeon VM,
-Python 3.11, numpy 2.4), the plain sums take 0.6x (no g(w) term) to 0.9x
-(one term) of the block's time at N = 4, 0.9x to 1.0x at N = 5 and 1.1x to
-1.5x at N = 6.
+stage pays only for the work its points need: N complex exps and the pair
+sums.  Those have two forms, chosen by the number of points N.  Above
+LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of rows whose
+temporaries hold about CHUNK entries (64 KB), so its memory does not grow
+as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair is summed
+in plain complex arithmetic, since each numpy call has a fixed cost of
+about a microsecond, which at a few points outweighs the arithmetic.  Per
+call of evaluators built once, at k = 1 (2-core Xeon VM, Python 3.11,
+numpy 2.4), the plain sums take 0.6x to 0.7x of the block's time at N = 4,
+0.6x (points evenly round the circle) to 0.9x (within a half turn) at N = 5
+and 1.0x to 1.2x at N = 6.  A whole RK4 step of `dynamics.integrate` with
+them takes 0.5x to 0.8x of its time with the block at N = 5.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
 # pair_evaluator sums up to this many points in plain complex arithmetic,
 # and numpy's block above it: the measured crossover (see above)
-LIST_MAX_POINTS = 4
+LIST_MAX_POINTS = 5
 # entries of a temporary array in a pass that is split to bound memory: the
 # pair block's rows here, hydro's field points and file rows
 CHUNK = 4096
@@ -317,12 +324,17 @@ def _pair_block(weights: np.ndarray, k: int):
 
 @lru_cache(maxsize=64)
 def _sum_plan(n: int, k: int) -> tuple:
-    """What _pair_sums binds for n points at level k besides the weights: the
-    Nome, c = 2 pi i/lam, -2/lam, the diagonal's g(w) sums and constant (see
-    _pair_sums) and the pair indices."""
+    """What _pair_sums binds for n points at level k besides the weights:
+    c = 2 pi i/lam, -2/lam, Q and 1/Q, the g(w) sums of gap 0 and the one
+    more term of a gap of at least reach (see _pair_sums), the diagonal's
+    constant and the pair indices."""
     nm = nome(k)
-    return (nm, 2j * math.pi / nm.lam, -2 / nm.lam, nm.dual_sums[: pair_terms(nm, 0.0)],
-            -0.5 - 1j * math.pi / nm.lam, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    near = pair_terms(nm, 0.0)
+    # pair_terms(nm, gap) exceeds near from gap = reach on; beyond pi no pair gets there
+    reach = 2 * math.pi * (near + 1 - nm.pair_order)
+    return (2j * math.pi / nm.lam, -2 / nm.lam, nm.q, 1 / nm.q, nm.dual_sums[:near],
+            nm.dual_sums[: near + 1], reach, -0.5 - 1j * math.pi / nm.lam,
+            tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def _pair_sums(weights: list, k: int):
@@ -334,12 +346,18 @@ def _pair_sums(weights: list, k: int):
     w (q + 1/q - w - 1/w): c (e_i^2 - v^2) / ((q + 1/q) e_i v - e_i^2 - v^2).
     Since g(1/w) = -c - g(w) and g(1/conj(w)) = -c + conj(g(w)), each
     unordered pair is evaluated once: D_ij = d - h and D_ji = -d - conj(h)
-    with d = g(e_i/e_j), h = g(e_i/conj(e_j)), plus the column terms.  The
-    diagonal's L = l_i + conj(l_i) = 2 ln|z_i| is real on every branch, so it
-    takes the terms of spread 0: none at k = 1."""
+    with d = g(e_i/e_j), h = g(e_i/conj(e_j)), plus the column terms.
+
+    Both L of a pair have |Im L| = |gap|, gap = Im l_i - Im l_j on the
+    principal branches.  A gap wider than pi is moved a turn: l_i by
+    -+2 pi i, e_i by Q^(-+1), which shifts d and h by the same +-c and leaves
+    D_ij and D_ji as they were.  Each pair then takes the terms of its own
+    |gap| <= pi, pair_terms(nm, |gap|): none at k = 1 unless the pair is
+    within about 0.11 rad of antipodal.  The diagonal's L = 2 ln|z_i| is
+    real on every branch, so it takes the terms of gap 0: none at k = 1."""
     # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
-    nm, c, scale, diag_sums, diag, pairs = _sum_plan(len(weights), k)
-    sums, exp = nm.dual_sums, cmath.exp
+    c, scale, q, inv_q, near, far, reach, diag, pairs = _sum_plan(len(weights), k)
+    exp, pi, turn = cmath.exp, math.pi, 2 * math.pi
 
     def series(out: complex, ei: complex, v: complex, q_sums: tuple) -> complex:
         """out, the leading term c v / (e_i - v), less the g(w) terms of q_sums."""
@@ -350,23 +368,28 @@ def _pair_sums(weights: list, k: int):
         return out
 
     def evaluate(log_z: list, zs) -> list:
-        log_z, terms = _pair_branches(log_z, nm)
-        q_sums = sums[:terms]
-        e, out, col = [], [], 0.0
+        e, angles, out, col = [], [], [], 0.0
         for l, x in zip(log_z, weights):
             ei = exp(c * l)
             e.append(ei)
+            angles.append(l.imag)
             v = ei.conjugate()
             d = c * v / (ei - v)
-            if diag_sums:
-                d = series(d, ei, v, diag_sums)
+            if near:
+                d = series(d, ei, v, near)
             out.append(x * (diag - d))
             col += l.real * x
         col *= scale  # every row's column terms -(2/lam) ln|z_j| w_j
         for i, j in pairs:
             ei, ej = e[i], e[j]
+            gap = angles[i] - angles[j]
+            if gap > pi:
+                ei, gap = ei * inv_q, gap - turn
+            elif gap < -pi:
+                ei, gap = ei * q, gap + turn
             vj = ej.conjugate()
             d, h = c * ej / (ei - ej), c * vj / (ei - vj)
+            q_sums = far if abs(gap) >= reach else near
             if q_sums:
                 d, h = series(d, ei, ej, q_sums), series(h, ei, vj, q_sums)
             out[i] += weights[j] * (d - h)
@@ -383,17 +406,18 @@ def pair_evaluator(weights, k: int):
     binds the level's constants, the weights and the pair indices, so a call
     does only the work the points need.
 
-    log_z, the list of Python complex numbers log z_j on any branch, is taken
-    and checked by the caller before any exponential; the dual form reads only
-    it, the direct form builds its arguments from the points zs.  The branch
-    choice and N exps are plain complex arithmetic.  In the dual form the
+    log_z, the list of Python complex numbers log z_j on the principal
+    branch, is taken and checked by the caller before any exponential; the
+    dual form reads only it, the direct form builds its arguments from the
+    points zs.  The N exps are plain complex arithmetic.  In the dual form the
     number of points chooses the pair sums:
     - above LIST_MAX_POINTS numpy does the (N, 2N) block
-      w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, the g(w)
-      terms the points' spread needs and one product with [weights; -weights];
-    - up to LIST_MAX_POINTS the same terms are summed pair by pair in plain
-      complex arithmetic, and weights given as a list of N numbers give a
-      list, with no numpy call.
+      w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, with the
+      g(w) terms the points' angular spread needs, chosen on Python angles,
+      and one product with [weights; -weights];
+    - up to LIST_MAX_POINTS the same entries are summed pair by pair in plain
+      complex arithmetic, each pair with the terms of its own angle gap, and
+      weights given as a list of N numbers give a list, with no numpy call.
     The direct form takes log_derivative of all 2 N^2 pair arguments at once.
     Coincident points divide by 0."""
     nm, n = nome(k), len(weights)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from goldcalc import dynamics, hydro, verify
 from goldcalc.cli import _fmt_complex, main, parse_complex, parse_grid
 from goldcalc.functions import golden_exp
-from goldcalc.ring import PHI
+from goldcalc.ring import PHI, fib_divisor
 
 
 def read_field_csv(path) -> np.ndarray:
@@ -80,6 +80,33 @@ class TestSeq:
         assert run_cli(["seq", "--k", "2", "--n-max", "0"]) == 1
         assert run_cli(["seq", "--k", "2"]) == 1
         assert run_cli(["seq", "--k", "2", "--n-max", "3", "--bogus"]) == 1
+
+    @pytest.fixture
+    def int_digit_limit(self):
+        """Sets Python's limit on the digits of an int printed as text for one test."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int digit limit")
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    def test_value_past_the_int_digit_limit_refused_before_any_output(self, capsys, int_digit_limit):
+        int_digit_limit(4300)  # the default: F_20577 has 4300 digits, F_20578 4301
+        assert run_cli(["seq", "--k", "1", "--n-max", "20600"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "4300 digits" in err
+
+    @pytest.mark.parametrize("k", [1, -1, 2, 7, -30])
+    def test_digit_limit_refuses_exactly_the_values_it_cannot_print(self, capsys, int_digit_limit, k):
+        limit = 640  # the smallest limit Python accepts
+        n = 1  # the last n whose value has at most limit digits
+        while len(str(abs(fib_divisor(n + 1, k)))) <= limit:
+            n += 1
+        int_digit_limit(limit)
+        assert run_cli(["seq", "--k", str(k), "--n-max", str(n)]) == 0
+        assert len(capsys.readouterr().out.split()[-1].lstrip("-")) <= limit
+        assert run_cli(["seq", "--k", str(k), "--n-max", str(n + 1)]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestEval:

@@ -46,6 +46,16 @@ class TestFibonomial:
                 for m in range(n + 1):
                     assert fibonomial(n, m, k) == fibonomial(n, n - m, k)
 
+    def test_equals_the_quotient_of_fibonorials(self):
+        # fibonomial and golden_binomial build the fibonorials up to n once;
+        # fibonorial multiplies each product out on its own
+        for k in (1, 2, 3, -1, -2, 7):
+            for n in range(16):
+                coeffs = golden_binomial(n, k).coeffs
+                for m in range(n + 1):
+                    q = fibonorial(n, k) // (fibonorial(m, k) * fibonorial(n - m, k))
+                    assert fibonomial(n, m, k) == q and abs(coeffs[m]) == abs(q)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             fibonomial(3, 4, 1)

@@ -346,8 +346,10 @@ class TestPrimeArguments:
 
 
 class TestPairTermSizing:
-    """pair_evaluator sums the g(w) terms its points' angular spread
-    needs, on branches that put the cut in a gap wider than pi if there is one."""
+    """Up to LIST_MAX points each pair sums the g(w) terms of its own angle
+    gap, moved a turn into [-pi, pi]; above it the numpy block sums those of
+    the points' angular spread, on branches that put the cut in a gap wider
+    than pi if there is one."""
 
     def test_terms_from_spread(self):
         assert kernel.pair_terms(kernel.nome(1), 3.03) == 0
@@ -367,9 +369,9 @@ class TestPairTermSizing:
     @pytest.mark.parametrize("n", range(2, LIST_MAX + 1))
     def test_diagonal_takes_the_terms_of_spread_zero(self, k, n):
         # D_ii = -K(|z_i|^2) has the real L = 2 ln|z_i| on every branch, so the
-        # plain sums give it pair_terms(nm, 0) g(w) terms, while the pairs of
-        # these evenly spread points take at least one; two lie within 1e-9 of a wall
-        zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2][:n])]
+        # plain sums give it pair_terms(nm, 0) g(w) terms, while the points'
+        # spread needs at least one; two lie within 1e-9 of a wall
+        zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2, 0.8][:n])]
         log_z = [cmath.log(z) for z in zs]
         assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
         got = np.diag(kernel.pair_evaluator(np.eye(n), k)(log_z, zs))
@@ -379,6 +381,10 @@ class TestPairTermSizing:
     CASES = {
         "antipodal": [(0.2, 0.4), (0.7, 0.4 - math.pi)],
         "antipodal across the cut": [(0.2, 3.1), (0.7, 3.1 - math.pi)],
+        # a spread wider than pi that no pair's gap, moved a turn, reaches:
+        # verify's ring of three (spread 4.19) and a pair 4 rad apart
+        "ring of three": [(0.55, 0.5 + 2 * math.pi * l / 3) for l in range(3)],
+        "4 rad apart": [(0.3, 2.0), (0.6, -2.0)],
         "clustered": [(f, 1.0 + 0.05 * i) for i, f in enumerate((0.1, 0.5, 0.9, 0.3, 0.6))],
         "clustered across the cut": [(f, math.pi - 0.1 + 0.05 * i - 2 * math.pi * (i > 1))
                                      for i, f in enumerate((0.1, 0.5, 0.9, 0.3, 0.6))],
@@ -391,13 +397,42 @@ class TestPairTermSizing:
     @pytest.mark.parametrize("case", CASES)
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
         zs = [point(k, f, a) for f, a in self.CASES[case]]
-        log_z = [cmath.log(z) for z in zs]
-        got = kernel.pair_evaluator(np.eye(len(log_z)), k)(log_z, zs)
-        monkeypatch.setattr(kernel, "_pair_branches",
-                            lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-        ref = kernel.pair_evaluator(np.eye(len(log_z)), k)(log_z, zs)
-        assert got.shape == ref.shape == (len(log_z), len(log_z))
+        log_z, n = [cmath.log(z) for z in zs], len(zs)
+        got = kernel.pair_evaluator(np.eye(n), k)(log_z, zs)
+        if kernel.nome(k).dual and n:
+            # the numpy block with the terms of spread 2 pi, the most any
+            # principal branches need, whatever evaluator the points chose
+            monkeypatch.setattr(kernel, "_pair_branches",
+                                lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
+            ref = kernel._pair_block(np.eye(n), k)(log_z, zs)
+        else:  # the direct form chooses no branch, and no points make no block
+            ref = pair_reference(np.array(zs, dtype=complex), k)[0]
+        assert got.shape == ref.shape == (n, n)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("k", DUAL_LEVELS)
+    @pytest.mark.parametrize("case", [c for c, points in CASES.items() if len(points) <= LIST_MAX])
+    def test_plain_sums_take_no_term_past_the_widest_pair_gap(self, monkeypatch, case, k):
+        # every term past what the diagonal and the widest gap, moved a turn
+        # into [-pi, pi], need is made nan; sizing from the spread of all the
+        # principal angles would sum one at k = 1 for the ring of three and
+        # the pair 4 rad apart
+        zs = [point(k, f, a) for f, a in self.CASES[case]]
+        log_z, nm = [cmath.log(z) for z in zs], kernel.nome(k)
+        gaps = [abs((a.imag - b.imag + math.pi) % (2 * math.pi) - math.pi)
+                for i, a in enumerate(log_z) for b in log_z[i + 1:]]
+        needed = kernel.pair_terms(nm, max(gaps, default=0.0))
+        if case in ("ring of three", "4 rad apart") and k == 1:
+            spread = max(l.imag for l in log_z) - min(l.imag for l in log_z)
+            assert needed == 0 < kernel.pair_terms(nm, spread)
+        poisoned = nm._replace(dual_sums=nm.dual_sums[:needed] + (math.nan,) * (len(nm.dual_sums) - needed))
+        monkeypatch.setattr(kernel, "nome", lambda level: poisoned)
+        kernel._sum_plan.cache_clear()
+        try:
+            got = kernel.pair_evaluator(np.eye(len(zs)), k)(log_z, zs)
+        finally:
+            kernel._sum_plan.cache_clear()
+        assert np.isfinite(got).all()
 
 
 @st.composite
