@@ -18,7 +18,7 @@ import math
 import re
 import sys
 
-from goldcalc.ring import PHI, fib_divisor
+from goldcalc.ring import PHI, lucas
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,8 +145,12 @@ def run_seq(args) -> int:
         print(f"goldcalc seq: error: --n-max {args.n_max} at --k {args.k} reaches a value of more "
               f"than {limit} digits, Python's limit for printing an int", file=sys.stderr)
         return EXIT_USAGE
-    for n in range(1, args.n_max + 1):
-        print(fib_divisor(n, args.k))
+    # F_{k(n+1)}/F_k = L_k F_{kn}/F_k - (-1)^k F_{k(n-1)}/F_k from F_0/F_k = 0, F_k/F_k = 1
+    lk, odd = lucas(args.k), args.k % 2
+    prev, cur = 0, 1
+    for _ in range(args.n_max):
+        print(cur)
+        prev, cur = cur, lk * cur + prev if odd else lk * cur - prev
     return EXIT_OK
 
 

@@ -8,14 +8,19 @@ takes ln|P| of all 2 N^2 pair arguments as (N, N) numpy arrays.
 
 `integrate` builds the run's velocity field once (`_velocity_field`, on
 `kernel.pair_evaluator`), with the circulations, their sum and the level's
-constants bound, so an RK4 stage does only what its positions need: one
-np.log, which keeps ln|z| exact near |z| = 1, the escape and pair checks, N
-complex exps and the pair sums.  The stages and the pair checks keep
-positions in lists of Python complex numbers, and the number of vortices N
-chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at the
-measured crossover; see `goldcalc.kernel`): up to that N in plain complex
-arithmetic, so a stage makes one numpy call, the np.log; above it numpy
-builds the pair block and the N x N distance matrix, both in blocks of rows.
+constants bound, so an RK4 stage does only what its positions need.  Each
+set of positions takes one np.log, which keeps ln|z| exact near |z| = 1,
+and its escape test on ln|z|: the step-end check takes them for the new
+positions and hands them to the next step's first stage, and the three
+later stages take their own.  A stage then takes N complex exps and the pair
+sums, which end in the velocity; one loop builds the next stage's positions
+and the bound that spares it the pair check.  The stages and the pair
+checks keep positions in lists of Python complex numbers, and the number of
+vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set
+at the measured crossover; see `goldcalc.kernel`): up to that N in plain
+complex arithmetic, so a stage makes at most one numpy call, the np.log;
+above it numpy builds the pair block and the N x N distance matrix, both in
+blocks of rows.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -153,64 +158,71 @@ def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
     return closest
 
 
-def _check_events(zs: list, step: int) -> tuple[float, float]:
-    """Smallest wall gap and smallest pair distance of the positions zs; raises
-    VortexEscapeError for a vortex outside the open annulus (or non-finite)
-    and VortexCollisionError for a pair closer than COLLISION_DISTANCE."""
-    radii = list(map(abs, zs))
-    wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
-    if not (wall > 0 and sum(radii) < math.inf):  # a nan radius makes the sum nan
-        i = next(i for i, r in enumerate(radii) if not 1.0 < r < SQRT_PHI)
-        raise VortexEscapeError(step, i, complex(zs[i]))
-    return wall, _check_pairs(zs, step)
+def _checked_logs(zs: list, step: int | None) -> list:
+    """log z_l of the positions zs on the principal branch, as a list of
+    Python complex numbers, from one np.log call, which keeps ln|z| exact
+    near |z| = 1; raises VortexEscapeError, at this step, for a position with
+    ln|z| outside (0, LOG_OUTER_RADIUS): outside the open annulus, or
+    non-finite."""
+    # np.log warns on 0
+    log_z = (np.log(zs).tolist() if 0 not in zs
+             else [cmath.log(z) if z else -math.inf for z in zs])
+    for i, l in enumerate(log_z):
+        if not 0 < l.real < LOG_OUTER_RADIUS:
+            raise VortexEscapeError(step, i, complex(zs[i]))
+    return log_z
+
+
+def _check_events(zs: list, step: int) -> tuple[list, float]:
+    """The checked logs of the positions zs (see _checked_logs) and their
+    smallest pair distance; raises VortexEscapeError for a vortex outside the
+    open annulus (or non-finite) and VortexCollisionError for a pair closer
+    than COLLISION_DISTANCE."""
+    return _checked_logs(zs, step), _check_pairs(zs, step)
 
 
 def _velocity_field(circulations) -> Callable[[list, list], list]:
     """The velocity of vortices of these circulations, built once per run: the
     callable (log_z, zs) -> dz_l/dt as a list of Python complex numbers, for
-    positions zs whose logs log_z the caller has checked: a list of Python
-    complex numbers up to kernel.LIST_MAX_POINTS vortices, an array above.
-
-    conj(dz_l/dt) = sum_j gamma_j / (2 pi i z_l) (D_lj + 1), D_lj = K(z_l/z_j)
-    - K(z_l conj z_j), D_ll = -K(|z_l|^2), from kernel.pair_evaluator: N cmath
+    positions zs, a list of Python complex numbers, whose logs log_z the
+    caller has checked; kernel.pair_evaluator at LEVEL, which takes N cmath
     exps and the O(N^2) pair sums.  Up to kernel.LIST_MAX_POINTS vortices
-    those sums and everything here are plain complex arithmetic; above it
-    numpy does the pair block and the division by z_l."""
-    two_pi_i = 2j * math.pi
+    those are plain complex arithmetic that ends in the list; above it numpy
+    does the pair block and the division by z_l, and the list is made here."""
     if len(circulations) > kernel.LIST_MAX_POINTS:
-        gammas = np.asarray(circulations, dtype=float)
-        pair, total = kernel.pair_evaluator(gammas, LEVEL), sum(gammas.tolist())
-
-        def velocity(log_z: list, zs: np.ndarray) -> list:
-            v = pair(log_z, zs)
-            v += total
-            v /= two_pi_i * zs
-            return np.conj(v, out=v).tolist()
-        return velocity
-    gammas = list(map(float, circulations))
-    pair, total = kernel.pair_evaluator(gammas, LEVEL), sum(gammas)
-    return lambda log_z, zs: [((d + total) / (two_pi_i * z)).conjugate() for d, z in zip(pair(log_z, zs), zs)]
+        velocity = kernel.pair_evaluator(np.asarray(circulations, dtype=float), LEVEL)
+        return lambda log_z, zs: velocity(log_z, zs).tolist()
+    return kernel.pair_evaluator(list(map(float, circulations)), LEVEL)
 
 
 class _Stage(NamedTuple):
-    """Positions of an RK4 stage as a list of Python complex numbers, not
-    validated, and the run's _velocity_field; pairs_clear marks positions whose
-    pairs are known to be at least 2 COLLISION_DISTANCE apart, which
-    n_vortex_rhs then does not check."""
+    """Positions of an RK4 stage as a list of Python complex numbers and the
+    run's _velocity_field.  pairs_clear marks positions whose pairs are known
+    to be at least 2 COLLISION_DISTANCE apart, which n_vortex_rhs then does
+    not check; log_z, if given, holds the positions' logs as _checked_logs
+    returned them, which n_vortex_rhs then neither takes nor checks again."""
 
     positions: list
     field: Callable[[list, list], list]
     pairs_clear: bool = False
+    log_z: list | None = None
 
 
 def _stage(zs: list, h: float, k: list, field: Callable, closest: float) -> _Stage:
     """The RK4 stage zs + h k of positions whose pairs are at least closest
     apart: each vortex moves at most h max|k|, so every pair there is at least
     closest - 2 h max|k| apart.  The factor 2 on COLLISION_DISTANCE absorbs the
-    rounding of both.  A non-finite k makes a non-finite stage, which the
-    escape check of n_vortex_rhs rejects before any pair check."""
-    clear = len(k) < 2 or closest - 2 * h * max(map(abs, k)) >= 2 * COLLISION_DISTANCE
-    return _Stage([z + h * v for z, v in zip(zs, k)], field, clear)
+    rounding of both.  One loop builds the positions and max|k|.  A
+    non-finite k makes a non-finite stage, which the escape check of
+    n_vortex_rhs rejects before any pair check."""
+    positions, fastest = [], 0.0
+    for z, v in zip(zs, k):
+        positions.append(z + h * v)
+        speed = abs(v)
+        if speed > fastest:
+            fastest = speed
+    clear = len(k) < 2 or closest - 2 * h * fastest >= 2 * COLLISION_DISTANCE
+    return _Stage(positions, field, clear)
 
 
 def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
@@ -220,29 +232,23 @@ def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
     is about 1e-16 / |z_l - z_j|, far below the RK4 error for any pair it
     resolves.
 
-    Checks come first, exponentials after: ln|z_l| of the one np.log call
-    raises VortexEscapeError (step None) for a position outside the open
-    annulus or non-finite, then VortexCollisionError for a pair closer than
-    COLLISION_DISTANCE (unless a _Stage's pairs_clear says none can be), so a
-    bad stage emits no numpy warning.
+    Checks come first, exponentials after: the logs of _checked_logs raise
+    VortexEscapeError (step None) for a position outside the open annulus or
+    non-finite, unless a _Stage hands them in checked, then
+    VortexCollisionError for a pair closer than COLLISION_DISTANCE (unless a
+    _Stage's pairs_clear says none can be), so a bad stage emits no numpy
+    warning.
     """
-    # the numpy pair block and distance matrix above LIST_MAX_POINTS take an array
     if isinstance(state, _Stage):
-        points, field, clear = state
-        zs = np.array(points) if len(points) > kernel.LIST_MAX_POINTS else points
+        points, field, clear, log_z = state
     else:
-        zs = np.asarray(state.positions, dtype=complex)
-        points, field, clear = zs.tolist(), _velocity_field(state.circulations), False
-        zs = zs if len(points) > kernel.LIST_MAX_POINTS else points
-    # np.log keeps ln|z| exact near |z| = 1, but warns on 0
-    log_z = (np.log(zs).tolist() if 0 not in points
-             else [cmath.log(z) if z else -math.inf for z in points])
-    for i, l in enumerate(log_z):
-        if not 0 < l.real < LOG_OUTER_RADIUS:
-            raise VortexEscapeError(None, i, complex(points[i]))
+        points = np.asarray(state.positions, dtype=complex).tolist()
+        field, clear, log_z = _velocity_field(state.circulations), False, None
+    if log_z is None:
+        log_z = _checked_logs(points, None)
     if not clear:
-        _check_pairs(zs, None)
-    return field(log_z, zs)
+        _check_pairs(points, None)
+    return field(log_z, points)
 
 
 @dataclass(eq=False)
@@ -276,15 +282,19 @@ class Trajectory:
 def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 evolution; aborts on boundary escape or near-collision.
 
-    The exact pair distances are taken once per step, at its end (and at step
-    0).  The first stage of the next step is at those positions; each later
-    stage checks its pairs only when the distance it can have moved leaves no
-    proof that they stay 2 COLLISION_DISTANCE apart (see _stage)."""
+    The logs with their escape test and the exact pair distances are taken
+    once per step, at its end (and at step 0).  The first stage of the next
+    step is at those positions and takes those logs; each later stage checks
+    its pairs only when the distance it can have moved leaves no proof that
+    they stay 2 COLLISION_DISTANCE apart (see _stage).  The wall distance
+    the dt guard reads comes from the radii at step 0."""
     z = np.asarray(state.positions, dtype=complex).tolist()
     field = _velocity_field(state.circulations)
-    wall, closest = _check_events(z, 0)
+    log_z, closest = _check_events(z, 0)
+    radii = list(map(abs, z))
+    wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
     scale = min(wall, closest)
-    vmax = max(map(abs, n_vortex_rhs(_Stage(z, field, True))), default=0.0)
+    vmax = max(map(abs, n_vortex_rhs(_Stage(z, field, True, log_z))), default=0.0)
     if vmax * cfg.dt > 0.5 * scale:
         raise ValueError(
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
@@ -296,13 +306,13 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     times[0], positions[0] = 0.0, z
     t = 0.0
     for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs(_Stage(z, field, True))
+        k1 = n_vortex_rhs(_Stage(z, field, True, log_z))
         k2 = n_vortex_rhs(_stage(z, half, k1, field, closest))
         k3 = n_vortex_rhs(_stage(z, half, k2, field, closest))
         k4 = n_vortex_rhs(_stage(z, dt, k3, field, closest))
         z = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
         t += dt
-        closest = _check_events(z, step)[1]
+        log_z, closest = _check_events(z, step)
         times[step], positions[step] = t, z
     return Trajectory(times, positions)
 

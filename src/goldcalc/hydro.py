@@ -95,37 +95,42 @@ def _ladders(sys: ImageSystem, fam1_range=None, fam2_range=None):
     return fam1, fam2
 
 
-def _check_clearance(z: complex, points: np.ndarray) -> None:
-    d = np.min(np.abs(points - z))
-    if d < SINGULARITY_EXCLUSION:
-        raise SingularityProximityError(f"point {z} within {d:.3g} of a singularity "
-                                        f"(exclusion {SINGULARITY_EXCLUSION:.3g})")
+def _check_clearance(z, points: np.ndarray) -> None:
+    """Raise SingularityProximityError, naming the first of the points z (a
+    point or an array) that lies within SINGULARITY_EXCLUSION of one of points."""
+    zs = np.asarray(z, dtype=complex).reshape(-1, 1)
+    dist = np.min(np.abs(zs - points), axis=1)
+    near = np.flatnonzero(dist < SINGULARITY_EXCLUSION)
+    if near.size:
+        i = near[0]
+        raise SingularityProximityError(f"point {complex(zs[i, 0])} within {dist[i]:.3g} of a "
+                                        f"singularity (exclusion {SINGULARITY_EXCLUSION:.3g})")
 
 
-def vortex_potential(sys: ImageSystem, z: complex, fam1_range=None,
-                     fam2_range=None) -> complex:
-    """Truncated image-ladder complex potential F(z).
+def vortex_potential(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
+    """Truncated image-ladder complex potential F(z), at a point (a complex)
+    or at an array of points (an array of their shape), one array pass over
+    the points and ladder terms.
 
     Defined up to an additive constant; compare differences, or use Im for the
     stream function.  The paired terms are evaluated as single logarithms of
     quotients so that window reindexing is exact in floating point.
     """
     fam1, fam2 = _ladders(sys, fam1_range, fam2_range)
-    _check_clearance(z, np.concatenate([fam1, fam2]))
+    shape, zs = np.shape(z), np.asarray(z, dtype=complex).reshape(-1, 1)
+    _check_clearance(zs, np.concatenate([fam1, fam2]))
     m = min(len(fam1), len(fam2))
     # pair from the top of both ladders; the leftover fam1 tail enters bare
-    logs = np.log((z - fam1[len(fam1) - m:]) / (z - fam2[len(fam2) - m:]))
-    total = complex(np.sum(logs))
-    for w in fam1[: len(fam1) - m]:
-        total += cmath.log(z - w)
-    for w in fam2[: len(fam2) - m]:
-        total -= cmath.log(z - w)
-    return sys.gamma / (2j * math.pi) * total
+    total = np.sum(np.log((zs - fam1[len(fam1) - m:]) / (zs - fam2[len(fam2) - m:])), axis=1)
+    total += np.sum(np.log(zs - fam1[: len(fam1) - m]), axis=1)
+    total -= np.sum(np.log(zs - fam2[: len(fam2) - m]), axis=1)
+    total *= sys.gamma / (2j * math.pi)
+    return complex(total[0]) if shape == () else total.reshape(shape)
 
 
-def stream_function(sys: ImageSystem, z: complex, fam1_range=None,
-                    fam2_range=None) -> float:
-    """Stream function psi = Im F; single-valued (built from log-moduli only)."""
+def stream_function(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
+    """Stream function psi = Im F, at a point or an array of points (see
+    vortex_potential); single-valued (built from log-moduli only)."""
     return vortex_potential(sys, z, fam1_range, fam2_range).imag
 
 

@@ -48,20 +48,28 @@ product in p converges faster; each k uses whichever form needs fewer terms
 to push the neglected tail below TAIL.  Per-k constants are computed on first
 use and cached; importing this module does no work.
 
-`pair_evaluator(weights, k)` binds the level's constants, the weights and
-the pair indices once, so `dynamics.integrate` builds one per run and an RK4
-stage pays only for the work its points need: N complex exps and the pair
-sums.  Those have two forms, chosen by the number of points N.  Above
-LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of rows whose
-temporaries hold about CHUNK entries (64 KB), so its memory does not grow
-as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair is summed
-in plain complex arithmetic, since each numpy call has a fixed cost of
-about a microsecond, which at a few points outweighs the arithmetic.  Per
-call of evaluators built once, at k = 1 (2-core Xeon VM, Python 3.11,
+`pair_evaluator(weights, k)` gives the velocities of point vortices of
+circulations `weights`: conj(dz_l/dt) = sum_j w_j (D_lj + 1) / (2 pi i z_l).
+It binds the level's constants, the weights, their sum and the pair indices
+once, so `dynamics.integrate` builds one per run and an RK4 stage pays only
+for the work its points need: N complex exps, the pair sums and the
+division by 2 pi i z_l.  The pair sums have two forms, chosen by the number
+of points N.  Above LIST_MAX_POINTS numpy builds the (N, 2N) block, in
+blocks of rows whose temporaries hold about CHUNK entries (64 KB), so its
+memory does not grow as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS
+every pair is summed in plain complex arithmetic, since each numpy call has
+a fixed cost of about a microsecond, which at a few points outweighs the
+arithmetic; the pass that adds the column terms also adds the weights' sum
+and divides, so the velocity comes out of the sums with no second pass.
+Per call of evaluators built once, at k = 1 (2-core Xeon VM, Python 3.11,
 numpy 2.4), the plain sums take 0.6x to 0.7x of the block's time at N = 4,
 0.6x (points evenly round the circle) to 0.9x (within a half turn) at N = 5
 and 1.0x to 1.2x at N = 6.  A whole RK4 step of `dynamics.integrate` with
-them takes 0.5x to 0.8x of its time with the block at N = 5.
+them takes 0.5x to 0.8x of its time with the block at N = 5.  At k = 1 the
+plain sums of a few vortices away from antipodal add no g(w) term, so what
+such a step costs is interpreter work around a few dozen complex operations
+per vortex: a step at N = 1, 2 and 3 takes about 17, 25 and 35 us, and a
+stage whose logs the step-end check handed on 1.7, 2.8 and 4.6 us.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ from goldcalc.ring import TAIL
 PHI = (1 + math.sqrt(5)) / 2
 LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
+TWO_PI_I = 2j * math.pi
 # pair_evaluator sums up to this many points in plain complex arithmetic,
 # and numpy's block above it: the measured crossover (see above)
 LIST_MAX_POINTS = 5
@@ -288,12 +297,20 @@ def _pair_rows(n: int, k: int) -> list:
             for a in range(0, n, rows)]
 
 
+def _velocities(rows: np.ndarray, total, zs) -> np.ndarray:
+    """conj((rows + total) / (2 pi i z_l)) in place, for the rows D @ weights
+    of the points zs and total, the sum of the weights."""
+    rows += total
+    rows /= np.multiply(TWO_PI_I, zs).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return np.conj(rows, out=rows)
+
+
 def _pair_block(weights: np.ndarray, k: int):
-    """D @ weights through the (N, 2N) block w = e_i / [e_j, conj(e_j)] in
-    numpy, in the blocks of rows of _pair_rows."""
+    """The velocities from D @ weights through the (N, 2N) block
+    w = e_i / [e_j, conj(e_j)] in numpy, in the blocks of rows of _pair_rows."""
     nm, blocks = nome(k), _pair_rows(len(weights), k)
     c, scale, sums = 2j * math.pi / nm.lam, 2 / nm.lam, nm.dual_sums
-    signed = np.concatenate((weights, -weights))
+    signed, total = np.concatenate((weights, -weights)), sum(weights)
     weight_list = weights.tolist() if weights.ndim == 1 else None
 
     def evaluate(log_z: list, zs) -> np.ndarray:
@@ -317,7 +334,7 @@ def _pair_block(weights: np.ndarray, k: int):
         ln_r = [l.real for l in log_z]
         col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
         out -= scale * col
-        return out
+        return _velocities(out, total, zs)
 
     return evaluate
 
@@ -338,8 +355,9 @@ def _sum_plan(n: int, k: int) -> tuple:
 
 
 def _pair_sums(weights: list, k: int):
-    """D @ weights in plain complex arithmetic, pair by pair; weights is a
-    list of N numbers, or of N numpy rows for a matrix of weights.
+    """The velocities from D @ weights in plain complex arithmetic, pair by
+    pair, as a list; weights is a list of N numbers, or of N numpy rows for a
+    matrix of weights.
 
     The block's entry g(w), w = e_i/v for v = e_j or conj(e_j), is
     c v / (e_i - v) less the g(w) terms, each over the common denominator
@@ -354,9 +372,12 @@ def _pair_sums(weights: list, k: int):
     D_ij and D_ji as they were.  Each pair then takes the terms of its own
     |gap| <= pi, pair_terms(nm, |gap|): none at k = 1 unless the pair is
     within about 0.11 rad of antipodal.  The diagonal's L = 2 ln|z_i| is
-    real on every branch, so it takes the terms of gap 0: none at k = 1."""
+    real on every branch, so it takes the terms of gap 0: none at k = 1.
+    The last pass adds the column terms and the weights' sum to each row and
+    divides it by 2 pi i z_l."""
     # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
     c, scale, q, inv_q, near, far, reach, diag, pairs = _sum_plan(len(weights), k)
+    total = sum(weights)
     exp, pi, turn = cmath.exp, math.pi, 2 * math.pi
 
     def series(out: complex, ei: complex, v: complex, q_sums: tuple) -> complex:
@@ -394,38 +415,45 @@ def _pair_sums(weights: list, k: int):
                 d, h = series(d, ei, ej, q_sums), series(h, ei, vj, q_sums)
             out[i] += weights[j] * (d - h)
             out[j] -= weights[i] * (d + h.conjugate())
-        return [x + col for x in out]
+        return [((x + col + total) / (TWO_PI_I * z)).conjugate() for x, z in zip(out, zs)]
 
     return evaluate
 
 
 def pair_evaluator(weights, k: int):
-    """The callable (log_z, zs) -> D @ weights for fixed weights of shape (N,)
-    or (N, M), at level k: D_ij = K(z_i/z_j) - K(z_i conj(z_j)) for the points
-    zs, D_ii = -K(|z_i|^2).  Built once per set of weights (an RK4 run), it
-    binds the level's constants, the weights and the pair indices, so a call
-    does only the work the points need.
+    """The callable (log_z, zs) -> dz_l/dt, the velocities of point vortices
+    of circulations weights, shape (N,) or (N, M), at the points zs of the
+    level-k annulus: conj(dz_l/dt) = sum_j w_j (D_lj + 1) / (2 pi i z_l), with
+    D_lj = K(z_l/z_j) - K(z_l conj(z_j)) and D_ll = -K(|z_l|^2).  Built once
+    per set of weights (an RK4 run), it binds the level's constants, the
+    weights, their sum and the pair indices, so a call does only the work
+    the points need.
 
     log_z, the list of Python complex numbers log z_j on the principal
     branch, is taken and checked by the caller before any exponential; the
-    dual form reads only it, the direct form builds its arguments from the
-    points zs.  The N exps are plain complex arithmetic.  In the dual form the
-    number of points chooses the pair sums:
+    dual form reads it for the pair sums and the points zs for the division,
+    the direct form builds its arguments from the points.  The N exps are
+    plain complex arithmetic.  In the dual form the number of points chooses
+    the pair sums:
     - above LIST_MAX_POINTS numpy does the (N, 2N) block
       w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, with the
       g(w) terms the points' angular spread needs, chosen on Python angles,
-      and one product with [weights; -weights];
+      one product with [weights; -weights] and the division in place;
     - up to LIST_MAX_POINTS the same entries are summed pair by pair in plain
       complex arithmetic, each pair with the terms of its own angle gap, and
-      weights given as a list of N numbers give a list, with no numpy call.
+      the last pass over the rows divides: weights given as a list of N
+      numbers give a list, with no numpy call.
     The direct form takes log_derivative of all 2 N^2 pair arguments at once.
     Coincident points divide by 0."""
     nm, n = nome(k), len(weights)
     if not nm.dual:
+        total = sum(weights)
+
         def direct(log_z: list, zs) -> np.ndarray:
-            kk = log_derivative(pair_arguments(np.asarray(zs, dtype=complex)), k)
+            zs = np.asarray(zs, dtype=complex)
+            kk = log_derivative(pair_arguments(zs), k)
             kk[0].flat[:: n + 1] = 0.0
-            return (kk[0] - kk[1]) @ weights
+            return _velocities((kk[0] - kk[1]) @ weights, total, zs)
         return direct
     if n > LIST_MAX_POINTS:
         return _pair_block(np.asarray(weights), k)

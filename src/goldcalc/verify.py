@@ -14,6 +14,7 @@ dominates and ordering is meaningless.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,16 +137,15 @@ def suite_calculus(rng: np.random.Generator) -> list[CheckResult]:
     out = []
 
     ok = True
+    coeffs = functools.cache(golden_binomial_scaled_coeffs)  # each (n, k, scale) once per check
     for k in (1, 2, 3):
         for n in range(0, 7):
             for m in range(0, 7):
-                lhs = golden_binomial_scaled_coeffs(n + m, k, GoldenExact(1))
-                r1 = _scaled_product(
-                    golden_binomial_scaled_coeffs(n, k, golden_pow(k * m)),
-                    golden_binomial_scaled_coeffs(m, k, golden_pow(k * n).conjugate()))
-                r2 = _scaled_product(
-                    golden_binomial_scaled_coeffs(n, k, golden_pow(k * m).conjugate()),
-                    golden_binomial_scaled_coeffs(m, k, golden_pow(k * n)))
+                lhs = coeffs(n + m, k, GoldenExact(1))
+                r1 = _scaled_product(coeffs(n, k, golden_pow(k * m)),
+                                     coeffs(m, k, golden_pow(k * n).conjugate()))
+                r2 = _scaled_product(coeffs(n, k, golden_pow(k * m).conjugate()),
+                                     coeffs(m, k, golden_pow(k * n)))
                 if lhs != r1 or lhs != r2:
                     ok = False
     out.append(_check("golden binomial factorization rule, both orderings", ok, ""))
@@ -334,9 +334,8 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
 # hydro
 
 def _boundary_std(sys: hydro.ImageSystem, radius: float) -> float:
-    vals = [hydro.stream_function(sys, radius * cmath.exp(1j * th))
-            for th in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)]
-    return float(np.std(vals))
+    th = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    return float(np.std(hydro.stream_function(sys, radius * np.exp(1j * th))))
 
 
 def boundary_decay(k: int):
@@ -480,7 +479,7 @@ def _kernel_against_oracles(rng: np.random.Generator) -> tuple[float, float, flo
         psi, vel = hydro.flow(ann, [(z0, 0.9)], zs)
         sys = hydro.ImageSystem(z0, 0.9, ann)
         ref_v = np.array([hydro.vortex_velocity(sys, complex(z)) for z in zs])
-        ref_psi = np.array([hydro.stream_function(sys, complex(z)) for z in zs])
+        ref_psi = hydro.stream_function(sys, zs)
         worst_v = max(worst_v, _relative_error(vel, ref_v))
         worst_psi = max(worst_psi, float(np.ptp(psi - ref_psi)))
         if k == 1:

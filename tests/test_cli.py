@@ -75,6 +75,12 @@ class TestSeq:
         assert run_cli(["seq", "--k", "1", "--n-max", "1"]) == 0
         assert capsys.readouterr().out.split() == ["1"]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, -1, -2, 7])
+    def test_recursion_prints_the_divisions(self, capsys, k):
+        # seq streams the values by the Lucas recursion; ring.fib_divisor divides
+        assert run_cli(["seq", "--k", str(k), "--n-max", "500"]) == 0
+        assert capsys.readouterr().out == "".join(f"{fib_divisor(n, k)}\n" for n in range(1, 501))
+
     def test_bad_flags_exit_one(self, capsys):
         assert run_cli(["seq", "--k", "0", "--n-max", "5"]) == 1
         assert run_cli(["seq", "--k", "2", "--n-max", "0"]) == 1

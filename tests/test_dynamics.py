@@ -124,6 +124,38 @@ class TestNVortexRhs:
                 n_vortex_rhs(dynamics._Stage(zs, dynamics._velocity_field([1.0, -0.5] + [0.3] * (n - 2))))
         assert err.value.step is None and err.value.index == 1
 
+    @pytest.mark.parametrize("n", range(1, LIST_MAX + 2))
+    def test_handed_logs_change_nothing(self, n):
+        # the step-end check's logs, handed to the next step's first stage,
+        # give the velocities the stage's own logs give, bit for bit
+        zs = [(1.05 + 0.04 * l) * cmath.exp(1j * (0.3 + 1.2 * l)) for l in range(n)]
+        field = dynamics._velocity_field([1.0 - 0.3 * l for l in range(n)])
+        log_z, _ = dynamics._check_events(zs, 1)
+        assert n_vortex_rhs(dynamics._Stage(zs, field, True, log_z)) == n_vortex_rhs(
+            dynamics._Stage(zs, field, True))
+
+    @pytest.mark.parametrize("n", [2, LIST_MAX + 1], ids=["list", "numpy"])
+    @pytest.mark.parametrize("z, inside", [
+        (math.nextafter(1.0, 2.0) + 0j, True),  # one ulp inside 1
+        (math.nextafter(SQRT_PHI, 0.0) * 1j, True),  # one ulp inside sqrt(phi)
+        (cmath.rect(1.0, 0.7), True),  # |z| rounds to 1, but ln|z| > 0
+        (-SQRT_PHI + 0j, False),
+    ])
+    def test_step_end_check_classifies_wall_points_as_the_rhs_does(self, z, inside, n):
+        zs = [1.15 * cmath.exp(1j * (2.5 + l)) for l in range(n - 1)] + [z]
+        field = dynamics._velocity_field([1.0] * n)
+
+        def escaped(check) -> int | None:
+            try:
+                check()
+            except VortexEscapeError as err:
+                return err.index
+            return None
+
+        at_step_end = escaped(lambda: dynamics._check_events(zs, 3))
+        in_rhs = escaped(lambda: n_vortex_rhs(dynamics._Stage(zs, field, True)))
+        assert at_step_end == in_rhs == (None if inside else n - 1)
+
 
 def matrix_pairs(zs) -> tuple[float, tuple[int, int]]:
     """Closest distance and first closest pair in row order, from the whole
@@ -224,6 +256,17 @@ class TestIntegrate:
         with pytest.raises(VortexEscapeError) as err:
             integrate(st, IntegratorConfig(1e-3, 10))
         assert err.value.step == 0 and err.value.index == n - 1
+
+    @pytest.mark.parametrize("n", [1, LIST_MAX + 1], ids=["list", "numpy"])
+    def test_escape_at_a_later_step_end_detected(self, monkeypatch, n):
+        # the last vortex moves out along the real axis by 0.01 a step, from
+        # 1.2 past sqrt(phi) = 1.2720 at step 8; the stages check nothing
+        # here, so the step-end check must see it
+        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: [0j] * (n - 1) + [0.5 + 0j])
+        st = VortexState(tuple(1.15 * cmath.exp(1j * l) for l in range(1, n)) + (1.2 + 0j,), (1.0,) * n)
+        with pytest.raises(VortexEscapeError, match=f"vortex {n - 1} left the annulus at step 8") as err:
+            integrate(st, IntegratorConfig(0.02, 20))
+        assert err.value.step == 8 and err.value.index == n - 1
 
     def test_arrays_start_at_input_and_add_dt_per_step(self):
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))

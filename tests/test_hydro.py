@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestVortexPotential:
         hand = sys.gamma / (2j * math.pi) * (
             1 / (z - sys.z0) - 1 / (z - 1 / sys.z0.conjugate()))
         assert got == pytest.approx(hand)
+
+    @pytest.mark.parametrize("ranges", [(None, None), (range(-81, 80), range(-80, 80)), ([0], [0, 1, 2])])
+    def test_array_of_points_equals_the_points_one_by_one(self, ranges):
+        # the top-aligned pairing with a bare tail on either ladder, in one array pass
+        zs = np.array([[1.1 * cmath.exp(0.4j), 1.2 * cmath.exp(2.2j), -1.05 + 0.1j],
+                       [1.01j, 1.25 + 0j, 1.18 * cmath.exp(-2.9j)]])
+        got = vortex_potential(self.SYS, zs, *ranges)
+        assert got.shape == zs.shape
+        assert got.tolist() == [[vortex_potential(self.SYS, complex(z), *ranges) for z in row] for row in zs]
+        assert np.array_equal(stream_function(self.SYS, zs, *ranges), got.imag)
+        assert isinstance(vortex_potential(self.SYS, complex(zs[0, 0]), *ranges), complex)
+
+    def test_singularity_proximity_names_the_first_point_too_close(self):
+        near = [self.SYS.z0 + 2e-12, self.SYS.z0 * PHI + 1e-12]
+        with pytest.raises(SingularityProximityError, match=re.escape(f"point {near[0]} within 2e-12 ")):
+            stream_function(self.SYS, np.array([1.1 + 0.2j] + near))
 
     def test_singularity_proximity_rejected(self):
         with pytest.raises(SingularityProximityError):

@@ -158,12 +158,19 @@ def pair_reference(zs: np.ndarray, k: int):
     return kk[0] - kk[1], np.abs(kk[0]) ** 2 + np.abs(kk[1]) ** 2
 
 
+def pair_matrix(evaluate, log_z, zs) -> np.ndarray:
+    """D read back from the velocities of an evaluator built on unit weights
+    (np.eye): column j holds conj((D_lj + 1) / (2 pi i z_l)), so
+    D = conj(v) 2 pi i z - 1, a few ulps of |D| + 1 off."""
+    return np.conj(evaluate(log_z, zs)) * (2j * math.pi * np.asarray(zs, dtype=complex))[:, None] - 1
+
+
 class TestPairLogDerivative:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
         zs = data.draw(pair_points(k))
-        got = kernel.pair_evaluator(np.eye(len(zs)), k)(np.log(zs).tolist(), zs)
+        got = pair_matrix(kernel.pair_evaluator(np.eye(len(zs)), k), np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, k)
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
@@ -175,7 +182,7 @@ class TestPairLogDerivative:
         # at k = 20 (direct form) exp(log z) would round z near |z| = phi^10,
         # next to the pole of K at |z|^2 = phi^20, by more than this bound allows
         zs = np.array([1.000000117346493, -122.99186926383625 - 0.00012299186926600664j])
-        got = kernel.pair_evaluator(np.eye(2), 20)(np.log(zs).tolist(), zs)
+        got = pair_matrix(kernel.pair_evaluator(np.eye(2), 20), np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, 20)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -186,7 +193,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernel.pair_evaluator(np.eye(200), k)(np.log(zs).tolist(), zs)
+            got = pair_matrix(kernel.pair_evaluator(np.eye(200), k), np.log(zs).tolist(), zs)
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -196,7 +203,7 @@ class TestPairLogDerivative:
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
         z = cmath.rect(PHI ** (k / 4), 0.9)
-        got = kernel.pair_evaluator(np.eye(1), k)([cmath.log(z)], [z])
+        got = pair_matrix(kernel.pair_evaluator(np.eye(1), k), [cmath.log(z)], [z])
         assert abs(got[0, 0] + 1) < 1e-14
 
 
@@ -265,12 +272,16 @@ class TestListSumsAgainstNumpyBlock:
         log_z = np.log(zs).tolist()
         eye = np.eye(len(zs))
         # the block sums every term its spread needs on the diagonal too
-        ref = kernel._pair_block(eye, k)(log_z, zs)
+        ref = pair_matrix(kernel._pair_block(eye, k), log_z, zs)
         _, k_squared = pair_reference(np.array(zs), k)
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared  # TestPairLogDerivative's
-        assert np.all(np.abs(np.array(kernel._pair_sums(list(eye), k)(log_z, zs)) - ref) <= tol)
+        assert np.all(np.abs(pair_matrix(kernel._pair_sums(list(eye), k), log_z, zs) - ref) <= tol)
+        # the velocities of the weights gammas: the bound on each D entry,
+        # summed with |gamma| and divided by 2 pi |z|, as TestRhsAgainstPairReference's
         got = kernel._pair_sums(gammas, k)(log_z, zs)
-        assert np.all(np.abs(got - ref @ gammas) <= tol @ np.abs(gammas))
+        two_pi_z = 2j * math.pi * np.array(zs)
+        ref_v = np.conj((ref @ gammas + sum(gammas)) / two_pi_z)
+        assert np.all(np.abs(got - ref_v) <= tol @ np.abs(gammas) / np.abs(two_pi_z))
 
 
 class TestRhsAgainstPairReference:
@@ -374,7 +385,7 @@ class TestPairTermSizing:
         zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2, 0.8][:n])]
         log_z = [cmath.log(z) for z in zs]
         assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
-        got = np.diag(kernel.pair_evaluator(np.eye(n), k)(log_z, zs))
+        got = np.diag(pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z, zs))
         ref = -kernel.log_derivative(np.abs(zs) ** 2, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
 
@@ -398,13 +409,13 @@ class TestPairTermSizing:
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
         zs = [point(k, f, a) for f, a in self.CASES[case]]
         log_z, n = [cmath.log(z) for z in zs], len(zs)
-        got = kernel.pair_evaluator(np.eye(n), k)(log_z, zs)
+        got = pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z, zs)
         if kernel.nome(k).dual and n:
             # the numpy block with the terms of spread 2 pi, the most any
             # principal branches need, whatever evaluator the points chose
             monkeypatch.setattr(kernel, "_pair_branches",
                                 lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-            ref = kernel._pair_block(np.eye(n), k)(log_z, zs)
+            ref = pair_matrix(kernel._pair_block(np.eye(n), k), log_z, zs)
         else:  # the direct form chooses no branch, and no points make no block
             ref = pair_reference(np.array(zs, dtype=complex), k)[0]
         assert got.shape == ref.shape == (n, n)
