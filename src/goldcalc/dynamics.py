@@ -6,21 +6,16 @@ The pair term K(z_l/z_j) of the velocity already contains the direct
 Biot-Savart term 1/(z_l - z_j).  The Hamiltonian, which checks the velocity,
 takes ln|P| of all 2 N^2 pair arguments as (N, N) numpy arrays.
 
-`integrate` builds the run's velocity field once (`_velocity_field`, on
-`kernel.pair_evaluator`), with the circulations, their sum and the level's
-constants bound, so an RK4 stage does only what its positions need.  Each
-set of positions takes one np.log, which keeps ln|z| exact near |z| = 1,
-and its escape test on ln|z|: the step-end check takes them for the new
-positions and hands them to the next step's first stage, and the three
-later stages take their own.  A stage then takes N complex exps and the pair
-sums, which end in the velocity; one loop builds the next stage's positions
-and the bound that spares it the pair check.  The stages and the pair
-checks keep positions in lists of Python complex numbers, and the number of
-vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set
-at the measured crossover; see `goldcalc.kernel`): up to that N in plain
-complex arithmetic, so a stage makes at most one numpy call, the np.log;
-above it numpy builds the pair block and the N x N distance matrix, both in
-blocks of rows.
+`integrate` steps l = log z, in which the annulus is the strip
+0 < Re l < ln sqrt(phi) and its dilations are translations.  It takes one
+np.log, at step 0, which keeps ln|z| exact near |z| = 1, and builds the run's
+velocity field dl/dt once (`_velocity_field`, on `kernel.pair_evaluator`),
+so a stage takes no log and divides by no z: its escape test is a
+comparison on Re l, then N complex exps and the pair sums.  The number of
+vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at
+the measured crossover; see `goldcalc.kernel`): up to that N in plain complex
+arithmetic, with no numpy call; above it numpy builds the pair block and the
+N x N distance matrix, both in blocks of rows.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -34,8 +29,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -51,12 +47,13 @@ POLES = PHI ** np.arange(1, 101)  # _lnphi_pole sums the first 100 poles
 
 
 class VortexEscapeError(RuntimeError):
-    def __init__(self, step: int | None, index: int, z: complex):
+    def __init__(self, step: int | None, index: int, log_z: complex):
         where = f"at step {step}" if step is not None else "during evaluation"
-        if cmath.isfinite(z):
-            msg = f"vortex {index} left the annulus {where} (|z| = {abs(z):.6f})"
+        if math.isfinite(log_z.imag) and log_z.real < math.inf:  # ln|z| = -inf: z = 0
+            r = math.exp(log_z.real) if log_z.real < 709 else math.inf
+            msg = f"vortex {index} left the annulus {where} (|z| = {r:.6f})"
         else:
-            msg = f"vortex {index} position became non-finite {where} ({z!r})"
+            msg = f"vortex {index} position became non-finite {where} (log z = {log_z!r})"
         super().__init__(msg)
         self.step = step
         self.index = index
@@ -158,97 +155,93 @@ def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
     return closest
 
 
+def _principal(log_z: list, step: int | None) -> list:
+    """The logs log_z, a list of Python complex numbers, with every imaginary
+    part on the principal branch (-pi, pi]; raises VortexEscapeError, at this
+    step, for ln|z| outside (0, LOG_OUTER_RADIUS), outside the open annulus,
+    or a non-finite imaginary part.  Logs that need nothing pass unchanged."""
+    pi, outer = math.pi, LOG_OUTER_RADIUS
+    for l in log_z:
+        if not (0 < l.real < outer and -pi < l.imag <= pi):
+            break
+    else:
+        return log_z
+    out = []
+    for i, l in enumerate(log_z):
+        if not (0 < l.real < outer and math.isfinite(l.imag)):
+            raise VortexEscapeError(step, i, l)
+        if not -pi < l.imag <= pi:
+            a = math.remainder(l.imag, 2 * pi)  # exact, in [-pi, pi]
+            l = complex(l.real, pi if a == -pi else a)
+        out.append(l)
+    return out
+
+
 def _checked_logs(zs: list, step: int | None) -> list:
-    """log z_l of the positions zs on the principal branch, as a list of
-    Python complex numbers, from one np.log call, which keeps ln|z| exact
-    near |z| = 1; raises VortexEscapeError, at this step, for a position with
-    ln|z| outside (0, LOG_OUTER_RADIUS): outside the open annulus, or
-    non-finite."""
+    """log z_l of the positions zs on the principal branch, checked by
+    _principal, as a list of Python complex numbers from one np.log call,
+    which keeps ln|z| exact near |z| = 1 (cmath.log does not)."""
     # np.log warns on 0
     log_z = (np.log(zs).tolist() if 0 not in zs
-             else [cmath.log(z) if z else -math.inf for z in zs])
-    for i, l in enumerate(log_z):
-        if not 0 < l.real < LOG_OUTER_RADIUS:
-            raise VortexEscapeError(step, i, complex(zs[i]))
-    return log_z
+             else [cmath.log(z) if z else complex(-math.inf) for z in zs])
+    return _principal(log_z, step)
 
 
-def _check_events(zs: list, step: int) -> tuple[list, float]:
-    """The checked logs of the positions zs (see _checked_logs) and their
-    smallest pair distance; raises VortexEscapeError for a vortex outside the
-    open annulus (or non-finite) and VortexCollisionError for a pair closer
-    than COLLISION_DISTANCE."""
-    return _checked_logs(zs, step), _check_pairs(zs, step)
-
-
-def _velocity_field(circulations) -> Callable[[list, list], list]:
+def _velocity_field(circulations) -> Callable[[list], list]:
     """The velocity of vortices of these circulations, built once per run: the
-    callable (log_z, zs) -> dz_l/dt as a list of Python complex numbers, for
-    positions zs, a list of Python complex numbers, whose logs log_z the
-    caller has checked; kernel.pair_evaluator at LEVEL, which takes N cmath
-    exps and the O(N^2) pair sums.  Up to kernel.LIST_MAX_POINTS vortices
-    those are plain complex arithmetic that ends in the list; above it numpy
-    does the pair block and the division by z_l, and the list is made here."""
+    callable log_z -> dl/dt, l = log z, as a list of Python complex numbers,
+    for logs the caller has checked and put on the principal branch;
+    kernel.pair_evaluator at LEVEL, whose numpy block (above
+    kernel.LIST_MAX_POINTS vortices) gives an array the list is made of."""
     if len(circulations) > kernel.LIST_MAX_POINTS:
         velocity = kernel.pair_evaluator(np.asarray(circulations, dtype=float), LEVEL)
-        return lambda log_z, zs: velocity(log_z, zs).tolist()
+        return lambda log_z: velocity(log_z).tolist()
     return kernel.pair_evaluator(list(map(float, circulations)), LEVEL)
 
 
-class _Stage(NamedTuple):
-    """Positions of an RK4 stage as a list of Python complex numbers and the
-    run's _velocity_field.  pairs_clear marks positions whose pairs are known
-    to be at least 2 COLLISION_DISTANCE apart, which n_vortex_rhs then does
-    not check; log_z, if given, holds the positions' logs as _checked_logs
-    returned them, which n_vortex_rhs then neither takes nor checks again."""
-
-    positions: list
-    field: Callable[[list, list], list]
-    pairs_clear: bool = False
-    log_z: list | None = None
-
-
-def _stage(zs: list, h: float, k: list, field: Callable, closest: float) -> _Stage:
-    """The RK4 stage zs + h k of positions whose pairs are at least closest
-    apart: each vortex moves at most h max|k|, so every pair there is at least
-    closest - 2 h max|k| apart.  The factor 2 on COLLISION_DISTANCE absorbs the
-    rounding of both.  One loop builds the positions and max|k|.  A
-    non-finite k makes a non-finite stage, which the escape check of
-    n_vortex_rhs rejects before any pair check."""
-    positions, fastest = [], 0.0
-    for z, v in zip(zs, k):
-        positions.append(z + h * v)
+def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> tuple:
+    """The RK4 stage log_z + h k, as the tuple (logs, field, pairs_clear) that
+    n_vortex_rhs takes, of positions whose pairs are at least closest apart.
+    Vortex l moves from z_l to z_l e^(h k_l), so by at most
+    |z_l| |h k_l| e^|h k_l| < sqrt(phi) d e^d, d = h max|k|, and every pair
+    there is at least closest - 2 sqrt(phi) d e^d apart; pairs_clear says
+    that is at least 2 COLLISION_DISTANCE, whose factor 2 absorbs the rounding
+    of both.  One loop builds the logs and max|k|.  A non-finite k makes a
+    non-finite stage, which the escape check of n_vortex_rhs rejects before
+    any pair check."""
+    logs, fastest = [], 0.0
+    for l, v in zip(log_z, k):
+        logs.append(l + h * v)
         speed = abs(v)
         if speed > fastest:
             fastest = speed
-    clear = len(k) < 2 or closest - 2 * h * fastest >= 2 * COLLISION_DISTANCE
-    return _Stage(positions, field, clear)
+    d = h * fastest
+    # d >= 1 moves a vortex farther than the annulus is wide, and exp(d) may overflow
+    clear = len(k) < 2 or d < 1 and closest - 2 * SQRT_PHI * d * math.exp(d) >= 2 * COLLISION_DISTANCE
+    return logs, field, clear
 
 
-def n_vortex_rhs(state: VortexState | _Stage) -> list[complex]:
-    """dz_l/dt for every vortex, direct pair terms plus all images, as a list
-    of Python complex numbers: the stage's _velocity_field, or for a
-    VortexState one built for this call.  The pair term's relative precision
-    is about 1e-16 / |z_l - z_j|, far below the RK4 error for any pair it
-    resolves.
-
-    Checks come first, exponentials after: the logs of _checked_logs raise
-    VortexEscapeError (step None) for a position outside the open annulus or
-    non-finite, unless a _Stage hands them in checked, then
-    VortexCollisionError for a pair closer than COLLISION_DISTANCE (unless a
-    _Stage's pairs_clear says none can be), so a bad stage emits no numpy
-    warning.
-    """
-    if isinstance(state, _Stage):
-        points, field, clear, log_z = state
-    else:
-        points = np.asarray(state.positions, dtype=complex).tolist()
-        field, clear, log_z = _velocity_field(state.circulations), False, None
-    if log_z is None:
-        log_z = _checked_logs(points, None)
+def n_vortex_rhs(state: VortexState | tuple) -> list[complex]:
+    """dz_l/dt of a VortexState, from a velocity field built for this call,
+    or dl_l/dt, l = log z, of an RK4 stage, the tuple (log_z, field,
+    pairs_clear) of _stage, from the run's field: direct pair terms plus all
+    images, as a list of Python complex numbers.  The pair term's relative
+    precision is about 1e-16 / |z_l - z_j|, far below the RK4 error for any
+    pair it resolves.  Checks come first, exponentials after: _principal
+    raises VortexEscapeError (step None) for a position outside the open
+    annulus or non-finite, then VortexCollisionError for a pair closer than
+    COLLISION_DISTANCE (unless pairs_clear says none can be), so a bad stage
+    emits no numpy warning."""
+    if isinstance(state, VortexState):
+        zs = np.asarray(state.positions, dtype=complex).tolist()
+        log_z = _checked_logs(zs, None)
+        _check_pairs(zs, None)
+        return list(map(operator.mul, zs, _velocity_field(state.circulations)(log_z)))
+    log_z, field, clear = state
+    log_z = _principal(log_z, None)
     if not clear:
-        _check_pairs(points, None)
-    return field(log_z, points)
+        _check_pairs(list(map(cmath.exp, log_z)), None)
+    return field(log_z)
 
 
 @dataclass(eq=False)
@@ -280,40 +273,48 @@ class Trajectory:
 
 
 def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 evolution; aborts on boundary escape or near-collision.
-
-    The logs with their escape test and the exact pair distances are taken
-    once per step, at its end (and at step 0).  The first stage of the next
-    step is at those positions and takes those logs; each later stage checks
-    its pairs only when the distance it can have moved leaves no proof that
-    they stay 2 COLLISION_DISTANCE apart (see _stage).  The wall distance
-    the dt guard reads comes from the radii at step 0."""
-    z = np.asarray(state.positions, dtype=complex).tolist()
+    """Fixed-step RK4 evolution of l = log z, kept on the principal branch;
+    aborts on boundary escape or near-collision.  Every stage is
+    escape-checked on its logs before any exponential (see n_vortex_rhs).  The
+    exact pair distances are taken once per step, on z = exp(l) at its end
+    (and at step 0); a later stage checks its pairs only when the distance it
+    can have moved leaves no proof that they stay 2 COLLISION_DISTANCE apart
+    (see _stage).  The dt guard reads the wall distance at step 0.  The logs
+    fill the trajectory and become positions in place at the end, as
+    z_0 exp(l - l_0), which keeps row 0 and a still vortex bit for bit."""
+    z = np.asarray(state.positions, dtype=complex)
+    zs = z.tolist()
     field = _velocity_field(state.circulations)
-    log_z, closest = _check_events(z, 0)
-    radii = list(map(abs, z))
+    log_z, closest = _checked_logs(zs, 0), _check_pairs(zs, 0)
+    radii = list(map(abs, zs))
     wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
     scale = min(wall, closest)
-    vmax = max(map(abs, n_vortex_rhs(_Stage(z, field, True, log_z))), default=0.0)
+    # dz/dt = z dl/dt
+    vmax = max(map(abs, map(operator.mul, zs, n_vortex_rhs((log_z, field, True)))), default=0.0)
     if vmax * cfg.dt > 0.5 * scale:
         raise ValueError(
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
             f"smallest separation {scale:.3g}")
 
-    dt, half, sixth = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0
+    dt, half, sixth, exp = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0, cmath.exp
     times = np.empty(cfg.steps + 1)
-    positions = np.empty((cfg.steps + 1, len(z)), dtype=complex)
+    positions = np.empty((cfg.steps + 1, len(zs)), dtype=complex)
     times[0], positions[0] = 0.0, z
-    t = 0.0
+    t, log_0 = 0.0, np.array(log_z, dtype=complex)
     for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs(_Stage(z, field, True, log_z))
-        k2 = n_vortex_rhs(_stage(z, half, k1, field, closest))
-        k3 = n_vortex_rhs(_stage(z, half, k2, field, closest))
-        k4 = n_vortex_rhs(_stage(z, dt, k3, field, closest))
-        z = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+        k1 = n_vortex_rhs((log_z, field, True))
+        k2 = n_vortex_rhs(_stage(log_z, half, k1, field, closest))
+        k3 = n_vortex_rhs(_stage(log_z, half, k2, field, closest))
+        k4 = n_vortex_rhs(_stage(log_z, dt, k3, field, closest))
+        log_z = _principal([a + sixth * (b + 2 * c + 2 * d + e)
+                            for a, b, c, d, e in zip(log_z, k1, k2, k3, k4)], step)
         t += dt
-        log_z, closest = _check_events(z, step)
-        times[step], positions[step] = t, z
+        closest = _check_pairs(list(map(exp, log_z)), step)
+        times[step], positions[step] = t, log_z
+    rest = positions[1:]
+    rest -= log_0
+    np.exp(rest, out=rest)
+    rest *= z
     return Trajectory(times, positions)
 
 

@@ -49,27 +49,25 @@ to push the neglected tail below TAIL.  Per-k constants are computed on first
 use and cached; importing this module does no work.
 
 `pair_evaluator(weights, k)` gives the velocities of point vortices of
-circulations `weights`: conj(dz_l/dt) = sum_j w_j (D_lj + 1) / (2 pi i z_l).
-It binds the level's constants, the weights, their sum and the pair indices
-once, so `dynamics.integrate` builds one per run and an RK4 stage pays only
-for the work its points need: N complex exps, the pair sums and the
-division by 2 pi i z_l.  The pair sums have two forms, chosen by the number
-of points N.  Above LIST_MAX_POINTS numpy builds the (N, 2N) block, in
-blocks of rows whose temporaries hold about CHUNK entries (64 KB), so its
-memory does not grow as N^2; one block up to N = 45.  Up to LIST_MAX_POINTS
-every pair is summed in plain complex arithmetic, since each numpy call has
-a fixed cost of about a microsecond, which at a few points outweighs the
-arithmetic; the pass that adds the column terms also adds the weights' sum
-and divides, so the velocity comes out of the sums with no second pass.
-Per call of evaluators built once, at k = 1 (2-core Xeon VM, Python 3.11,
-numpy 2.4), the plain sums take 0.6x to 0.7x of the block's time at N = 4,
-0.6x (points evenly round the circle) to 0.9x (within a half turn) at N = 5
-and 1.0x to 1.2x at N = 6.  A whole RK4 step of `dynamics.integrate` with
-them takes 0.5x to 0.8x of its time with the block at N = 5.  At k = 1 the
-plain sums of a few vortices away from antipodal add no g(w) term, so what
-such a step costs is interpreter work around a few dozen complex operations
-per vortex: a step at N = 1, 2 and 3 takes about 17, 25 and 35 us, and a
-stage whose logs the step-end check handed on 1.7, 2.8 and 4.6 us.
+circulations `weights` in l = log z: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)),
+S_l = sum_j w_j (D_lj + 1), which is (dz_l/dt) / z_l.  It takes only the logs,
+so an RK4 stage in l takes no log and divides by no z.  It binds the level's
+constants, the weights, their sum and the pair indices once, so
+`dynamics.integrate` builds one per run.  The pair sums have two forms,
+chosen by the number of points N.  Above LIST_MAX_POINTS numpy builds the
+(N, 2N) block, in blocks of rows whose temporaries hold about CHUNK entries
+(64 KB), so its memory does not grow as N^2; one block up to N = 45.  Up to
+LIST_MAX_POINTS every pair is summed in plain complex arithmetic, since each
+numpy call has a fixed cost of about a microsecond, which at a few points
+outweighs the arithmetic; the pass that adds the column terms ends in the
+velocity.  LIST_MAX_POINTS is the crossover of whole RK4 steps of
+`dynamics.integrate` at k = 1 (best of 40 interleaved rounds of 300 steps,
+2-core Xeon VM, Python 3.11, numpy 2.4): with the plain sums a step takes
+0.56x to 0.72x of its time with the block at N = 5, 0.61x to 0.85x at N = 6,
+0.66x to 1.03x at N = 7 (the top within a half turn) and 0.94x to 1.21x at
+N = 8.  At k = 1 the plain sums of a few vortices away from antipodal add no
+g(w) term, so a step is interpreter work around a few dozen complex
+operations per vortex: about 12, 20 and 31 us at N = 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -87,10 +85,10 @@ from goldcalc.ring import TAIL
 PHI = (1 + math.sqrt(5)) / 2
 LN_PHI = math.log(PHI)
 _LN_INV_TAIL = math.log(1 / TAIL)
-TWO_PI_I = 2j * math.pi
+I_OVER_TWO_PI = 0.5j / math.pi
 # pair_evaluator sums up to this many points in plain complex arithmetic,
 # and numpy's block above it: the measured crossover (see above)
-LIST_MAX_POINTS = 5
+LIST_MAX_POINTS = 7
 # entries of a temporary array in a pass that is split to bound memory: the
 # pair block's rows here, hydro's field points and file rows
 CHUNK = 4096
@@ -297,12 +295,13 @@ def _pair_rows(n: int, k: int) -> list:
             for a in range(0, n, rows)]
 
 
-def _velocities(rows: np.ndarray, total, zs) -> np.ndarray:
-    """conj((rows + total) / (2 pi i z_l)) in place, for the rows D @ weights
-    of the points zs and total, the sum of the weights."""
+def _velocities(rows: np.ndarray, total, ln_r) -> np.ndarray:
+    """i conj(rows + total) / (2 pi e^(2 ln r_l)) in place, for the rows
+    D @ weights of points of log radii ln_r and total, the sum of the weights."""
     rows += total
-    rows /= np.multiply(TWO_PI_I, zs).reshape((-1,) + (1,) * (rows.ndim - 1))
-    return np.conj(rows, out=rows)
+    np.conj(rows, out=rows)
+    rows *= (I_OVER_TWO_PI * np.exp(-2 * np.asarray(ln_r))).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return rows
 
 
 def _pair_block(weights: np.ndarray, k: int):
@@ -313,7 +312,7 @@ def _pair_block(weights: np.ndarray, k: int):
     signed, total = np.concatenate((weights, -weights)), sum(weights)
     weight_list = weights.tolist() if weights.ndim == 1 else None
 
-    def evaluate(log_z: list, zs) -> np.ndarray:
+    def evaluate(log_z: list) -> np.ndarray:
         log_z, terms = _pair_branches(log_z, nm)
         e = [cmath.exp(c * l) for l in log_z]
         e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
@@ -334,7 +333,7 @@ def _pair_block(weights: np.ndarray, k: int):
         ln_r = [l.real for l in log_z]
         col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
         out -= scale * col
-        return _velocities(out, total, zs)
+        return _velocities(out, total, ln_r)
 
     return evaluate
 
@@ -374,11 +373,11 @@ def _pair_sums(weights: list, k: int):
     within about 0.11 rad of antipodal.  The diagonal's L = 2 ln|z_i| is
     real on every branch, so it takes the terms of gap 0: none at k = 1.
     The last pass adds the column terms and the weights' sum to each row and
-    divides it by 2 pi i z_l."""
+    scales it to dl/dt."""
     # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
     c, scale, q, inv_q, near, far, reach, diag, pairs = _sum_plan(len(weights), k)
     total = sum(weights)
-    exp, pi, turn = cmath.exp, math.pi, 2 * math.pi
+    exp, exp_real, pi, turn = cmath.exp, math.exp, math.pi, 2 * math.pi
 
     def series(out: complex, ei: complex, v: complex, q_sums: tuple) -> complex:
         """out, the leading term c v / (e_i - v), less the g(w) terms of q_sums."""
@@ -388,7 +387,7 @@ def _pair_sums(weights: list, k: int):
             out -= num / (s * prod - ends)
         return out
 
-    def evaluate(log_z: list, zs) -> list:
+    def evaluate(log_z: list) -> list:
         e, angles, out, col = [], [], [], 0.0
         for l, x in zip(log_z, weights):
             ei = exp(c * l)
@@ -415,49 +414,47 @@ def _pair_sums(weights: list, k: int):
                 d, h = series(d, ei, ej, q_sums), series(h, ei, vj, q_sums)
             out[i] += weights[j] * (d - h)
             out[j] -= weights[i] * (d + h.conjugate())
-        return [((x + col + total) / (TWO_PI_I * z)).conjugate() for x, z in zip(out, zs)]
+        return [(x + col + total).conjugate() * (I_OVER_TWO_PI * exp_real(-2 * l.real))
+                for x, l in zip(out, log_z)]
 
     return evaluate
 
 
 def pair_evaluator(weights, k: int):
-    """The callable (log_z, zs) -> dz_l/dt, the velocities of point vortices
-    of circulations weights, shape (N,) or (N, M), at the points zs of the
-    level-k annulus: conj(dz_l/dt) = sum_j w_j (D_lj + 1) / (2 pi i z_l), with
-    D_lj = K(z_l/z_j) - K(z_l conj(z_j)) and D_ll = -K(|z_l|^2).  Built once
-    per set of weights (an RK4 run), it binds the level's constants, the
-    weights, their sum and the pair indices, so a call does only the work
-    the points need.
+    """The callable log_z -> dl_l/dt, l = log z, the velocities of point
+    vortices of circulations weights, shape (N,) or (N, M), in the level-k
+    annulus: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)), S_l = sum_j w_j
+    (D_lj + 1), with D_lj = K(z_l/z_j) - K(z_l conj(z_j)) and
+    D_ll = -K(|z_l|^2).  Built once per set of weights (an RK4 run), it binds
+    the level's constants, the weights, their sum and the pair indices, so a
+    call does only the work the points need.
 
-    log_z, the list of Python complex numbers log z_j on the principal
-    branch, is taken and checked by the caller before any exponential; the
-    dual form reads it for the pair sums and the points zs for the division,
-    the direct form builds its arguments from the points.  The N exps are
-    plain complex arithmetic.  In the dual form the number of points chooses
-    the pair sums:
+    log_z, the list of Python complex numbers log z_j, is checked by the
+    caller before any exponential and put on the principal branch, whose
+    angles size the g(w) terms.  The N exps are plain complex arithmetic.
+    In the dual form the number of points chooses the pair sums:
     - above LIST_MAX_POINTS numpy does the (N, 2N) block
       w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, with the
       g(w) terms the points' angular spread needs, chosen on Python angles,
-      one product with [weights; -weights] and the division in place;
+      one product with [weights; -weights] and the scaling in place;
     - up to LIST_MAX_POINTS the same entries are summed pair by pair in plain
-      complex arithmetic, each pair with the terms of its own angle gap, and
-      the last pass over the rows divides: weights given as a list of N
-      numbers give a list, with no numpy call.
-    The direct form takes log_derivative of all 2 N^2 pair arguments at once.
-    Coincident points divide by 0."""
+      complex arithmetic, each pair with the terms of its own angle gap:
+      weights given as a list of N numbers give a list, with no numpy call.
+    The direct form takes log_derivative of all 2 N^2 pair arguments of the
+    points z = exp(l) at once.  Coincident points divide by 0."""
     nm, n = nome(k), len(weights)
     if not nm.dual:
         total = sum(weights)
 
-        def direct(log_z: list, zs) -> np.ndarray:
-            zs = np.asarray(zs, dtype=complex)
-            kk = log_derivative(pair_arguments(zs), k)
+        def direct(log_z: list) -> np.ndarray:
+            log_z = np.asarray(log_z, dtype=complex)
+            kk = log_derivative(pair_arguments(np.exp(log_z)), k)
             kk[0].flat[:: n + 1] = 0.0
-            return _velocities((kk[0] - kk[1]) @ weights, total, zs)
+            return _velocities((kk[0] - kk[1]) @ weights, total, log_z.real)
         return direct
     if n > LIST_MAX_POINTS:
         return _pair_block(np.asarray(weights), k)
     if isinstance(weights, list):
         return _pair_sums(weights, k)
     sums = _pair_sums(list(weights), k)
-    return lambda log_z, zs: np.array(sums(log_z, zs), dtype=complex).reshape(weights.shape)
+    return lambda log_z: np.array(sums(log_z), dtype=complex).reshape(weights.shape)

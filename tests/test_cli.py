@@ -425,7 +425,7 @@ class TestSimulate:
 
     def test_non_finite_positions_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "n_vortex_rhs",
-                            lambda state: np.full(len(state.positions), np.nan, dtype=complex))
+                            lambda stage: np.full(len(stage[0]), np.nan, dtype=complex))
         init = tmp_path / "init.json"
         init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
         out = tmp_path / "t.csv"

@@ -158,32 +158,37 @@ def pair_reference(zs: np.ndarray, k: int):
     return kk[0] - kk[1], np.abs(kk[0]) ** 2 + np.abs(kk[1]) ** 2
 
 
-def pair_matrix(evaluate, log_z, zs) -> np.ndarray:
-    """D read back from the velocities of an evaluator built on unit weights
-    (np.eye): column j holds conj((D_lj + 1) / (2 pi i z_l)), so
-    D = conj(v) 2 pi i z - 1, a few ulps of |D| + 1 off."""
-    return np.conj(evaluate(log_z, zs)) * (2j * math.pi * np.asarray(zs, dtype=complex))[:, None] - 1
+def pair_matrix(evaluate, log_z) -> np.ndarray:
+    """D read back from the velocities dl/dt of an evaluator built on unit
+    weights (np.eye): column j holds i conj(D_lj + 1) / (2 pi |z_l|^2), so
+    D = 2 pi i |z|^2 conj(v) - 1, a few ulps of |D| + 1 off."""
+    r2 = np.exp(2 * np.real(np.asarray(log_z, dtype=complex)))
+    return np.conj(evaluate(log_z)) * (2j * math.pi * r2)[:, None] - 1
 
 
 class TestPairLogDerivative:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), k=st.sampled_from(LEVELS))
     def test_equals_log_derivative(self, data, k):
-        zs = data.draw(pair_points(k))
-        got = pair_matrix(kernel.pair_evaluator(np.eye(len(zs)), k), np.log(zs).tolist(), zs)
-        ref, k_squared = pair_reference(zs, k)
+        log_z = np.log(data.draw(pair_points(k)))
+        got = pair_matrix(kernel.pair_evaluator(np.eye(len(log_z)), k), log_z.tolist())
+        # the evaluator takes logs: the reference reads the points they stand for
+        ref, k_squared = pair_reference(np.exp(log_z), k)
         # rounding an argument zeta by 1e-16 moves K by about |K|^2 1e-16 near
         # its pole zeta = 1 (a vortex by a wall, or two vortices close
         # together), and the two routes round different quantities
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared
         assert np.all(np.abs(got - ref) <= tol)
 
-    def test_direct_form_reads_the_points_near_the_outer_wall(self):
-        # at k = 20 (direct form) exp(log z) would round z near |z| = phi^10,
-        # next to the pole of K at |z|^2 = phi^20, by more than this bound allows
-        zs = np.array([1.000000117346493, -122.99186926383625 - 0.00012299186926600664j])
-        got = pair_matrix(kernel.pair_evaluator(np.eye(2), 20), np.log(zs).tolist(), zs)
-        ref, k_squared = pair_reference(zs, 20)
+    def test_direct_form_near_the_outer_wall_is_exact_at_the_points_of_its_logs(self):
+        # at k = 20 (direct form) the evaluator takes the logs and builds its
+        # arguments from z = exp(l): near |z| = phi^10, next to the pole of K
+        # at |z|^2 = phi^20, the rounding of exp(log z) against the z the
+        # logs were taken of moves D by more than this bound allows, so the
+        # reference reads the points the logs stand for
+        log_z = np.log([1.000000117346493, -122.99186926383625 - 0.00012299186926600664j])
+        got = pair_matrix(kernel.pair_evaluator(np.eye(2), 20), log_z.tolist())
+        ref, k_squared = pair_reference(np.exp(log_z), 20)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
     @pytest.mark.parametrize("k", LEVELS)
@@ -193,7 +198,7 @@ class TestPairLogDerivative:
         zs = np.array([point(k, f, a) for f, a in zip(np.linspace(0.02, 0.98, 200), ang)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pair_matrix(kernel.pair_evaluator(np.eye(200), k), np.log(zs).tolist(), zs)
+            got = pair_matrix(kernel.pair_evaluator(np.eye(200), k), np.log(zs).tolist())
         ref, k_squared = pair_reference(zs, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
@@ -203,7 +208,7 @@ class TestPairLogDerivative:
         # at phi^(k/4) vanishes
         assert abs(kernel.log_derivative(PHI ** (k / 2), k) - 1) < 1e-14
         z = cmath.rect(PHI ** (k / 4), 0.9)
-        got = pair_matrix(kernel.pair_evaluator(np.eye(1), k), [cmath.log(z)], [z])
+        got = pair_matrix(kernel.pair_evaluator(np.eye(1), k), [cmath.log(z)])
         assert abs(got[0, 0] + 1) < 1e-14
 
 
@@ -249,9 +254,9 @@ def counting(name: str):
     def counted(*args):
         evaluate = original(*args)
 
-        def run(log_z, zs):
+        def run(log_z):
             calls.append(len(log_z))
-            return evaluate(log_z, zs)
+            return evaluate(log_z)
         return run
 
     setattr(kernel, name, counted)
@@ -272,16 +277,16 @@ class TestListSumsAgainstNumpyBlock:
         log_z = np.log(zs).tolist()
         eye = np.eye(len(zs))
         # the block sums every term its spread needs on the diagonal too
-        ref = pair_matrix(kernel._pair_block(eye, k), log_z, zs)
+        ref = pair_matrix(kernel._pair_block(eye, k), log_z)
         _, k_squared = pair_reference(np.array(zs), k)
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared  # TestPairLogDerivative's
-        assert np.all(np.abs(pair_matrix(kernel._pair_sums(list(eye), k), log_z, zs) - ref) <= tol)
-        # the velocities of the weights gammas: the bound on each D entry,
-        # summed with |gamma| and divided by 2 pi |z|, as TestRhsAgainstPairReference's
-        got = kernel._pair_sums(gammas, k)(log_z, zs)
-        two_pi_z = 2j * math.pi * np.array(zs)
-        ref_v = np.conj((ref @ gammas + sum(gammas)) / two_pi_z)
-        assert np.all(np.abs(got - ref_v) <= tol @ np.abs(gammas) / np.abs(two_pi_z))
+        assert np.all(np.abs(pair_matrix(kernel._pair_sums(list(eye), k), log_z) - ref) <= tol)
+        # the velocities dl/dt of the weights gammas: the bound on each D entry,
+        # summed with |gamma| and divided by 2 pi |z|^2
+        got = kernel._pair_sums(gammas, k)(log_z)
+        two_pi_r2 = 2 * math.pi * np.abs(zs) ** 2
+        ref_v = 1j * np.conj(ref @ gammas + sum(gammas)) / two_pi_r2
+        assert np.all(np.abs(got - ref_v) <= tol @ np.abs(gammas) / two_pi_r2)
 
 
 class TestRhsAgainstPairReference:
@@ -308,11 +313,11 @@ class TestRhsAgainstPairReference:
         assert np.all(np.abs(got - ref) <= tol)
 
 
-def ring_stage(n: int) -> dynamics._Stage:
+def ring_stage(n: int) -> tuple:
     """n vortices of varied circulation around the whole k = 1 annulus, which
     needs a g(w) term, as an RK4 stage whose pairs are known to be clear."""
     zs = [point(1, 0.1 + 0.8 * (l % 7) / 6, 2 * math.pi * l / n - 3) for l in range(n)]
-    return dynamics._Stage(zs, dynamics._velocity_field([1.0 - 1.5 * l / n for l in range(n)]), True)
+    return np.log(zs).tolist(), dynamics._velocity_field([1.0 - 1.5 * l / n for l in range(n)]), True
 
 
 class TestPairBlockRows:
@@ -333,13 +338,13 @@ class TestPairBlockRows:
     def test_rows_equal_the_pair_reference(self):
         # 150 points take 12 blocks of rows, the last of 7 rows
         stage = ring_stage(150)
-        zs = np.array(stage.positions)
+        zs = np.exp(stage[0])
         gammas = np.array([1.0 - 1.5 * l / 150 for l in range(150)])
         ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
-        ref = np.conj((ref_d + 1) @ gammas / (2j * math.pi * zs))
+        two_pi_r2 = 2 * math.pi * np.abs(zs) ** 2
+        ref = 1j * np.conj((ref_d + 1) @ gammas) / two_pi_r2  # dl/dt
         # TestPairLogDerivative's bound on each D entry, summed with |gamma|
-        tol = ((1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas)
-               / (2 * math.pi * np.abs(zs)))
+        tol = (1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas) / two_pi_r2
         assert np.all(np.abs(dynamics.n_vortex_rhs(stage) - ref) <= tol)
 
 
@@ -382,10 +387,10 @@ class TestPairTermSizing:
         # D_ii = -K(|z_i|^2) has the real L = 2 ln|z_i| on every branch, so the
         # plain sums give it pair_terms(nm, 0) g(w) terms, while the points'
         # spread needs at least one; two lie within 1e-9 of a wall
-        zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2, 0.8][:n])]
+        zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2, 0.8, 0.35, 0.65][:n])]
         log_z = [cmath.log(z) for z in zs]
         assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
-        got = np.diag(pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z, zs))
+        got = np.diag(pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z))
         ref = -kernel.log_derivative(np.abs(zs) ** 2, k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
 
@@ -409,13 +414,13 @@ class TestPairTermSizing:
     def test_equals_the_full_sum_on_principal_branches(self, monkeypatch, case, k):
         zs = [point(k, f, a) for f, a in self.CASES[case]]
         log_z, n = [cmath.log(z) for z in zs], len(zs)
-        got = pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z, zs)
+        got = pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z)
         if kernel.nome(k).dual and n:
             # the numpy block with the terms of spread 2 pi, the most any
             # principal branches need, whatever evaluator the points chose
             monkeypatch.setattr(kernel, "_pair_branches",
                                 lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
-            ref = pair_matrix(kernel._pair_block(np.eye(n), k), log_z, zs)
+            ref = pair_matrix(kernel._pair_block(np.eye(n), k), log_z)
         else:  # the direct form chooses no branch, and no points make no block
             ref = pair_reference(np.array(zs, dtype=complex), k)[0]
         assert got.shape == ref.shape == (n, n)
@@ -440,7 +445,7 @@ class TestPairTermSizing:
         monkeypatch.setattr(kernel, "nome", lambda level: poisoned)
         kernel._sum_plan.cache_clear()
         try:
-            got = kernel.pair_evaluator(np.eye(len(zs)), k)(log_z, zs)
+            got = kernel.pair_evaluator(np.eye(len(zs)), k)(log_z)
         finally:
             kernel._sum_plan.cache_clear()
         assert np.isfinite(got).all()
