@@ -51,28 +51,34 @@ use and cached; importing this module does no work.
 `pair_evaluator(weights, k)` gives the velocities of point vortices of
 circulations `weights` in l = log z: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)),
 S_l = sum_j w_j (D_lj + 1), which is (dz_l/dt) / z_l.  It takes only the logs,
-so an RK4 stage in l takes no log and divides by no z.  It binds the level's
-constants, the weights, their sum and the pair indices once, so
-`dynamics.integrate` builds one per run.  The pair sums have two forms,
-chosen by the number of points N.  Above LIST_MAX_POINTS numpy builds the
-(N, 2N) block, in blocks of rows whose temporaries hold about CHUNK entries
-(64 KB), so its memory does not grow as N^2; one block up to N = 45.  Up to
-LIST_MAX_POINTS every pair is summed in plain complex arithmetic, since each
-numpy call has a fixed cost of about a microsecond, which at a few points
-outweighs the arithmetic; the pass that adds the column terms ends in the
-velocity.  LIST_MAX_POINTS is the crossover of whole RK4 steps of
-`dynamics.integrate` at k = 1 (best of 40 interleaved rounds of 300 steps,
-2-core Xeon VM, Python 3.11, numpy 2.4): with the plain sums a step takes
-0.56x to 0.72x of its time with the block at N = 5, 0.61x to 0.85x at N = 6,
-0.66x to 1.03x at N = 7 (the top within a half turn) and 0.94x to 1.21x at
-N = 8.  At k = 1 the plain sums of a few vortices away from antipodal add no
-g(w) term, so a step is interpreter work around a few dozen complex
-operations per vortex: about 12, 20 and 31 us at N = 1, 2 and 3.
+so an RK4 stage in l takes no log and divides by no z.  It binds the
+weights and their sum once, so `dynamics.integrate` builds one per run.  The
+pair sums have two forms, chosen by the number of points N.  Above
+LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of rows whose
+temporaries hold about CHUNK entries (64 KB), so its memory does not grow as
+N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair is summed in
+plain complex arithmetic, since each numpy call has a fixed cost of about a
+microsecond, which at a few points outweighs the arithmetic.  Those sums are
+compiled on first use, once per (N, k), to straight-line code with every
+vortex and every pair on local names (_sum_plan): a loop over the pairs spent
+most of its time on lists, zip and pair indices.  Compiling takes 0.1 to
+0.3 ms at N = 1 and 3 to 6 ms at N = 7; importing compiles nothing.
+LIST_MAX_POINTS is the crossover of whole RK4 steps of `dynamics.integrate` at
+k = 1 (three runs, each the best of 30 or 40 interleaved rounds of 300 steps,
+2-core Xeon VM, Python 3.11, numpy 2.4): with the compiled sums a step takes
+0.60x to 0.64x of its time with the block at N = 7 all round the circle and
+0.82x to 0.85x within a half turn, and 0.80x to 0.83x and 0.88x to 1.00x at
+N = 8, whose 4 to 6 ms of compiling cost 40 to 60 steps: no clear win within
+a half turn.  At k = 1 the plain sums of a few vortices away from antipodal add
+no g(w) term, so a step is interpreter work around a few dozen complex
+operations per vortex: about 8, 16 and 25 us at N = 1, 2 and 3.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import linecache
 import math
 import operator
 from functools import lru_cache
@@ -339,18 +345,54 @@ def _pair_block(weights: np.ndarray, k: int):
 
 
 @lru_cache(maxsize=64)
-def _sum_plan(n: int, k: int) -> tuple:
-    """What _pair_sums binds for n points at level k besides the weights:
-    c = 2 pi i/lam, -2/lam, Q and 1/Q, the g(w) sums of gap 0 and the one
-    more term of a gap of at least reach (see _pair_sums), the diagonal's
-    constant and the pair indices."""
+def _sum_plan(n: int, k: int):
+    """make(w_0, ..., w_{n-1}, total) -> evaluate, the plain pair sums of n
+    points at level k (see _pair_sums), compiled once from source that writes
+    every vortex and every pair out on local names.  The level's constants
+    are the code's globals: c = 2 pi i/lam, -2/lam, Q and 1/Q, the g(w) sums
+    s_m of gap 0 and the one more of a gap of at least reach, the diagonal's
+    constant.  The source is registered in linecache under the code's file
+    name, so tracebacks and inspect show its lines."""
     nm = nome(k)
     near = pair_terms(nm, 0.0)
     # pair_terms(nm, gap) exceeds near from gap = reach on; beyond pi no pair gets there
     reach = 2 * math.pi * (near + 1 - nm.pair_order)
-    return (2j * math.pi / nm.lam, -2 / nm.lam, nm.q, 1 / nm.q, nm.dual_sums[:near],
-            nm.dual_sums[: near + 1], reach, -0.5 - 1j * math.pi / nm.lam,
-            tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
+    names = dict(c=2j * math.pi / nm.lam, scale=-2 / nm.lam, q=nm.q, inv_q=1 / nm.q, reach=reach,
+                 diag=-0.5 - 1j * math.pi / nm.lam, exp=cmath.exp, exp_real=math.exp, pi=math.pi,
+                 turn=2 * math.pi, i_2pi=I_OVER_TWO_PI)
+    names.update((f"s{m}", s) for m, s in enumerate(nm.dual_sums[: near + 1]))
+
+    def series(out: str, ei: str, v: str, terms: int) -> list:
+        """Lines taking the g(w) terms s_0 .. s_(terms-1) from out, the leading term c v / (e_i - v)."""
+        return [f"ee, vv, prod = {ei} * {ei}, {v} * {v}, {ei} * {v}", "num, ends = c * (ee - vv), ee + vv",
+                *(f"{out} -= num / (s{m} * prod - ends)" for m in range(terms))] if terms else []
+
+    def pair_series(terms: int) -> list:
+        return ["    " + line for line in series("d", "x", "e{j}", terms) + series("h", "x", "v{j}", terms)]
+
+    # templates of vortex i, of pair i < j and of the velocity of vortex i
+    vortex = ["e{i} = exp(c * l{i})", "a{i} = l{i}.imag", "v{i} = e{i}.conjugate()",
+              "d = c * v{i} / (e{i} - v{i})", *series("d", "e{i}", "v{i}", near), "o{i} = w{i} * (diag - d)"]
+    pair = ["x, gap = e{i}, a{i} - a{j}", "if gap > pi:", "    x, gap = x * inv_q, gap - turn",
+            "elif gap < -pi:", "    x, gap = x * q, gap + turn",
+            "d, h = c * e{j} / (x - e{j}), c * v{j} / (x - v{j})",
+            "if abs(gap) >= reach:", *pair_series(near + 1), *(["else:", *pair_series(near)] if near else []),
+            "o{i} += w{j} * (d - h)", "o{j} -= w{i} * (d + h.conjugate())"]
+    velocity = "    (o{i} + col + total).conjugate() * (i_2pi * exp_real(-2 * l{i}.real)),"
+    points = range(n)
+    # col starts from 0.0 as the loop's running sum did: a -0.0 term keeps its sums' bits
+    body = [f"[{', '.join(f'l{i}' for i in points)}] = log_z",
+            *(line.format(i=i) for i in points for line in vortex),
+            f"col = (0.0{''.join(f' + l{i}.real * w{i}' for i in points)}) * scale",
+            *(line.format(i=i, j=j) for i, j in itertools.combinations(points, 2) for line in pair),
+            "return [", *(velocity.format(i=i) for i in points), "]"]
+    source = "".join([f"def make({''.join(f'w{i}, ' for i in points)}total):\n", "    def evaluate(log_z):\n",
+                      *(f"        {line}\n" for line in body), "    return evaluate\n"])
+    filename = f"<goldcalc.kernel pair sums n={n} k={k}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), names)
+    return names["make"]
 
 
 def _pair_sums(weights: list, k: int):
@@ -372,52 +414,10 @@ def _pair_sums(weights: list, k: int):
     |gap| <= pi, pair_terms(nm, |gap|): none at k = 1 unless the pair is
     within about 0.11 rad of antipodal.  The diagonal's L = 2 ln|z_i| is
     real on every branch, so it takes the terms of gap 0: none at k = 1.
-    The last pass adds the column terms and the weights' sum to each row and
-    scales it to dl/dt."""
-    # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
-    c, scale, q, inv_q, near, far, reach, diag, pairs = _sum_plan(len(weights), k)
-    total = sum(weights)
-    exp, exp_real, pi, turn = cmath.exp, math.exp, math.pi, 2 * math.pi
-
-    def series(out: complex, ei: complex, v: complex, q_sums: tuple) -> complex:
-        """out, the leading term c v / (e_i - v), less the g(w) terms of q_sums."""
-        e2, v2, prod = ei * ei, v * v, ei * v
-        num, ends = c * (e2 - v2), e2 + v2
-        for s in q_sums:
-            out -= num / (s * prod - ends)
-        return out
-
-    def evaluate(log_z: list) -> list:
-        e, angles, out, col = [], [], [], 0.0
-        for l, x in zip(log_z, weights):
-            ei = exp(c * l)
-            e.append(ei)
-            angles.append(l.imag)
-            v = ei.conjugate()
-            d = c * v / (ei - v)
-            if near:
-                d = series(d, ei, v, near)
-            out.append(x * (diag - d))
-            col += l.real * x
-        col *= scale  # every row's column terms -(2/lam) ln|z_j| w_j
-        for i, j in pairs:
-            ei, ej = e[i], e[j]
-            gap = angles[i] - angles[j]
-            if gap > pi:
-                ei, gap = ei * inv_q, gap - turn
-            elif gap < -pi:
-                ei, gap = ei * q, gap + turn
-            vj = ej.conjugate()
-            d, h = c * ej / (ei - ej), c * vj / (ei - vj)
-            q_sums = far if abs(gap) >= reach else near
-            if q_sums:
-                d, h = series(d, ei, ej, q_sums), series(h, ei, vj, q_sums)
-            out[i] += weights[j] * (d - h)
-            out[j] -= weights[i] * (d + h.conjugate())
-        return [(x + col + total).conjugate() * (I_OVER_TWO_PI * exp_real(-2 * l.real))
-                for x, l in zip(out, log_z)]
-
-    return evaluate
+    The last line adds the column terms and the weights' sum to each row and
+    scales it to dl/dt.  _sum_plan(N, k) writes all of this out once; the
+    factory it gives binds the weights and their sum."""
+    return _sum_plan(len(weights), k)(*weights, sum(weights))
 
 
 def pair_evaluator(weights, k: int):
@@ -426,8 +426,7 @@ def pair_evaluator(weights, k: int):
     annulus: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)), S_l = sum_j w_j
     (D_lj + 1), with D_lj = K(z_l/z_j) - K(z_l conj(z_j)) and
     D_ll = -K(|z_l|^2).  Built once per set of weights (an RK4 run), it binds
-    the level's constants, the weights, their sum and the pair indices, so a
-    call does only the work the points need.
+    the weights and their sum, so a call does only the work the points need.
 
     log_z, the list of Python complex numbers log z_j, is checked by the
     caller before any exponential and put on the principal branch, whose
@@ -438,8 +437,9 @@ def pair_evaluator(weights, k: int):
       g(w) terms the points' angular spread needs, chosen on Python angles,
       one product with [weights; -weights] and the scaling in place;
     - up to LIST_MAX_POINTS the same entries are summed pair by pair in plain
-      complex arithmetic, each pair with the terms of its own angle gap:
-      weights given as a list of N numbers give a list, with no numpy call.
+      complex arithmetic, by the code _sum_plan compiles for (N, k), each
+      pair with the terms of its own angle gap: weights given as a list of N
+      numbers give a list, with no numpy call.
     The direct form takes log_derivative of all 2 N^2 pair arguments of the
     points z = exp(l) at once.  Coincident points divide by 0."""
     nm, n = nome(k), len(weights)

@@ -246,6 +246,16 @@ class TestField:
         assert len(stds) == 2
         assert all(s < 1e-6 for s in stds)
 
+    def test_boundary_report_of_a_huge_circulation_is_finite(self, tmp_path, capsys):
+        # psi's wall deviations are about 1e184 at gamma = 1e200: squared
+        # unscaled, they overflowed to an inf std, a numpy warning and exit 2
+        assert run_cli(["field", "--z0=1.1+0i", "--gamma=1e200", "--k=1", "--grid=10x10",
+                        "--out", str(tmp_path / "f.csv")]) == 0
+        out, err = capsys.readouterr()
+        stds = [float(line.rsplit(":", 1)[1]) for line in out.splitlines() if "boundary psi std" in line]
+        assert len(stds) == 2 and all(math.isfinite(s) for s in stds)
+        assert not err
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         assert run_cli(["field", "--z0", "1.1+0.1i", "--gamma", "0.5", "--k", "1",

@@ -9,9 +9,15 @@ phi-exponential Euler product.
 
 import cmath
 import contextlib
+import inspect
 import math
+import os
+import subprocess
+import sys
+import traceback
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +220,9 @@ class TestPairLogDerivative:
 
 LIST_MAX = kernel.LIST_MAX_POINTS
 DUAL_LEVELS = [k for k in LEVELS if kernel.nome(k).dual]
+# circulations for the relative bounds below: a subnormal one, such as
+# 2.2e-313, makes a velocity a few multiples of 5e-324 that no relative bound holds
+circulations = st.floats(-2, 2, allow_subnormal=False)
 
 
 @st.composite
@@ -242,7 +251,7 @@ def rhs_states(draw) -> dynamics.VortexState:
     """1 to LIST_MAX + 2 vortices of the k = 1 annulus (see spread_points):
     both sides of the size that chooses the pair evaluator."""
     zs = draw(spread_points(1, (1, LIST_MAX + 2)))
-    return dynamics.VortexState(tuple(zs), tuple(draw(st.floats(-2, 2)) for _ in zs))
+    return dynamics.VortexState(tuple(zs), tuple(draw(circulations) for _ in zs))
 
 
 @contextlib.contextmanager
@@ -273,7 +282,7 @@ class TestListSumsAgainstNumpyBlock:
         # up to LIST_MAX points pair_evaluator sums D in plain complex
         # arithmetic; the numpy block, which runs above, is the reference
         zs = data.draw(spread_points(k, (1, LIST_MAX)))
-        gammas = data.draw(st.lists(st.floats(-2, 2), min_size=len(zs), max_size=len(zs)))
+        gammas = data.draw(st.lists(circulations, min_size=len(zs), max_size=len(zs)))
         log_z = np.log(zs).tolist()
         eye = np.eye(len(zs))
         # the block sums every term its spread needs on the diagonal too
@@ -449,6 +458,40 @@ class TestPairTermSizing:
         finally:
             kernel._sum_plan.cache_clear()
         assert np.isfinite(got).all()
+
+
+class TestCompiledPairSums:
+    """Up to LIST_MAX points the pair sums are straight-line code compiled
+    once per (N, k) and cached by kernel._sum_plan."""
+
+    def test_new_weights_at_a_known_size_compile_nothing(self):
+        kernel.pair_evaluator([1.0, -0.5, 0.3], 1)
+        before = kernel._sum_plan.cache_info()
+        for weights in ([0.2, 0.7, -1.1], [2.0, 0.0, 1e-3], list(np.eye(3))):
+            kernel.pair_evaluator(weights, 1)
+        after = kernel._sum_plan.cache_info()
+        # no miss, one hit per evaluator
+        assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+
+    def test_import_compiles_nothing(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = ("import linecache, goldcalc.kernel as k; print(k._sum_plan.cache_info().currsize,"
+                " sum(name.startswith('<goldcalc.kernel') for name in linecache.cache))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_tracebacks_show_the_generated_lines(self):
+        # coincident points divide by 0 in their pair's leading terms
+        evaluate = kernel.pair_evaluator([1.0, -0.5], 1)
+        with pytest.raises(ZeroDivisionError) as info:
+            evaluate([cmath.log(1.1 + 0.2j)] * 2)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<goldcalc.kernel pair sums n=2 k=1>", line ' in text
+        assert "d, h = c * e1 / (x - e1), c * v1 / (x - v1)" in text
+        assert inspect.getsource(evaluate).startswith("    def evaluate(log_z):\n        [l0, l1] = log_z\n")
 
 
 @st.composite
