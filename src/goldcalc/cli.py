@@ -243,7 +243,7 @@ def run_field(args) -> int:
     if args.gamma != 0:
         wall = np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
         for name, radius in (("inner", 1.0), ("outer", annulus.outer_radius)):
-            psi = hydro.flow(annulus, vortices, radius * wall)[0]
+            psi = hydro.vortex_psi(annulus, args.z0, args.gamma, radius * wall)
             # on psi / 2^e, 2^e > max|psi|, whose squared deviations cannot
             # overflow: a power of two scales every step exactly, so the value is np.std's
             top = math.ldexp(1.0, math.frexp(float(np.max(np.abs(psi))))[1])

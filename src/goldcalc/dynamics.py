@@ -15,7 +15,12 @@ comparison on Re l, then N complex exps and the pair sums.  The number of
 vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at
 the measured crossover; see `goldcalc.kernel`): up to that N in plain complex
 arithmetic, with no numpy call; above it numpy builds the pair block and the
-N x N distance matrix, both in blocks of rows.
+N x N distance matrix, both in blocks of rows.  The same N chooses the step
+loop: up to it the whole RK4 loop is compiled once per N to straight-line
+Python (`_run_plan`), with every vortex and stage on local names around the
+calls of the field, since the stage records, calls and lists of a loop over
+stages cost about as much as the pair sums of a few vortices; above it a loop
+over the stages calls `n_vortex_rhs`, and has no per-vortex names to unroll.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -28,9 +33,11 @@ from __future__ import annotations
 
 import cmath
 import json
+import linecache
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -208,7 +215,8 @@ def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> t
     that is at least 2 COLLISION_DISTANCE, whose factor 2 absorbs the rounding
     of both.  One loop builds the logs and max|k|.  A non-finite k makes a
     non-finite stage, which the escape check of n_vortex_rhs rejects before
-    any pair check."""
+    any pair check.  Only the stage loop of more than kernel.LIST_MAX_POINTS
+    vortices builds stages this way; _run_plan writes the same bound out."""
     logs, fastest = [], 0.0
     for l, v in zip(log_z, k):
         logs.append(l + h * v)
@@ -217,8 +225,66 @@ def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> t
             fastest = speed
     d = h * fastest
     # d >= 1 moves a vortex farther than the annulus is wide, and exp(d) may overflow
-    clear = len(k) < 2 or d < 1 and closest - 2 * SQRT_PHI * d * math.exp(d) >= 2 * COLLISION_DISTANCE
+    clear = d < 1 and closest - 2 * SQRT_PHI * d * math.exp(d) >= 2 * COLLISION_DISTANCE
     return logs, field, clear
+
+
+@lru_cache(maxsize=16)
+def _run_plan(n: int):
+    """make(field) -> run(l_0, ..., l_{n-1}, closest, steps, dt, positions),
+    integrate's RK4 loop for n vortices, compiled once from source that writes
+    a step out on local names (logs l_i, stages m_i, velocities ka_i .. kd_i)
+    and does the stage loop's work in its order: _stage's max|k| and pair
+    bound (n >= 2), _principal's fast test inline (the call wraps or raises),
+    the exact pair check the bound does not clear, the field; then the
+    update, the step end's checks and the row positions[step].  make binds the
+    field and the annulus constants; _principal and _check_pairs are looked
+    up in this module as the loop runs.  The source is registered in
+    linecache under the code's file name, so tracebacks show its lines."""
+    points = range(n)
+
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(i) for i in points)
+
+    def checked(x: str, step: str) -> list:
+        xs = each(x + "{0}")
+        inside = each(f"0 < {x}{{0}}.real < outer and -pi < {x}{{0}}.imag <= pi", " and ")
+        return [f"if not ({inside}):", f"    [{xs}] = _principal([{xs}], {step})"] if n else []
+
+    def stage(k: str, h: str, out: str) -> list:
+        lines = [f"m{i} = l{i} + {h} * {k}{i}" for i in points]
+        if n > 1:
+            lines += ["fastest = 0.0",
+                      *(line for i in points
+                        for line in (f"speed = abs({k}{i})", "if speed > fastest:", "    fastest = speed")),
+                      f"move = {h} * fastest",
+                      "clear = move < 1 and closest - drift * move * exp_real(move) >= apart"]
+        lines += checked("m", "None")
+        if n > 1:
+            lines += ["if not clear:", f"    _check_pairs([{each('exp(m{0})')}], None)"]
+        return lines + [f"[{each(out + '{0}')}] = field([{each('m{0}')}])"]
+
+    logs = each("l{0}")
+    body = [f"[{each('ka{0}')}] = field([{logs}])",
+            *stage("ka", "half", "kb"), *stage("kb", "half", "kc"), *stage("kc", "dt", "kd"),
+            *(f"l{i} = l{i} + sixth * (ka{i} + 2 * kb{i} + 2 * kc{i} + kd{i})" for i in points),
+            *checked("l", "step"),
+            f"closest = _check_pairs([{each('exp(l{0})')}], step)",
+            f"positions[step] = [{logs}]"]
+    source = "".join([
+        "def make(field):\n",
+        "    exp, exp_real, pi, outer = cmath.exp, math.exp, math.pi, LOG_OUTER_RADIUS\n",
+        "    drift, apart = 2 * SQRT_PHI, 2 * COLLISION_DISTANCE\n",
+        f"    def run({''.join(f'l{i}, ' for i in points)}closest, steps, dt, positions):\n",
+        "        half, sixth = 0.5 * dt, dt / 6.0\n",
+        "        for step in range(1, steps + 1):\n",
+        *(f"            {line}\n" for line in body),
+        "    return run\n"])
+    filename = f"<goldcalc.dynamics RK4 run n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    made: dict = {}
+    exec(compile(source, filename, "exec"), globals(), made)
+    return made["make"]
 
 
 def n_vortex_rhs(state: VortexState | tuple) -> list[complex]:
@@ -242,6 +308,22 @@ def n_vortex_rhs(state: VortexState | tuple) -> list[complex]:
     if not clear:
         _check_pairs(list(map(cmath.exp, log_z)), None)
     return field(log_z)
+
+
+_RHS_CODE = n_vortex_rhs.__code__
+
+
+def _stage_field(field: Callable) -> Callable:
+    """The field the loop of _run_plan calls at each RK4 stage: the run's
+    field itself, or, where n_vortex_rhs has been replaced by a wrapper (one
+    that counts or times its calls), the field called through that wrapper
+    as the stage (logs, field, True), so the wrapper sees the 4 stages of
+    each step as it does in the stage loop.  The loop has checked the logs
+    and the pairs, so the call returns the field's velocities."""
+    rhs = n_vortex_rhs
+    if getattr(rhs, "__code__", None) is _RHS_CODE:
+        return field
+    return lambda log_z: rhs((log_z, field, True))
 
 
 @dataclass(eq=False)
@@ -279,9 +361,14 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     exact pair distances are taken once per step, on z = exp(l) at its end
     (and at step 0); a later stage checks its pairs only when the distance it
     can have moved leaves no proof that they stay 2 COLLISION_DISTANCE apart
-    (see _stage).  The dt guard reads the wall distance at step 0.  The logs
-    fill the trajectory and become positions in place at the end, as
-    z_0 exp(l - l_0), which keeps row 0 and a still vortex bit for bit."""
+    (see _stage).  The dt guard reads the wall distance at step 0.  Up to
+    kernel.LIST_MAX_POINTS vortices the steps run in the loop _run_plan
+    compiles for N, which does the stage loop's work in the same order with
+    the same checks, errors and bits; above it, in the loop over
+    n_vortex_rhs stages.  The times are one cumulative sum of dt, which adds
+    in sequence as t += dt does.  The logs fill the trajectory and become
+    positions in place at the end, as z_0 exp(l - l_0), which keeps row 0
+    and a still vortex bit for bit."""
     z = np.asarray(state.positions, dtype=complex)
     zs = z.tolist()
     field = _velocity_field(state.circulations)
@@ -296,21 +383,26 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
             f"dt too large: dt*|v|max = {vmax * cfg.dt:.3g} exceeds half the "
             f"smallest separation {scale:.3g}")
 
-    dt, half, sixth, exp = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0, cmath.exp
-    times = np.empty(cfg.steps + 1)
-    positions = np.empty((cfg.steps + 1, len(zs)), dtype=complex)
-    times[0], positions[0] = 0.0, z
-    t, log_0 = 0.0, np.array(log_z, dtype=complex)
-    for step in range(1, cfg.steps + 1):
-        k1 = n_vortex_rhs((log_z, field, True))
-        k2 = n_vortex_rhs(_stage(log_z, half, k1, field, closest))
-        k3 = n_vortex_rhs(_stage(log_z, half, k2, field, closest))
-        k4 = n_vortex_rhs(_stage(log_z, dt, k3, field, closest))
-        log_z = _principal([a + sixth * (b + 2 * c + 2 * d + e)
-                            for a, b, c, d, e in zip(log_z, k1, k2, k3, k4)], step)
-        t += dt
-        closest = _check_pairs(list(map(exp, log_z)), step)
-        times[step], positions[step] = t, log_z
+    n, dt, steps = len(zs), cfg.dt, cfg.steps
+    times = np.full(steps + 1, dt)
+    times[0] = 0.0
+    np.cumsum(times, out=times)  # adds in sequence, as t += dt does
+    positions = np.empty((steps + 1, n), dtype=complex)
+    positions[0] = z
+    log_0 = np.array(log_z, dtype=complex)
+    if n <= kernel.LIST_MAX_POINTS:
+        _run_plan(n)(_stage_field(field))(*log_z, closest, steps, dt, positions)
+    else:
+        half, sixth, exp = 0.5 * dt, dt / 6.0, cmath.exp
+        for step in range(1, steps + 1):
+            k1 = n_vortex_rhs((log_z, field, True))
+            k2 = n_vortex_rhs(_stage(log_z, half, k1, field, closest))
+            k3 = n_vortex_rhs(_stage(log_z, half, k2, field, closest))
+            k4 = n_vortex_rhs(_stage(log_z, dt, k3, field, closest))
+            log_z = _principal([a + sixth * (b + 2 * c + 2 * d + e)
+                                for a, b, c, d, e in zip(log_z, k1, k2, k3, k4)], step)
+            closest = _check_pairs(list(map(exp, log_z)), step)
+            positions[step] = log_z
     rest = positions[1:]
     rest -= log_0
     np.exp(rest, out=rest)

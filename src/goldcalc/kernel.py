@@ -71,7 +71,8 @@ k = 1 (three runs, each the best of 30 or 40 interleaved rounds of 300 steps,
 N = 8, whose 4 to 6 ms of compiling cost 40 to 60 steps: no clear win within
 a half turn.  At k = 1 the plain sums of a few vortices away from antipodal add
 no g(w) term, so a step is interpreter work around a few dozen complex
-operations per vortex: about 8, 16 and 25 us at N = 1, 2 and 3.
+operations per vortex: about 8, 16 and 25 us at N = 1, 2 and 3, and about 5,
+12 and 20 us since `dynamics.integrate` compiles its step loop as well.
 """
 
 from __future__ import annotations

@@ -256,6 +256,16 @@ class TestField:
         assert len(stds) == 2 and all(math.isfinite(s) for s in stds)
         assert not err
 
+    def test_boundary_report_at_the_largest_circulation_computes_no_velocity(self, tmp_path, capsys):
+        # at gamma = 1e308 the wall velocity gamma / (2 pi i z) (...) overflows
+        # where psi does not: the report takes psi from ln|P| alone
+        assert run_cli(["field", "--z0=1.1+0i", "--gamma=1e308", "--k=1", "--grid=10x10",
+                        "--out", str(tmp_path / "f.csv")]) == 0
+        out, err = capsys.readouterr()
+        stds = [float(line.rsplit(":", 1)[1]) for line in out.splitlines() if "boundary psi std" in line]
+        assert len(stds) == 2 and all(math.isfinite(s) for s in stds)
+        assert not err
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         assert run_cli(["field", "--z0", "1.1+0.1i", "--gamma", "0.5", "--k", "1",
@@ -434,8 +444,8 @@ class TestSimulate:
                             "--steps", "10", "--out", str(tmp_path / "t.csv")]) == 1
 
     def test_non_finite_positions_exit_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dynamics, "n_vortex_rhs",
-                            lambda stage: np.full(len(stage[0]), np.nan, dtype=complex))
+        monkeypatch.setattr(dynamics, "_velocity_field",
+                            lambda gammas: lambda log_z: [complex(math.nan, math.nan)] * len(log_z))
         init = tmp_path / "init.json"
         init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
         out = tmp_path / "t.csv"

@@ -1,10 +1,16 @@
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import traceback
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,9 +310,19 @@ class TestIntegrate:
     @pytest.mark.parametrize("n", [1, LIST_MAX + 1], ids=["list", "numpy"])
     def test_escape_at_a_later_step_end_detected(self, monkeypatch, n):
         # ln|z| of the last vortex grows by 0.008 a step, from ln 1.2 = 0.1823
-        # past ln sqrt(phi) = 0.2406 at step 8; the stages check nothing
-        # here, so the step-end check must see it
-        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: [0j] * (n - 1) + [0.4 + 0j])
+        # past ln sqrt(phi) = 0.2406 at step 8; only the velocity of the last
+        # stage of each step moves it (dl/dt = 2.4 at the field's call 4 s,
+        # the dt guard's being call 0), so every stage sits at the step's
+        # start and the step-end check must see it
+        def field(gammas):
+            calls = itertools.count()
+
+            def velocity(log_z):
+                call = next(calls)
+                return [0j] * (n - 1) + [2.4 + 0j if call and call % 4 == 0 else 0j]
+            return velocity
+
+        monkeypatch.setattr(dynamics, "_velocity_field", field)
         st = VortexState(tuple(1.15 * cmath.exp(1j * l) for l in range(1, n)) + (1.2 + 0j,), (1.0,) * n)
         with pytest.raises(VortexEscapeError, match=f"vortex {n - 1} left the annulus at step 8") as err:
             integrate(st, IntegratorConfig(0.02, 20))
@@ -326,7 +342,7 @@ class TestIntegrate:
         # N = 2 for 1e4 steps: 16 B per vortex-step plus 8 B per time, about 0.4 MB;
         # a uniform rotation stands in for the pair velocity, which tracemalloc
         # would slow to seconds and which keeps nothing between calls
-        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: [1j] * len(stage[0]))
+        monkeypatch.setattr(dynamics, "_velocity_field", lambda gammas: lambda log_z: [1j] * len(log_z))
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
         tracemalloc.start()
         try:
@@ -366,15 +382,20 @@ class TestIntegrate:
         cfg = IntegratorConfig(dt_fraction * 0.5 * closest / vmax, 200)
 
         def outcome(run):
+            # count the calls of the run's velocity field
             calls = []
-            rhs = dynamics.n_vortex_rhs
-            monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda stage: calls.append(1) or rhs(stage))
+            build = dynamics._velocity_field
+
+            def counted(gammas):
+                field = build(gammas)
+                return lambda log_z: calls.append(1) or field(log_z)
+            monkeypatch.setattr(dynamics, "_velocity_field", counted)
             try:
                 end = run(st, cfg)
                 result = None
             except (VortexCollisionError, VortexEscapeError) as exc:
                 end, result = None, (type(exc), exc.step, str(exc))
-            monkeypatch.setattr(dynamics, "n_vortex_rhs", rhs)
+            monkeypatch.setattr(dynamics, "_velocity_field", build)
             return len(calls), result, end
 
         ref_calls, ref_result, ref_end = outcome(array_rk4)
@@ -460,6 +481,103 @@ class TestConservation:
         impulse = [g * abs(z) ** 2 for g, z in zip(gs, state.positions)]
         drift = sum(g * abs(z) ** 2 for g, z in zip(gs, end)) - sum(impulse)
         assert abs(drift) <= 1e-13 * sum(map(abs, impulse))
+
+
+@st.composite
+def states_at_the_cut(draw) -> VortexState:
+    """0 to LIST_MAX + 1 vortices of mixed_states' kind, turned so that the
+    first lies within 0.03 rad of the cut at angle pi, which its stages and
+    step ends then cross in either direction."""
+    if not draw(st.integers(0, LIST_MAX + 1)):
+        return VortexState((), ())
+    state = draw(mixed_states())
+    turn = cmath.exp(1j * (math.pi + draw(st.floats(-0.03, 0.03)) - cmath.phase(state.positions[0])))
+    return VortexState(tuple(z * turn for z in state.positions), state.circulations)
+
+
+class TestCompiledRun:
+    """Up to LIST_MAX vortices integrate runs the step loop _run_plan
+    compiles for N; above it, the loop over n_vortex_rhs stages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=states_at_the_cut())
+    @example(state=VortexState((1.22 * cmath.exp(3.13j), 1.08 * cmath.exp(1.0j)), (1.0, -0.6)))
+    def test_equals_plain_array_rk4_across_the_cut(self, state):
+        # the example's first vortex turns 0.4 rad across the cut at pi
+        cfg = IntegratorConfig(2.5e-3, 160)
+        got = integrate(state, cfg).positions[-1]
+        assert np.max(np.abs(got - array_rk4(state, cfg)), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("most", [LIST_MAX, 1], ids=["compiled", "stages"])
+    def test_field_takes_logs_on_the_principal_branch(self, monkeypatch, most):
+        # the pair sums size their terms from the angles; the first vortex
+        # turns across the cut at pi, from 3.13 to -2.72
+        angles = []
+        build = dynamics._velocity_field
+
+        def recorded(gammas):
+            field = build(gammas)
+            return lambda log_z: angles.extend(l.imag for l in log_z) or field(log_z)
+
+        monkeypatch.setattr(dynamics, "_velocity_field", recorded)
+        monkeypatch.setattr(kernel, "LIST_MAX_POINTS", most)
+        integrate(VortexState((1.22 * cmath.exp(3.13j), 1.08 * cmath.exp(1.0j)), (1.0, -0.6)),
+                  IntegratorConfig(2.5e-3, 160))
+        assert all(-math.pi < a <= math.pi for a in angles) and min(angles) < -2.7
+
+    @staticmethod
+    def out_in_stage_two(n: int):
+        """A _velocity_field whose field's second call, stage 1 of step 1
+        after the dt guard's, sends the last of n vortices out in stage 2."""
+        def build(gammas):
+            calls = itertools.count()
+            return lambda log_z: [0j] * (n - 1) + [50.0 + 0j if next(calls) == 1 else 0j]
+        return build
+
+    @pytest.mark.parametrize("n", [1, 2, 3, LIST_MAX])
+    def test_stage_escape_raises_as_the_stage_loop_does(self, monkeypatch, n):
+        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(n))
+        st = VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n - 1)) + (1.2 + 0j,), (1.0,) * n)
+        errors = []
+        for most in (n, n - 1):  # the compiled loop, then the stage loop
+            monkeypatch.setattr(kernel, "LIST_MAX_POINTS", most)
+            with pytest.raises(VortexEscapeError) as err:
+                integrate(st, IntegratorConfig(0.02, 5))
+            errors.append((err.value.step, err.value.index, str(err.value)))
+        assert errors[0] == errors[1] == (None, n - 1, f"vortex {n - 1} left the annulus during evaluation"
+                                                       " (|z| = 1.978466)")
+
+    @pytest.mark.parametrize("n", [1, 2, LIST_MAX])
+    def test_wrapped_rhs_sees_every_stage_and_changes_no_bit(self, monkeypatch, n):
+        st = VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n)),
+                         tuple(1.0 - 0.2 * l for l in range(n)))
+        cfg = IntegratorConfig(1e-3, 30)
+        plain = integrate(st, cfg)
+        calls = []
+        rhs = dynamics.n_vortex_rhs
+        monkeypatch.setattr(dynamics, "n_vortex_rhs", lambda s: calls.append(s) or rhs(s))
+        wrapped = integrate(st, cfg)
+        assert len(calls) == 4 * cfg.steps + 1
+        assert np.array_equal(wrapped.positions, plain.positions)
+        assert np.array_equal(wrapped.times, plain.times)
+
+    def test_traceback_shows_the_generated_line(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(2))
+        with pytest.raises(VortexEscapeError) as err:
+            integrate(VortexState((1.15 + 0j, 1.2j), (1.0, 1.0)), IntegratorConfig(0.02, 5))
+        text = "".join(traceback.format_exception(err.value))
+        assert 'File "<goldcalc.dynamics RK4 run n=2>", line ' in text
+        assert "[m0, m1] = _principal([m0, m1], None)" in text
+
+    def test_import_compiles_nothing(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = ("import linecache, goldcalc.dynamics as d; print(d._run_plan.cache_info().currsize,"
+                " sum(name.startswith('<goldcalc.dynamics') for name in linecache.cache))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestHamiltonian:
