@@ -216,11 +216,11 @@ def run_eval(args) -> int:
 def run_field(args) -> int:
     import numpy as np
 
-    from goldcalc import hydro
+    from goldcalc import hydro, kernel
 
     vortices = [(args.z0, args.gamma)]
     try:
-        annulus = hydro.AnnulusSpec(args.k)
+        annulus = kernel.Annulus(args.k)
         grid = hydro.field_grid(annulus, vortices, args.grid, exclusion=args.exclusion)
     except ValueError as exc:
         print(f"goldcalc field: error: {exc}", file=sys.stderr)

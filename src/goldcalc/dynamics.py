@@ -1,7 +1,7 @@
-"""Vortex motion in the golden annulus 1 < |z| < sqrt(phi).
+"""Vortex motion in the golden annulus 1 < |z| < sqrt(phi), `ANNULUS = kernel.Annulus(1)`.
 
 The velocity of each vortex, the Hamiltonian and the Green function are all
-evaluated through the annulus prime function P of `goldcalc.kernel` (k = 1).
+evaluated through the annulus prime function P of `goldcalc.kernel` at its level.
 The pair term K(z_l/z_j) of the velocity already contains the direct
 Biot-Savart term 1/(z_l - z_j).  The Hamiltonian, which checks the velocity,
 takes ln|P| of all 2 N^2 pair arguments as (N, N) numpy arrays.
@@ -45,10 +45,8 @@ import numpy as np
 from goldcalc import hydro, kernel
 from goldcalc.ring import PHI
 
-LEVEL = 1  # the annulus 1 < |z| < phi^(LEVEL/2)
-SQRT_PHI = math.sqrt(PHI)
-LOG_OUTER_RADIUS = LEVEL * kernel.LN_PHI / 2
-GEOMETRIC_MEAN_RADIUS = PHI**0.25
+ANNULUS = kernel.Annulus(1)
+GEOMETRIC_MEAN_RADIUS = ANNULUS.mean_radius
 COLLISION_DISTANCE = 1e-6
 POLES = PHI ** np.arange(1, 101)  # _lnphi_pole sums the first 100 poles
 
@@ -85,9 +83,7 @@ class VortexState:
         for z, g in zip(self.positions, self.circulations):
             if not (cmath.isfinite(z) and math.isfinite(g)):
                 raise ValueError(f"vortex at {z!r} with circulation {g!r} is not finite")
-            if not 1.0 < abs(z) < SQRT_PHI:
-                raise ValueError(
-                    f"vortex at |z| = {abs(z):.6f} outside open annulus (1, sqrt(phi))")
+            ANNULUS.check(z)
 
     @property
     def n(self) -> int:
@@ -121,7 +117,7 @@ def single_vortex_omega(r: float, kappa: float) -> float:
     omega = (phi kappa / r^2) [Ln(1 - r^2) - Ln(1 - phi/r^2)]; zero exactly at
     the geometric-mean radius r = phi^(1/4).
     """
-    if not 1.0 < r < SQRT_PHI:
+    if not 1.0 < r < ANNULUS.outer_radius:
         raise ValueError(f"radius must lie in (1, sqrt(phi)), got {r:.6f}")
     if kappa == 0:
         return 0.0
@@ -165,9 +161,10 @@ def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
 def _principal(log_z: list, step: int | None) -> list:
     """The logs log_z, a list of Python complex numbers, with every imaginary
     part on the principal branch (-pi, pi]; raises VortexEscapeError, at this
-    step, for ln|z| outside (0, LOG_OUTER_RADIUS), outside the open annulus,
-    or a non-finite imaginary part.  Logs that need nothing pass unchanged."""
-    pi, outer = math.pi, LOG_OUTER_RADIUS
+    step, for ln|z| outside (0, ANNULUS.log_outer_radius), outside the open
+    annulus, or a non-finite imaginary part.  Logs that need nothing pass
+    unchanged."""
+    pi, outer = math.pi, ANNULUS.log_outer_radius
     for l in log_z:
         if not (0 < l.real < outer and -pi < l.imag <= pi):
             break
@@ -198,25 +195,26 @@ def _velocity_field(circulations) -> Callable[[list], list]:
     """The velocity of vortices of these circulations, built once per run: the
     callable log_z -> dl/dt, l = log z, as a list of Python complex numbers,
     for logs the caller has checked and put on the principal branch;
-    kernel.pair_evaluator at LEVEL, whose numpy block (above
+    kernel.pair_evaluator at ANNULUS.k, whose numpy block (above
     kernel.LIST_MAX_POINTS vortices) gives an array the list is made of."""
     if len(circulations) > kernel.LIST_MAX_POINTS:
-        velocity = kernel.pair_evaluator(np.asarray(circulations, dtype=float), LEVEL)
+        velocity = kernel.pair_evaluator(np.asarray(circulations, dtype=float), ANNULUS.k)
         return lambda log_z: velocity(log_z).tolist()
-    return kernel.pair_evaluator(list(map(float, circulations)), LEVEL)
+    return kernel.pair_evaluator(list(map(float, circulations)), ANNULUS.k)
 
 
 def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> tuple:
     """The RK4 stage log_z + h k, as the tuple (logs, field, pairs_clear) that
     n_vortex_rhs takes, of positions whose pairs are at least closest apart.
     Vortex l moves from z_l to z_l e^(h k_l), so by at most
-    |z_l| |h k_l| e^|h k_l| < sqrt(phi) d e^d, d = h max|k|, and every pair
-    there is at least closest - 2 sqrt(phi) d e^d apart; pairs_clear says
-    that is at least 2 COLLISION_DISTANCE, whose factor 2 absorbs the rounding
-    of both.  One loop builds the logs and max|k|.  A non-finite k makes a
-    non-finite stage, which the escape check of n_vortex_rhs rejects before
-    any pair check.  Only the stage loop of more than kernel.LIST_MAX_POINTS
-    vortices builds stages this way; _run_plan writes the same bound out."""
+    |z_l| |h k_l| e^|h k_l| < r_out d e^d, d = h max|k|, r_out the outer
+    radius, and every pair there is at least closest - 2 r_out d e^d apart;
+    pairs_clear says that is at least 2 COLLISION_DISTANCE, whose factor 2
+    absorbs the rounding of both.  One loop builds the logs and max|k|.  A
+    non-finite k makes a non-finite stage, which the escape check of
+    n_vortex_rhs rejects before any pair check.  Only the stage loop of more
+    than kernel.LIST_MAX_POINTS vortices builds stages this way; _run_plan
+    writes the same bound out."""
     logs, fastest = [], 0.0
     for l, v in zip(log_z, k):
         logs.append(l + h * v)
@@ -225,7 +223,7 @@ def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> t
             fastest = speed
     d = h * fastest
     # d >= 1 moves a vortex farther than the annulus is wide, and exp(d) may overflow
-    clear = d < 1 and closest - 2 * SQRT_PHI * d * math.exp(d) >= 2 * COLLISION_DISTANCE
+    clear = d < 1 and closest - 2 * ANNULUS.outer_radius * d * math.exp(d) >= 2 * COLLISION_DISTANCE
     return logs, field, clear
 
 
@@ -237,7 +235,8 @@ def _run_plan(n: int):
     and does the stage loop's work in its order: _stage's max|k| and pair
     bound (n >= 2), _principal's fast test inline (the call wraps or raises),
     the exact pair check the bound does not clear, the field; then the
-    update, the step end's checks and the row positions[step].  make binds the
+    update, the step end's checks (no pair check for n < 2, whose closest no
+    stage reads) and the row positions[step].  make binds the
     field and the annulus constants; _principal and _check_pairs are looked
     up in this module as the loop runs.  The source is registered in
     linecache under the code's file name, so tracebacks show its lines."""
@@ -269,12 +268,12 @@ def _run_plan(n: int):
             *stage("ka", "half", "kb"), *stage("kb", "half", "kc"), *stage("kc", "dt", "kd"),
             *(f"l{i} = l{i} + sixth * (ka{i} + 2 * kb{i} + 2 * kc{i} + kd{i})" for i in points),
             *checked("l", "step"),
-            f"closest = _check_pairs([{each('exp(l{0})')}], step)",
+            *([f"closest = _check_pairs([{each('exp(l{0})')}], step)"] if n > 1 else []),
             f"positions[step] = [{logs}]"]
     source = "".join([
         "def make(field):\n",
-        "    exp, exp_real, pi, outer = cmath.exp, math.exp, math.pi, LOG_OUTER_RADIUS\n",
-        "    drift, apart = 2 * SQRT_PHI, 2 * COLLISION_DISTANCE\n",
+        "    exp, exp_real, pi, outer = cmath.exp, math.exp, math.pi, ANNULUS.log_outer_radius\n",
+        "    drift, apart = 2 * ANNULUS.outer_radius, 2 * COLLISION_DISTANCE\n",
         f"    def run({''.join(f'l{i}, ' for i in points)}closest, steps, dt, positions):\n",
         "        half, sixth = 0.5 * dt, dt / 6.0\n",
         "        for step in range(1, steps + 1):\n",
@@ -358,23 +357,22 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 evolution of l = log z, kept on the principal branch;
     aborts on boundary escape or near-collision.  Every stage is
     escape-checked on its logs before any exponential (see n_vortex_rhs).  The
-    exact pair distances are taken once per step, on z = exp(l) at its end
-    (and at step 0); a later stage checks its pairs only when the distance it
-    can have moved leaves no proof that they stay 2 COLLISION_DISTANCE apart
-    (see _stage).  The dt guard reads the wall distance at step 0.  Up to
-    kernel.LIST_MAX_POINTS vortices the steps run in the loop _run_plan
-    compiles for N, which does the stage loop's work in the same order with
-    the same checks, errors and bits; above it, in the loop over
-    n_vortex_rhs stages.  The times are one cumulative sum of dt, which adds
-    in sequence as t += dt does.  The logs fill the trajectory and become
-    positions in place at the end, as z_0 exp(l - l_0), which keeps row 0
-    and a still vortex bit for bit."""
+    exact pair distances are taken at step 0 and, from N = 2, once per step,
+    on z = exp(l) at its end; a later stage checks its pairs only when the
+    distance it can have moved leaves no proof that they stay
+    2 COLLISION_DISTANCE apart (see _stage).  The dt guard reads the wall
+    distance at step 0.  Up to kernel.LIST_MAX_POINTS vortices the steps run
+    in the loop _run_plan compiles for N (same checks, errors and bits);
+    above it, in the loop over n_vortex_rhs stages.  The times are one
+    cumulative sum of dt, which adds in sequence as t += dt does.  The logs
+    fill the trajectory and become positions in place at the end, as
+    z_0 exp(l - l_0), which keeps row 0 and a still vortex bit for bit."""
     z = np.asarray(state.positions, dtype=complex)
     zs = z.tolist()
     field = _velocity_field(state.circulations)
     log_z, closest = _checked_logs(zs, 0), _check_pairs(zs, 0)
     radii = list(map(abs, zs))
-    wall = min(min(radii) - 1.0, SQRT_PHI - max(radii)) if radii else math.inf
+    wall = min(min(radii) - 1.0, ANNULUS.outer_radius - max(radii)) if radii else math.inf
     scale = min(wall, closest)
     # dz/dt = z dl/dt
     vmax = max(map(abs, map(operator.mul, zs, n_vortex_rhs((log_z, field, True)))), default=0.0)
@@ -418,9 +416,9 @@ def _pair_log_matrix(zs: np.ndarray) -> np.ndarray:
     the limit of ln|P(zeta)/(1 - zeta)| at zeta = 1.
     """
     zeta = kernel.pair_arguments(zs)
-    lnp = kernel.log_abs_prime(zeta, LEVEL)
+    lnp = kernel.log_abs_prime(zeta, ANNULUS.k)
     direct = np.log(np.abs(zs)) + lnp[0]
-    direct.flat[:: len(zs) + 1] = 2 * kernel.nome(LEVEL).log_euler
+    direct.flat[:: len(zs) + 1] = 2 * kernel.nome(ANNULUS.k).log_euler
     return direct - lnp[1] + np.log(np.abs(zeta[1]))
 
 
@@ -442,9 +440,9 @@ def green_function(z: complex, z_l: complex) -> float:
     if abs(z - z_l) < COLLISION_DISTANCE:
         raise ValueError("green_function arguments coincide")
     zeta = np.array([z / z_l, z * z_l.conjugate()])
-    lnp = kernel.log_abs_prime(zeta, LEVEL)
+    lnp = kernel.log_abs_prime(zeta, ANNULUS.k)
     pair = math.log(abs(z_l)) + lnp[0] - lnp[1] + math.log(abs(zeta[1]))
-    return float(-pair / (2 * math.pi) + math.log(PHI) / (4 * math.pi))
+    return float(-pair / (2 * math.pi) + ANNULUS.log_outer_radius / (2 * math.pi))
 
 
 def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:
@@ -455,7 +453,7 @@ def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:
     """
     if n_vortices < 1:
         raise ValueError("need at least one vortex")
-    if not 1.0 < r < SQRT_PHI:
+    if not 1.0 < r < ANNULUS.outer_radius:
         raise ValueError(f"radius must lie in (1, sqrt(phi)), got {r:.6f}")
     total = 0j
     r2 = r * r
@@ -478,7 +476,7 @@ def semiclassical_energy(n: int, gamma: float) -> float:
     if gamma == 0:
         return 0.0
     half = n + 0.5
-    val = float(kernel.log_abs_prime(half, LEVEL)) - math.log(half)
+    val = float(kernel.log_abs_prime(half, ANNULUS.k)) - math.log(half)
     return gamma * gamma / (4 * math.pi) * val
 
 

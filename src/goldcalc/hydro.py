@@ -15,9 +15,10 @@ velocity; the stream function Im F is single-valued and branch-free.
 
 The ladders, like the phi-exponential and phi-logarithm closed forms below,
 are expansions of the annulus prime function of `goldcalc.kernel`.  The
-production path (`flow`, `field_grid`) evaluates that function in closed
-form; the expansions stay as the independent oracles `verify` and the tests
-compare it against.
+production path (`flow`, `field_grid`, `vortex_psi`) evaluates that function
+in closed form on a `kernel.Annulus`, which holds the level; the expansions
+stay as the independent oracles `verify` and the tests compare it against,
+with the ladders' truncation on `AnnulusSpec`.
 """
 
 from __future__ import annotations
@@ -33,34 +34,35 @@ from goldcalc.ring import PHI
 
 SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
 CHUNK = kernel.CHUNK  # points per array pass of field_grid and rows per block of the file writers
+# field_grid's deepest images, z0 phi^(-80 k) and phi^(-79 k) / conj(z0): from exclusion
+# 0.5 on nothing else bounds its windows below, and deeper ones lie as close to 0, within
+# about 2e-17 |z0| or 2e-17 / |z0|
+IMAGE_DEPTH = 80
 
 
 class SingularityProximityError(ValueError):
     """Evaluation point too close to a vortex or one of its images."""
 
 
+def _check_vortex(annulus: kernel.Annulus, z0: complex, gamma: float) -> None:
+    """Raise ValueError for a vortex that is not finite or not inside the annulus."""
+    if not (cmath.isfinite(z0) and math.isfinite(gamma)):
+        raise ValueError(f"vortex position and circulation must be finite, "
+                         f"got z0 = {z0!r}, gamma = {gamma!r}")
+    annulus.check(z0)
+
+
 @dataclass(frozen=True)
-class AnnulusSpec:
-    """Golden annulus at level k: inner radius 1, outer radius phi^(k/2)."""
+class AnnulusSpec(kernel.Annulus):
+    """The image ladders' annulus: the level k and the ladders' truncation."""
 
     k: int = 1
     truncation: int = 80
 
     def __post_init__(self) -> None:
-        kernel.check_level(self.k)
+        super().__post_init__()
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
-
-    @property
-    def inner_radius(self) -> float:
-        return 1.0
-
-    @property
-    def outer_radius(self) -> float:
-        return PHI ** (self.k / 2)
-
-    def contains(self, z: complex) -> bool:
-        return self.inner_radius < abs(z) < self.outer_radius
 
 
 @dataclass(frozen=True)
@@ -72,27 +74,22 @@ class ImageSystem:
     annulus: AnnulusSpec = AnnulusSpec()
 
     def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.z0) and math.isfinite(self.gamma)):
-            raise ValueError(f"vortex position and circulation must be finite, "
-                             f"got z0 = {self.z0!r}, gamma = {self.gamma!r}")
-        if not self.annulus.contains(self.z0):
-            raise ValueError(
-                f"vortex must sit strictly inside the annulus "
-                f"1 < |z| < {self.annulus.outer_radius:.6f}, got |z0| = {abs(self.z0):.6f}")
+        _check_vortex(self.annulus, self.z0, self.gamma)
+
+
+def _images(z0: complex, k: int, fam1_range, fam2_range):
+    """Image ladders z0 phi^(k n) for n in fam1_range and phi^(k n)/conj(z0) for
+    n in fam2_range, as arrays."""
+    fam1 = z0 * PHI ** (k * np.asarray(fam1_range, dtype=float))
+    fam2 = (1.0 / z0.conjugate()) * PHI ** (k * np.asarray(fam2_range, dtype=float))
+    return fam1, fam2
 
 
 def _ladders(sys: ImageSystem, fam1_range=None, fam2_range=None):
-    """Image ladders z0 phi^(k n) for n in fam1_range and phi^(k n)/conj(z0) for
-    n in fam2_range, as arrays; the default ranges are the module's pairing."""
+    """_images of the system, by default over the module's pairing of ranges."""
     n = sys.annulus.truncation
-    k = sys.annulus.k
-    if fam1_range is None:
-        fam1_range = range(-n, n + 1)
-    if fam2_range is None:
-        fam2_range = range(1 - n, n + 1)
-    fam1 = sys.z0 * PHI ** (k * np.asarray(fam1_range, dtype=float))
-    fam2 = (1.0 / sys.z0.conjugate()) * PHI ** (k * np.asarray(fam2_range, dtype=float))
-    return fam1, fam2
+    return _images(sys.z0, sys.annulus.k, range(-n, n + 1) if fam1_range is None else fam1_range,
+                   range(1 - n, n + 1) if fam2_range is None else fam2_range)
 
 
 def _check_clearance(z, points: np.ndarray) -> None:
@@ -204,9 +201,8 @@ def _ephi_ratio_log(z: complex, zs: complex) -> complex:
 
 
 def _vortex_clearance(z: complex, zs: complex) -> None:
-    ns = np.arange(-60, 61, dtype=float)  # the images within phi^60 of the vortex
-    pts = np.concatenate([zs * PHI**ns, (1.0 / zs.conjugate()) * PHI**ns])
-    _check_clearance(z, pts)
+    ns = range(-60, 61)  # the images within phi^60 of the vortex
+    _check_clearance(z, np.concatenate(_images(zs, 1, ns, ns)))
 
 
 def potential_via_e_phi(vortices, z: complex) -> complex:
@@ -259,7 +255,7 @@ def _psi_term(gamma: float, z0: complex, zeta: np.ndarray, dz: np.ndarray, lnp: 
     return -gamma / (2 * math.pi) * (lnp_near - lnp[1] + log_r)
 
 
-def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
+def flow(annulus: kernel.Annulus, vortices, z) -> tuple[np.ndarray, np.ndarray]:
     """Stream function psi and conjugate velocity u - i v at the points z.
 
     vortices is a sequence of (z0, gamma).  Each vortex contributes
@@ -277,7 +273,7 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
     vel = np.zeros(z.shape, dtype=complex)
     log_r = np.log(np.abs(z))
     for z0, gamma in vortices:
-        ImageSystem(z0, gamma, annulus)  # validates the vortex
+        _check_vortex(annulus, z0, gamma)
         if gamma == 0:
             continue
         zeta = np.stack([z / z0, z * np.conj(z0)])
@@ -291,10 +287,11 @@ def flow(annulus: AnnulusSpec, vortices, z) -> tuple[np.ndarray, np.ndarray]:
     return psi, vel
 
 
-def vortex_psi(annulus: AnnulusSpec, z0: complex, gamma: float, z: np.ndarray) -> np.ndarray:
+def vortex_psi(annulus: kernel.Annulus, z0: complex, gamma: float, z: np.ndarray) -> np.ndarray:
     """psi of flow for the one vortex (z0, gamma) at the points z, from ln|P|
     alone: no K and no velocity, whose factor gamma / z can overflow where
     psi does not (gamma near the float maximum)."""
+    _check_vortex(annulus, z0, gamma)
     zeta = np.stack([z / z0, z * np.conj(z0)])
     return _psi_term(gamma, z0, zeta, z - z0, kernel.log_abs_prime(zeta, annulus.k), np.log(np.abs(z)))
 
@@ -382,7 +379,7 @@ class FlowGrid:
             fh.write("}]" if len(self) else "]")
 
 
-def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
+def field_grid(annulus: kernel.Annulus, vortices, resolution: tuple[int, int],
                exclusion: float = 1e-6) -> FlowGrid:
     """Sample psi and (u, v) on an nx-by-ny grid over the annulus bounding box.
 
@@ -396,7 +393,8 @@ def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
         raise ValueError("resolution must be at least 2x2")
     if not 0 <= exclusion < math.inf:
         raise ValueError(f"exclusion must be finite and non-negative, got {exclusion!r}")
-    systems = [ImageSystem(z0, gamma, annulus) for z0, gamma in vortices]
+    for z0, gamma in vortices:
+        _check_vortex(annulus, z0, gamma)
     r_out = annulus.outer_radius
     xs = np.linspace(-r_out, r_out, nx)
     ys = np.linspace(-r_out, r_out, ny)
@@ -407,15 +405,15 @@ def field_grid(annulus: AnnulusSpec, vortices, resolution: tuple[int, int],
     keep = (annulus.inner_radius < r) & (r < r_out)
     # an image 2 `exclusion` outside the annulus (twice, for rounding) excludes none of
     # its points, one beyond 3 r_out none that the vortex does not; the ladders' radii
-    # |z0| phi^(k n), n in [-t, t], and phi^(k n) / |z0|, n in [1 - t, t], give the windows
+    # |z0| phi^(k n) and phi^(k n) / |z0| give the windows, down to IMAGE_DEPTH
     lo = math.log(1 - 2 * exclusion) if exclusion < 0.5 else -math.inf
     hi = math.log(r_out + 2 * min(exclusion, r_out))
-    step, t = annulus.k * kernel.LN_PHI, annulus.truncation
-    for s in systems:
-        a = math.log(abs(s.z0))
-        ns = [range(math.ceil(max((lo + b) / step, n0)), math.floor(min((hi + b) / step, t)) + 1)
-              for b, n0 in ((-a, -t), (a, 1 - t))]
-        for w in np.concatenate(_ladders(s, *ns)):
+    step = annulus.k * kernel.LN_PHI
+    for z0, _ in vortices:
+        a = math.log(abs(z0))
+        ns = [range(math.ceil(max((lo + b) / step, n0)), math.floor((hi + b) / step) + 1)
+              for b, n0 in ((-a, -IMAGE_DEPTH), (a, 1 - IMAGE_DEPTH))]
+        for w in np.concatenate(_images(z0, annulus.k, *ns)):
             keep &= ~(np.abs(w - z) < exclusion)
     z = z[keep]
     psi = np.empty(len(z))

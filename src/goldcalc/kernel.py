@@ -11,6 +11,8 @@ The image ladders of `hydro`, the phi-logarithm pole sums and the
 phi-exponential Euler products are three expansions of ln|P| and of its
 logarithmic derivative K(zeta) = zeta P'(zeta) / P(zeta); they stay in the
 library as independent oracles.  This module evaluates ln|P| and K directly.
+The level k lives here: `Annulus(k)` checks it and holds the radii and the
+bounds check that `hydro` and `dynamics` use, and `nome(k)` its constants.
 
 P is a Jacobi theta function of nome p^(1/2).  Jacobi's imaginary
 transformation (DLMF §20.7(viii)) rewrites it in the dual nome
@@ -82,6 +84,7 @@ import itertools
 import linecache
 import math
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -133,20 +136,52 @@ def _direct_terms(lam: float, spread: float) -> int:
     return max(0, math.ceil(spread + _LN_INV_TAIL / lam))
 
 
-def check_level(k: int) -> None:
-    """Raise ValueError unless k is a positive integer with phi^k a finite double."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"annulus level k must be a positive integer, got {k!r}")
-    try:
-        PHI**k
-    except OverflowError:
-        raise ValueError(f"annulus level k = {k} is too large: phi^{k} overflows") from None
+@dataclass(frozen=True)
+class Annulus:
+    """The golden annulus 1 < |z| < phi^(k/2) of level k, in plain floats; k is
+    a positive integer (a numpy one becomes its int) with phi^k a finite double."""
+
+    k: int
+    inner_radius = 1.0
+
+    def __post_init__(self) -> None:
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"annulus level k must be a positive integer, got {k!r}")
+        object.__setattr__(self, "k", int(k))
+        try:
+            PHI**self.k
+        except OverflowError:
+            raise ValueError(f"annulus level k = {k} is too large: phi^{k} overflows") from None
+
+    @property
+    def outer_radius(self) -> float:
+        return PHI ** (self.k / 2)
+
+    @property
+    def log_outer_radius(self) -> float:
+        return self.k * LN_PHI / 2
+
+    @property
+    def mean_radius(self) -> float:
+        """phi^(k/4), the geometric mean of the radii, where a lone vortex is still."""
+        return PHI ** (self.k / 4)
+
+    def contains(self, z) -> bool:
+        """Whether z lies in the open annulus; no non-finite z does."""
+        return 1.0 < abs(z) < self.outer_radius
+
+    def check(self, z) -> None:
+        """Raise ValueError unless z lies in the open annulus."""
+        if not self.contains(z):
+            raise ValueError(f"point at |z| = {abs(z):.6f} outside the open annulus "
+                             f"1 < |z| < {self.outer_radius:.6f} of level k = {self.k}")
 
 
 @lru_cache(maxsize=64)
 def nome(k: int) -> Nome:
     """Constants of the level-k annulus; raises ValueError for an invalid k."""
-    check_level(k)
+    Annulus(k)
     lam = k * LN_PHI
     p = math.exp(-lam)
     q = math.exp(-4 * math.pi**2 / lam)

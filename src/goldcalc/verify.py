@@ -505,7 +505,7 @@ def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
 def omega_zero_by_bisection() -> tuple[float, int]:
     """Locate the zero of the rotation frequency at kappa = 1; also count sign changes."""
     kappa = 1.0
-    lo, hi = 1.0 + 1e-9, dynamics.SQRT_PHI - 1e-9
+    lo, hi = 1.0 + 1e-9, dynamics.ANNULUS.outer_radius - 1e-9
     rs = np.linspace(lo, hi, 200)
     vals = [dynamics.single_vortex_omega(float(r), kappa) for r in rs]
     changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)

@@ -289,6 +289,15 @@ class TestField:
         assert run_cli(["field", "--z0", "2.0+0i", "--gamma", "1.0", "--k", "1",
                         "--grid", "10x10", "--out", str(out)]) == 1
 
+    def test_vortex_outside_the_level_4_annulus_names_its_radius(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run_cli(["field", "--k", "4", "--z0", "2.7+0i", "--gamma", "1.0",
+                        "--grid", "10x10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "goldcalc field: error: point at |z| = 2.700000 outside the open annulus "
+            "1 < |z| < 2.618034 of level k = 4\n")
+        assert not out.exists()
+
     def test_unwritable_path_is_error(self, capsys):
         assert run_cli(["field", "--z0", "1.2+0i", "--gamma", "1.0", "--k", "1",
                         "--grid", "8x8", "--out", "/nonexistent/dir/f.csv"]) == 1

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from goldcalc import dynamics, hydro, kernel
 from goldcalc.dynamics import (
-    GEOMETRIC_MEAN_RADIUS,
-    SQRT_PHI,
+    ANNULUS,
     IntegratorConfig,
     Trajectory,
     VortexCollisionError,
@@ -44,7 +43,8 @@ class TestVortexState:
     def test_validation(self):
         with pytest.raises(ValueError):
             VortexState((0.9 + 0j,), (1.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point at \|z\| = 1.400000 outside the open annulus "
+                                             r"1 < \|z\| < 1.272020 of level k = 1$"):
             VortexState((1.4 + 0j,), (1.0,))
         with pytest.raises(ValueError):
             VortexState((1.1 + 0j,), (1.0, 2.0))
@@ -58,7 +58,7 @@ class TestVortexState:
 
 class TestSingleVortexOmega:
     def test_stationary_at_geometric_mean(self):
-        assert single_vortex_omega(GEOMETRIC_MEAN_RADIUS, 0.7) == pytest.approx(0.0, abs=1e-12)
+        assert single_vortex_omega(ANNULUS.mean_radius, 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_strength(self):
         assert single_vortex_omega(1.2, 0.0) == 0.0
@@ -67,19 +67,19 @@ class TestSingleVortexOmega:
         with pytest.raises(ValueError):
             single_vortex_omega(1.0, 1.0)
         with pytest.raises(ValueError):
-            single_vortex_omega(SQRT_PHI, 1.0)
+            single_vortex_omega(ANNULUS.outer_radius, 1.0)
 
     def test_boundary_frequency_ratio_is_phi(self):
         # approach the walls at matched relative offsets
         delta = 1e-4
         w_in = single_vortex_omega(1.0 * (1 + delta), 1.0)
-        w_out = single_vortex_omega(SQRT_PHI * (1 - delta), 1.0)
+        w_out = single_vortex_omega(ANNULUS.outer_radius * (1 - delta), 1.0)
         assert abs(abs(w_in) / abs(w_out) - PHI) < 1e-3
 
 
 class TestNVortexRhs:
     def test_stationary_point(self):
-        st = VortexState((GEOMETRIC_MEAN_RADIUS + 0j,), (1.0,))
+        st = VortexState((ANNULUS.mean_radius + 0j,), (1.0,))
         (v,) = n_vortex_rhs(st)
         assert abs(v) < 1e-12
 
@@ -122,7 +122,7 @@ class TestNVortexRhs:
     @pytest.mark.parametrize("log_z, message", [
         (complex(-math.inf, 2.0), "left the annulus"),  # z = 0
         (complex(math.log(0.999), 2.0), "left the annulus"),
-        (complex(math.log(SQRT_PHI + 1e-3), 2.0), "left the annulus"),
+        (complex(math.log(ANNULUS.outer_radius + 1e-3), 2.0), "left the annulus"),
         (complex(math.nan, 2.0), "position became non-finite"),
         (complex(math.inf, 2.0), "position became non-finite"),
         (complex(0.1, math.inf), "position became non-finite"),
@@ -160,9 +160,9 @@ class TestNVortexRhs:
     @pytest.mark.parametrize("n", [2, LIST_MAX + 1], ids=["list", "numpy"])
     @pytest.mark.parametrize("z, inside", [
         (math.nextafter(1.0, 2.0) + 0j, True),  # one ulp inside 1
-        (math.nextafter(SQRT_PHI, 0.0) * 1j, True),  # one ulp inside sqrt(phi)
+        (math.nextafter(ANNULUS.outer_radius, 0.0) * 1j, True),  # one ulp inside sqrt(phi)
         (cmath.rect(1.0, 0.7), True),  # |z| rounds to 1, but ln|z| > 0
-        (-SQRT_PHI + 0j, False),
+        (-ANNULUS.outer_radius + 0j, False),
     ])
     def test_start_check_classifies_wall_points_as_the_rhs_does(self, z, inside, n):
         # integrate's check at step 0 takes the logs of the positions, the
@@ -272,9 +272,9 @@ class TestIntegrate:
         assert np.max(np.abs(np.abs(traj.positions[:, 0]) - 1.1)) <= 1e-15
 
     def test_stationary_vortex_does_not_drift(self):
-        st = VortexState((GEOMETRIC_MEAN_RADIUS + 0j,), (1.0,))
+        st = VortexState((ANNULUS.mean_radius + 0j,), (1.0,))
         traj = integrate(st, IntegratorConfig(1e-3, 1000))
-        drift = abs(traj.positions[-1, 0] - GEOMETRIC_MEAN_RADIUS)
+        drift = abs(traj.positions[-1, 0] - ANNULUS.mean_radius)
         assert drift < 1e-9
 
     def test_rotation_rate_matches_omega(self):
@@ -301,7 +301,7 @@ class TestIntegrate:
         # bypass state validation to model a corrupted/boundary-contact state
         st = object.__new__(VortexState)
         object.__setattr__(st, "positions", tuple(1.15 * cmath.exp(1j * l) for l in range(1, n))
-                           + (SQRT_PHI + 0.01 + 0j,))
+                           + (ANNULUS.outer_radius + 0.01 + 0j,))
         object.__setattr__(st, "circulations", (1.0,) * n)
         with pytest.raises(VortexEscapeError) as err:
             integrate(st, IntegratorConfig(1e-3, 10))
@@ -363,6 +363,16 @@ class TestIntegrate:
         integrate(st, IntegratorConfig(1e-3, 50))
         assert steps == list(range(51))
 
+    def test_one_vortex_checks_no_pairs_after_step_0(self, monkeypatch):
+        # a lone vortex has no pair, and its step end reads no distance
+        steps = []
+        check = dynamics._check_pairs
+        monkeypatch.setattr(dynamics, "_check_pairs",
+                            lambda zs, step: steps.append(step) or check(zs, step))
+        traj = integrate(VortexState((1.1 * cmath.exp(0.2j),), (1.0,)), IntegratorConfig(1e-3, 50))
+        assert steps == [0]
+        assert np.isfinite(traj.positions).all()
+
     @pytest.mark.parametrize("spectators", [0, LIST_MAX - 2], ids=["list", "numpy"])
     @pytest.mark.parametrize("orientation, dt_fraction", [(1, 0.2), (1, 0.9), (-1, 0.9)])
     def test_near_collision_aborts_where_checking_every_stage_does(
@@ -411,7 +421,7 @@ class TestIntegrate:
         ((1.1 * cmath.exp(0.4j),), (1.3,)),
         ((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7)),
         (tuple(1.15 * cmath.exp(1j * (0.5 + 2 * math.pi * l / 3)) for l in range(3)), (1.0, 0.8, 1.2)),
-        (tuple(GEOMETRIC_MEAN_RADIUS * cmath.exp(2j * math.pi * l / 16 + 0.1j) for l in range(16)),
+        (tuple(ANNULUS.mean_radius * cmath.exp(2j * math.pi * l / 16 + 0.1j) for l in range(16)),
          (1.0,) * 16),
         (tuple(1.12 * cmath.exp(1j * (0.4 + 2 * math.pi * l / LIST_MAX)) for l in range(LIST_MAX)),
          tuple(1.0 - 0.4 * l for l in range(LIST_MAX))),
@@ -455,7 +465,8 @@ def mixed_states(draw) -> VortexState:
     n = draw(st.integers(1, LIST_MAX + 1))
     zs = []
     for l in range(n):
-        z = cmath.rect(draw(st.floats(1.05, SQRT_PHI - 0.05)), 2 * math.pi * (l + draw(st.floats(0, 1))) / n)
+        z = cmath.rect(draw(st.floats(1.05, ANNULUS.outer_radius - 0.05)),
+                       2 * math.pi * (l + draw(st.floats(0, 1))) / n)
         if all(abs(z - y) > 0.2 for y in zs):
             zs.append(z)
     return VortexState(tuple(zs), tuple(draw(st.floats(-1, 1)) for _ in zs))
@@ -603,8 +614,8 @@ class TestGreenFunction:
 class TestRingSolution:
     def test_geometric_mean_closed_form(self):
         for n in (1, 2, 3, 5):
-            got = ring_frequency(n, GEOMETRIC_MEAN_RADIUS, 1.0)
-            assert got == pytest.approx((n - 1) / (4 * math.pi * SQRT_PHI), abs=1e-12)
+            got = ring_frequency(n, ANNULUS.mean_radius, 1.0)
+            assert got == pytest.approx((n - 1) / (4 * math.pi * ANNULUS.outer_radius), abs=1e-12)
 
     def test_single_vortex_reduction(self):
         for r in (1.05, 1.2, 1.26):
@@ -613,25 +624,25 @@ class TestRingSolution:
 
     def test_simulated_three_ring(self):
         n = 3
-        r = GEOMETRIC_MEAN_RADIUS
+        r = ANNULUS.mean_radius
         st = VortexState(tuple(r * cmath.exp(2j * math.pi * l / n) for l in range(n)),
                          (1.0,) * n)
         traj = integrate(st, IntegratorConfig(1e-3, 4000))
         angles = np.unwrap(np.angle(traj.positions[:, 0]))
         measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
-        expected = 1.0 * (n - 1) / (4 * math.pi * SQRT_PHI)
+        expected = 1.0 * (n - 1) / (4 * math.pi * ANNULUS.outer_radius)
         assert abs(measured - expected) / expected < 1e-4
 
     def test_simulated_sixteen_ring(self):
         # the benchmark's ring: every vortex turns at the closed-form rate to
         # the 1e-7 its gate allows
         n = 16
-        st = VortexState(tuple(GEOMETRIC_MEAN_RADIUS * cmath.exp(2j * math.pi * l / n + 0.2j)
+        st = VortexState(tuple(ANNULUS.mean_radius * cmath.exp(2j * math.pi * l / n + 0.2j)
                                for l in range(n)), (1.0,) * n)
         traj = integrate(st, IntegratorConfig(1e-3, 30))
         angles = np.unwrap(np.angle(traj.positions), axis=0)
         measured = (angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
-        expected = ring_frequency(n, GEOMETRIC_MEAN_RADIUS, 1.0)
+        expected = ring_frequency(n, ANNULUS.mean_radius, 1.0)
         assert np.max(np.abs(measured - expected)) / expected < 1e-7
 
     def test_domain(self):

@@ -88,6 +88,55 @@ class TestNome:
         assert np.max(np.abs(kernel.log_abs_prime(zeta, k) - direct_p)) < 1e-13
 
 
+class TestAnnulus:
+    @pytest.mark.parametrize("k", LEVELS + [1474])
+    def test_radii_bit_for_bit(self, k):
+        # the expressions hydro and dynamics computed the radii by before the
+        # level had one object
+        ann = kernel.Annulus(k)
+        assert ann.inner_radius == 1.0
+        assert ann.outer_radius.hex() == (PHI ** (k / 2)).hex()
+        assert ann.log_outer_radius.hex() == (k * kernel.LN_PHI / 2).hex()
+        assert ann.mean_radius.hex() == (PHI ** (k / 4)).hex()
+        if k == 1:
+            assert ann.outer_radius.hex() == SQRT_PHI.hex()
+            assert ann.mean_radius.hex() == (PHI**0.25).hex()
+
+    @pytest.mark.parametrize("k", [1, 4, 20])
+    def test_check_rejects_what_contains_rejects(self, k):
+        ann = kernel.Annulus(k)
+        radii = [r for wall in (1.0, ann.outer_radius)
+                 for r in (math.nextafter(wall, 0.0), wall, math.nextafter(wall, math.inf))]
+        points = [z for r in radii + [0.0, ann.mean_radius] for z in (complex(r, 0.0), complex(0.0, -r))]
+        points += [complex(math.nan, 0.0), complex(1.1, math.nan), complex(math.inf, 0.0),
+                   complex(0.0, -math.inf), math.nan, math.inf]
+        inside = []
+        for z in points:
+            if ann.contains(z):
+                ann.check(z)
+                inside.append(z)
+            else:
+                with pytest.raises(ValueError, match=rf"outside the open annulus 1 < \|z\| < "
+                                                     rf"{ann.outer_radius:.6f} of level k = {k}$"):
+                    ann.check(z)
+        # one ulp inside each wall, and the mean radius, on both axes
+        assert inside == [points[i] for i in (4, 5, 6, 7, 14, 15)]
+
+    @pytest.mark.parametrize("k, message", [
+        (True, "must be a positive integer, got True"), (0, "must be a positive integer, got 0"),
+        (-1, "must be a positive integer, got -1"), (2.0, "must be a positive integer, got 2.0"),
+        ("1", "must be a positive integer, got '1'"), (1475, "= 1475 is too large: phi\\^1475 overflows"),
+        (np.int64(1475), "= 1475 is too large: phi\\^1475 overflows")])
+    def test_invalid_level(self, k, message):
+        with pytest.raises(ValueError, match=f"^annulus level k {message}$"):
+            kernel.Annulus(k)
+
+    def test_numpy_integer_level(self):
+        ann = kernel.Annulus(np.int64(4))
+        assert ann == kernel.Annulus(4) and type(ann.k) is int
+        assert type(ann.outer_radius) is float
+
+
 class TestFlowAgainstLadders:
     @settings(max_examples=150, deadline=None)
     @given(k=st.sampled_from(LEVELS), f0=st.floats(0.05, 0.95), a0=angles,
@@ -309,7 +358,7 @@ class TestRhsAgainstPairReference:
         tuple(1.0 - 0.4 * l for l in range(LIST_MAX + 2))))
     def test_rhs_equals_velocity_from_log_derivative(self, state):
         zs, gammas = np.array(state.positions), np.array(state.circulations)
-        ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
+        ref_d, k_squared = pair_reference(zs, dynamics.ANNULUS.k)
         ref = np.conj((ref_d + 1) @ gammas / (2j * math.pi * zs))
         # TestPairLogDerivative's bound on each D entry, summed with |gamma|
         tol = ((1e-13 * np.maximum(1.0, np.abs(ref_d)) + 1e-15 * k_squared) @ np.abs(gammas)
@@ -349,7 +398,7 @@ class TestPairBlockRows:
         stage = ring_stage(150)
         zs = np.exp(stage[0])
         gammas = np.array([1.0 - 1.5 * l / 150 for l in range(150)])
-        ref_d, k_squared = pair_reference(zs, dynamics.LEVEL)
+        ref_d, k_squared = pair_reference(zs, dynamics.ANNULUS.k)
         two_pi_r2 = 2 * math.pi * np.abs(zs) ** 2
         ref = 1j * np.conj((ref_d + 1) @ gammas) / two_pi_r2  # dl/dt
         # TestPairLogDerivative's bound on each D entry, summed with |gamma|
@@ -578,6 +627,16 @@ class TestFieldGridPointSet:
         grid = hydro.field_grid(ann, [(z0, 1.0)], (n, n + 3), exclusion=exclusion)
         assert [r[:2] for r in grid.rows] == ladder_rule_points(ann, z0, (n, n + 3), exclusion)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("exclusion", [0.6, 1.2])
+    def test_wide_exclusion_same_points_as_default_ladders(self, k, exclusion):
+        # from exclusion 0.5 on nothing but IMAGE_DEPTH bounds the images below;
+        # it keeps the points of the ladders' default truncation
+        z0 = point(k, 0.3, 0.7)
+        grid = hydro.field_grid(kernel.Annulus(k), [(z0, 1.0)], (41, 41), exclusion=exclusion)
+        kept = ladder_rule_points(hydro.AnnulusSpec(k), z0, (41, 41), exclusion)
+        assert [r[:2] for r in grid.rows] == kept
+
     @pytest.mark.parametrize("exclusion", [1e-6, 1e-3, 5e-2])
     def test_vortex_on_a_grid_point_and_near_the_walls(self, exclusion):
         # z0 on a grid node, and z0 close to either wall so that an image
@@ -587,3 +646,26 @@ class TestFieldGridPointSet:
         for z0 in (complex(xs[38], xs[20]), 1.0005 + 0j, (ann.outer_radius - 5e-4) * 1j):
             grid = hydro.field_grid(ann, [(z0, 1.0)], (41, 41), exclusion=exclusion)
             assert [r[:2] for r in grid.rows] == ladder_rule_points(ann, z0, (41, 41), exclusion)
+
+
+class TestProductionPathBuildsNoOracle:
+    def test_no_image_system(self, monkeypatch):
+        # field, simulate and their library calls use kernel.Annulus alone,
+        # which has no ladder truncation to read
+        def refuse(*args, **kwargs):
+            raise AssertionError("the production path built an ImageSystem")
+
+        monkeypatch.setattr(hydro, "ImageSystem", refuse)
+        ann = kernel.Annulus(4)
+        z0 = point(4, 0.3, 0.7)
+        for exclusion in (1e-6, 0.6):
+            assert len(hydro.field_grid(ann, [(z0, 1.0)], (30, 30), exclusion=exclusion))
+        psi, vel = hydro.flow(ann, [(z0, 1.0)], np.array([1.5 + 0.2j]))
+        assert np.isfinite(psi).all() and np.isfinite(vel).all()
+        assert np.isfinite(hydro.vortex_psi(ann, z0, 1.0, np.array([1.5 + 0.2j]))).all()
+        for n in (2, 16):
+            state = dynamics.VortexState(
+                tuple(dynamics.ANNULUS.mean_radius * cmath.exp(2j * math.pi * l / n + 0.1j)
+                      for l in range(n)), (1.0,) * n)
+            traj = dynamics.integrate(state, dynamics.IntegratorConfig(1e-3, 10))
+            assert np.isfinite(traj.positions).all()
