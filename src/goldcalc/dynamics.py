@@ -15,12 +15,11 @@ comparison on Re l, then N complex exps and the pair sums.  The number of
 vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at
 the measured crossover; see `goldcalc.kernel`): up to that N in plain complex
 arithmetic, with no numpy call; above it numpy builds the pair block and the
-N x N distance matrix, both in blocks of rows.  The same N chooses the step
-loop: up to it the whole RK4 loop is compiled once per N to straight-line
-Python (`_run_plan`), with every vortex and stage on local names around the
-calls of the field, since the stage records, calls and lists of a loop over
-stages cost about as much as the pair sums of a few vortices; above it a loop
-over the stages calls `n_vortex_rhs`, and has no per-vortex names to unroll.
+N x N distance matrix, both in blocks of rows.  The RK4 loop is compiled once
+per N to straight-line Python (`_run_plan`), with every vortex and stage on
+local names around the calls of the field, since the stage records, calls
+and lists of a loop over stages cost about as much as the pair sums of a few
+vortices.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -203,43 +201,29 @@ def _velocity_field(circulations) -> Callable[[list], list]:
     return kernel.pair_evaluator(list(map(float, circulations)), ANNULUS.k)
 
 
-def _stage(log_z: list, h: float, k: list, field: Callable, closest: float) -> tuple:
-    """The RK4 stage log_z + h k, as the tuple (logs, field, pairs_clear) that
-    n_vortex_rhs takes, of positions whose pairs are at least closest apart.
-    Vortex l moves from z_l to z_l e^(h k_l), so by at most
-    |z_l| |h k_l| e^|h k_l| < r_out d e^d, d = h max|k|, r_out the outer
-    radius, and every pair there is at least closest - 2 r_out d e^d apart;
-    pairs_clear says that is at least 2 COLLISION_DISTANCE, whose factor 2
-    absorbs the rounding of both.  One loop builds the logs and max|k|.  A
-    non-finite k makes a non-finite stage, which the escape check of
-    n_vortex_rhs rejects before any pair check.  Only the stage loop of more
-    than kernel.LIST_MAX_POINTS vortices builds stages this way; _run_plan
-    writes the same bound out."""
-    logs, fastest = [], 0.0
-    for l, v in zip(log_z, k):
-        logs.append(l + h * v)
-        speed = abs(v)
-        if speed > fastest:
-            fastest = speed
-    d = h * fastest
-    # d >= 1 moves a vortex farther than the annulus is wide, and exp(d) may overflow
-    clear = d < 1 and closest - 2 * ANNULUS.outer_radius * d * math.exp(d) >= 2 * COLLISION_DISTANCE
-    return logs, field, clear
-
-
 @lru_cache(maxsize=16)
 def _run_plan(n: int):
     """make(field) -> run(l_0, ..., l_{n-1}, closest, steps, dt, positions),
     integrate's RK4 loop for n vortices, compiled once from source that writes
-    a step out on local names (logs l_i, stages m_i, velocities ka_i .. kd_i)
-    and does the stage loop's work in its order: _stage's max|k| and pair
-    bound (n >= 2), _principal's fast test inline (the call wraps or raises),
-    the exact pair check the bound does not clear, the field; then the
-    update, the step end's checks (no pair check for n < 2, whose closest no
-    stage reads) and the row positions[step].  make binds the
-    field and the annulus constants; _principal and _check_pairs are looked
-    up in this module as the loop runs.  The source is registered in
-    linecache under the code's file name, so tracebacks show its lines."""
+    a step out on local names (logs l_i, stages m_i, velocities ka_i .. kd_i).
+    Stage 1 is the step end's checked logs.  A later stage log_z + h k takes
+    max|k| and the pair bound (n >= 2), _principal's fast test inline (the
+    call wraps or raises), the exact pair check the bound does not clear, and
+    the field; then come the update, the step end's checks (no pair check
+    for n < 2, whose closest no stage reads) and the row positions[step].
+
+    The pair bound: vortex l moves from z_l to z_l e^(h k_l), so by at most
+    |z_l| |h k_l| e^|h k_l| < r_out d e^d, d = h max|k|, r_out the outer
+    radius, and every pair of the stage is at least closest - 2 r_out d e^d
+    apart; clear says that is at least 2 COLLISION_DISTANCE, whose factor 2
+    absorbs the rounding of both.  d >= 1 moves a vortex farther than the
+    annulus is wide (and exp(d) may overflow), so it never clears.  A
+    non-finite k makes a non-finite stage, which the escape test rejects
+    before any pair check.
+
+    make binds the field and the annulus constants; _principal and
+    _check_pairs are looked up in this module as the loop runs.
+    kernel.compile_make registers the source in linecache."""
     points = range(n)
 
     def each(template: str, sep: str = ", ") -> str:
@@ -279,22 +263,19 @@ def _run_plan(n: int):
         "        for step in range(1, steps + 1):\n",
         *(f"            {line}\n" for line in body),
         "    return run\n"])
-    filename = f"<goldcalc.dynamics RK4 run n={n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    made: dict = {}
-    exec(compile(source, filename, "exec"), globals(), made)
-    return made["make"]
+    return kernel.compile_make(source, f"<goldcalc.dynamics RK4 run n={n}>", globals())
 
 
 def n_vortex_rhs(state: VortexState | tuple) -> list[complex]:
     """dz_l/dt of a VortexState, from a velocity field built for this call,
     or dl_l/dt, l = log z, of an RK4 stage, the tuple (log_z, field,
-    pairs_clear) of _stage, from the run's field: direct pair terms plus all
-    images, as a list of Python complex numbers.  The pair term's relative
-    precision is about 1e-16 / |z_l - z_j|, far below the RK4 error for any
-    pair it resolves.  Checks come first, exponentials after: _principal
-    raises VortexEscapeError (step None) for a position outside the open
-    annulus or non-finite, then VortexCollisionError for a pair closer than
+    pairs_clear) that integrate's dt guard and _stage_field pass, from the
+    run's field: direct pair terms plus all images, as a list of Python
+    complex numbers.  The pair term's relative precision is about
+    1e-16 / |z_l - z_j|, far below the RK4 error for any pair it resolves.
+    Checks come first, exponentials after: _principal raises
+    VortexEscapeError (step None) for a position outside the open annulus or
+    non-finite, then VortexCollisionError for a pair closer than
     COLLISION_DISTANCE (unless pairs_clear says none can be), so a bad stage
     emits no numpy warning."""
     if isinstance(state, VortexState):
@@ -317,8 +298,8 @@ def _stage_field(field: Callable) -> Callable:
     field itself, or, where n_vortex_rhs has been replaced by a wrapper (one
     that counts or times its calls), the field called through that wrapper
     as the stage (logs, field, True), so the wrapper sees the 4 stages of
-    each step as it does in the stage loop.  The loop has checked the logs
-    and the pairs, so the call returns the field's velocities."""
+    each step.  The loop has checked the logs and the pairs, so the call
+    returns the field's velocities."""
     rhs = n_vortex_rhs
     if getattr(rhs, "__code__", None) is _RHS_CODE:
         return field
@@ -360,13 +341,12 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     exact pair distances are taken at step 0 and, from N = 2, once per step,
     on z = exp(l) at its end; a later stage checks its pairs only when the
     distance it can have moved leaves no proof that they stay
-    2 COLLISION_DISTANCE apart (see _stage).  The dt guard reads the wall
-    distance at step 0.  Up to kernel.LIST_MAX_POINTS vortices the steps run
-    in the loop _run_plan compiles for N (same checks, errors and bits);
-    above it, in the loop over n_vortex_rhs stages.  The times are one
-    cumulative sum of dt, which adds in sequence as t += dt does.  The logs
-    fill the trajectory and become positions in place at the end, as
-    z_0 exp(l - l_0), which keeps row 0 and a still vortex bit for bit."""
+    2 COLLISION_DISTANCE apart (see _run_plan).  The dt guard reads the wall
+    distance at step 0.  The steps run in the loop _run_plan compiles for N.
+    The times are one cumulative sum of dt, which adds in sequence as
+    t += dt does.  The logs fill the trajectory and become positions in
+    place at the end, as z_0 exp(l - l_0), which keeps row 0 and a still
+    vortex bit for bit."""
     z = np.asarray(state.positions, dtype=complex)
     zs = z.tolist()
     field = _velocity_field(state.circulations)
@@ -388,19 +368,7 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     positions = np.empty((steps + 1, n), dtype=complex)
     positions[0] = z
     log_0 = np.array(log_z, dtype=complex)
-    if n <= kernel.LIST_MAX_POINTS:
-        _run_plan(n)(_stage_field(field))(*log_z, closest, steps, dt, positions)
-    else:
-        half, sixth, exp = 0.5 * dt, dt / 6.0, cmath.exp
-        for step in range(1, steps + 1):
-            k1 = n_vortex_rhs((log_z, field, True))
-            k2 = n_vortex_rhs(_stage(log_z, half, k1, field, closest))
-            k3 = n_vortex_rhs(_stage(log_z, half, k2, field, closest))
-            k4 = n_vortex_rhs(_stage(log_z, dt, k3, field, closest))
-            log_z = _principal([a + sixth * (b + 2 * c + 2 * d + e)
-                                for a, b, c, d, e in zip(log_z, k1, k2, k3, k4)], step)
-            closest = _check_pairs(list(map(exp, log_z)), step)
-            positions[step] = log_z
+    _run_plan(n)(_stage_field(field))(*log_z, closest, steps, dt, positions)
     rest = positions[1:]
     rest -= log_0
     np.exp(rest, out=rest)
@@ -436,7 +404,10 @@ def green_function(z: complex, z_l: complex) -> float:
 
     Vanishes on the outer circle |z| = sqrt(phi) and equals
     ln|sqrt(phi)/z_l| / (2 pi) on the inner circle; symmetric in its arguments.
+    The source point z_l must lie in the open annulus; the field point z may
+    lie on either wall.
     """
+    ANNULUS.check(z_l)
     if abs(z - z_l) < COLLISION_DISTANCE:
         raise ValueError("green_function arguments coincide")
     zeta = np.array([z / z_l, z * z_l.conjugate()])

@@ -60,21 +60,17 @@ LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of rows whose
 temporaries hold about CHUNK entries (64 KB), so its memory does not grow as
 N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair is summed in
 plain complex arithmetic, since each numpy call has a fixed cost of about a
-microsecond, which at a few points outweighs the arithmetic.  Those sums are
-compiled on first use, once per (N, k), to straight-line code with every
-vortex and every pair on local names (_sum_plan): a loop over the pairs spent
-most of its time on lists, zip and pair indices.  Compiling takes 0.1 to
-0.3 ms at N = 1 and 3 to 6 ms at N = 7; importing compiles nothing.
-LIST_MAX_POINTS is the crossover of whole RK4 steps of `dynamics.integrate` at
-k = 1 (three runs, each the best of 30 or 40 interleaved rounds of 300 steps,
-2-core Xeon VM, Python 3.11, numpy 2.4): with the compiled sums a step takes
-0.60x to 0.64x of its time with the block at N = 7 all round the circle and
-0.82x to 0.85x within a half turn, and 0.80x to 0.83x and 0.88x to 1.00x at
-N = 8, whose 4 to 6 ms of compiling cost 40 to 60 steps: no clear win within
-a half turn.  At k = 1 the plain sums of a few vortices away from antipodal add
-no g(w) term, so a step is interpreter work around a few dozen complex
-operations per vortex: about 8, 16 and 25 us at N = 1, 2 and 3, and about 5,
-12 and 20 us since `dynamics.integrate` compiles its step loop as well.
+microsecond, which at a few points outweighs the arithmetic.  At k = 1 the
+plain sums of a few vortices away from antipodal add no g(w) term, so they
+are interpreter work around a few dozen complex operations per vortex, and
+a loop over the pairs spent most of its time on lists, zip and pair
+indices.  So they are compiled on first use, once per (N, k), to
+straight-line code with every vortex and every pair on local names
+(_sum_plan); importing compiles nothing.  LIST_MAX_POINTS is the measured
+crossover of whole RK4 steps of `dynamics.integrate` at k = 1: at N = 7 the
+compiled sums beat the block clearly; at N = 8 they win for points all round
+the circle, but not clearly within a half turn once their compiling, tens of
+steps, is counted.
 """
 
 from __future__ import annotations
@@ -380,6 +376,16 @@ def _pair_block(weights: np.ndarray, k: int):
     return evaluate
 
 
+def compile_make(source: str, filename: str, names: dict):
+    """The function make that the generated source defines, compiled under
+    filename with the globals names.  The source is registered in linecache
+    under that name first, so tracebacks and inspect show its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    made: dict = {}
+    exec(compile(source, filename, "exec"), names, made)
+    return made["make"]
+
+
 @lru_cache(maxsize=64)
 def _sum_plan(n: int, k: int):
     """make(w_0, ..., w_{n-1}, total) -> evaluate, the plain pair sums of n
@@ -387,8 +393,7 @@ def _sum_plan(n: int, k: int):
     every vortex and every pair out on local names.  The level's constants
     are the code's globals: c = 2 pi i/lam, -2/lam, Q and 1/Q, the g(w) sums
     s_m of gap 0 and the one more of a gap of at least reach, the diagonal's
-    constant.  The source is registered in linecache under the code's file
-    name, so tracebacks and inspect show its lines."""
+    constant.  compile_make registers the source in linecache."""
     nm = nome(k)
     near = pair_terms(nm, 0.0)
     # pair_terms(nm, gap) exceeds near from gap = reach on; beyond pi no pair gets there
@@ -425,10 +430,7 @@ def _sum_plan(n: int, k: int):
             "return [", *(velocity.format(i=i) for i in points), "]"]
     source = "".join([f"def make({''.join(f'w{i}, ' for i in points)}total):\n", "    def evaluate(log_z):\n",
                       *(f"        {line}\n" for line in body), "    return evaluate\n"])
-    filename = f"<goldcalc.kernel pair sums n={n} k={k}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), names)
-    return names["make"]
+    return compile_make(source, f"<goldcalc.kernel pair sums n={n} k={k}>", names)
 
 
 def _pair_sums(weights: list, k: int):

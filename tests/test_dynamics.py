@@ -507,22 +507,28 @@ def states_at_the_cut(draw) -> VortexState:
 
 
 class TestCompiledRun:
-    """Up to LIST_MAX vortices integrate runs the step loop _run_plan
-    compiles for N; above it, the loop over n_vortex_rhs stages."""
+    """integrate runs the step loop _run_plan compiles for N, at every N:
+    with the plain pair sums up to LIST_MAX vortices, with numpy's pair
+    block and pair check above it."""
 
     @settings(max_examples=40, deadline=None)
     @given(state=states_at_the_cut())
     @example(state=VortexState((1.22 * cmath.exp(3.13j), 1.08 * cmath.exp(1.0j)), (1.0, -0.6)))
+    @example(state=VortexState(tuple(cmath.rect(PHI**0.25, 2 * math.pi * i / 16) for i in range(16)), (1.0,) * 16))
     def test_equals_plain_array_rk4_across_the_cut(self, state):
-        # the example's first vortex turns 0.4 rad across the cut at pi
+        # the first example's first vortex turns 0.4 rad across the cut at
+        # pi; the second is the benchmark's simulate ring at phase 0, whose
+        # vortex 8 starts on the cut
         cfg = IntegratorConfig(2.5e-3, 160)
         got = integrate(state, cfg).positions[-1]
         assert np.max(np.abs(got - array_rk4(state, cfg)), initial=0.0) <= 1e-13
 
-    @pytest.mark.parametrize("most", [LIST_MAX, 1], ids=["compiled", "stages"])
-    def test_field_takes_logs_on_the_principal_branch(self, monkeypatch, most):
+    @pytest.mark.parametrize("spectators", [0, LIST_MAX - 1], ids=["list", "numpy"])
+    def test_field_takes_logs_on_the_principal_branch(self, monkeypatch, spectators):
         # the pair sums size their terms from the angles; the first vortex
-        # turns across the cut at pi, from 3.13 to -2.72
+        # turns across the cut at pi, from 3.13 to -2.72.  Far vortices of
+        # zero circulation, from angle 0.2 to 1.45, take N past LIST_MAX
+        # without moving the pair
         angles = []
         build = dynamics._velocity_field
 
@@ -531,8 +537,9 @@ class TestCompiledRun:
             return lambda log_z: angles.extend(l.imag for l in log_z) or field(log_z)
 
         monkeypatch.setattr(dynamics, "_velocity_field", recorded)
-        monkeypatch.setattr(kernel, "LIST_MAX_POINTS", most)
-        integrate(VortexState((1.22 * cmath.exp(3.13j), 1.08 * cmath.exp(1.0j)), (1.0, -0.6)),
+        far = tuple(1.2 * cmath.exp(1j * (0.2 + 0.25 * l)) for l in range(spectators))
+        integrate(VortexState((1.22 * cmath.exp(3.13j), 1.08 * cmath.exp(1.0j)) + far,
+                              (1.0, -0.6) + (0.0,) * spectators),
                   IntegratorConfig(2.5e-3, 160))
         assert all(-math.pi < a <= math.pi for a in angles) and min(angles) < -2.7
 
@@ -545,20 +552,21 @@ class TestCompiledRun:
             return lambda log_z: [0j] * (n - 1) + [50.0 + 0j if next(calls) == 1 else 0j]
         return build
 
-    @pytest.mark.parametrize("n", [1, 2, 3, LIST_MAX])
-    def test_stage_escape_raises_as_the_stage_loop_does(self, monkeypatch, n):
-        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(n))
-        st = VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n - 1)) + (1.2 + 0j,), (1.0,) * n)
-        errors = []
-        for most in (n, n - 1):  # the compiled loop, then the stage loop
-            monkeypatch.setattr(kernel, "LIST_MAX_POINTS", most)
-            with pytest.raises(VortexEscapeError) as err:
-                integrate(st, IntegratorConfig(0.02, 5))
-            errors.append((err.value.step, err.value.index, str(err.value)))
-        assert errors[0] == errors[1] == (None, n - 1, f"vortex {n - 1} left the annulus during evaluation"
-                                                       " (|z| = 1.978466)")
+    @staticmethod
+    def escaping(n: int) -> VortexState:
+        """n vortices whose last, at 1.2, out_in_stage_two(n) sends out."""
+        return VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n - 1)) + (1.2 + 0j,),
+                           (1.0,) * n)
 
-    @pytest.mark.parametrize("n", [1, 2, LIST_MAX])
+    @pytest.mark.parametrize("n", [1, 2, 3, LIST_MAX, LIST_MAX + 1, 16])
+    def test_stage_escape_raises_during_evaluation(self, monkeypatch, n):
+        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(n))
+        with pytest.raises(VortexEscapeError) as err:
+            integrate(self.escaping(n), IntegratorConfig(0.02, 5))
+        assert (err.value.step, err.value.index, str(err.value)) == (
+            None, n - 1, f"vortex {n - 1} left the annulus during evaluation (|z| = 1.978466)")
+
+    @pytest.mark.parametrize("n", [1, 2, LIST_MAX, LIST_MAX + 1, 16])
     def test_wrapped_rhs_sees_every_stage_and_changes_no_bit(self, monkeypatch, n):
         st = VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n)),
                          tuple(1.0 - 0.2 * l for l in range(n)))
@@ -572,13 +580,15 @@ class TestCompiledRun:
         assert np.array_equal(wrapped.positions, plain.positions)
         assert np.array_equal(wrapped.times, plain.times)
 
-    def test_traceback_shows_the_generated_line(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(2))
+    @pytest.mark.parametrize("n", [2, LIST_MAX + 1, 16])
+    def test_traceback_shows_the_generated_line(self, monkeypatch, n):
+        monkeypatch.setattr(dynamics, "_velocity_field", self.out_in_stage_two(n))
         with pytest.raises(VortexEscapeError) as err:
-            integrate(VortexState((1.15 + 0j, 1.2j), (1.0, 1.0)), IntegratorConfig(0.02, 5))
+            integrate(self.escaping(n), IntegratorConfig(0.02, 5))
         text = "".join(traceback.format_exception(err.value))
-        assert 'File "<goldcalc.dynamics RK4 run n=2>", line ' in text
-        assert "[m0, m1] = _principal([m0, m1], None)" in text
+        stage = ", ".join(f"m{i}" for i in range(n))
+        assert f'File "<goldcalc.dynamics RK4 run n={n}>", line ' in text
+        assert f"[{stage}] = _principal([{stage}], None)" in text
 
     def test_import_compiles_nothing(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -609,6 +619,18 @@ class TestGreenFunction:
     def test_coincidence_rejected(self):
         with pytest.raises(ValueError):
             green_function(self.ZL, self.ZL)
+
+    @pytest.mark.parametrize("z_l", [5.0 + 0j, 0.9j, ANNULUS.outer_radius + 0j, complex(math.nan, 0.0)])
+    def test_source_outside_the_annulus_rejected(self, z_l):
+        # the source point is checked as a vortex position is; 5.0 gave -0.0038
+        with pytest.raises(ValueError, match=r"^point at \|z\| = .* outside the open annulus "
+                                             r"1 < \|z\| < 1.272020 of level k = 1$"):
+            green_function(1.1 + 0j, z_l)
+
+    def test_field_point_on_either_wall_accepted(self):
+        # verify evaluates the field point exactly on both walls
+        for z in (1.0 + 0j, ANNULUS.outer_radius * cmath.exp(0.4j)):
+            assert math.isfinite(green_function(z, self.ZL))
 
 
 class TestRingSolution:
