@@ -4,7 +4,7 @@ The velocity of each vortex, the Hamiltonian and the Green function are all
 evaluated through the annulus prime function P of `goldcalc.kernel` at its level.
 The pair term K(z_l/z_j) of the velocity already contains the direct
 Biot-Savart term 1/(z_l - z_j).  The Hamiltonian, which checks the velocity,
-takes ln|P| of all 2 N^2 pair arguments as (N, N) numpy arrays.
+takes its ln|P| sums from the same pair block in numpy, on N exponentials.
 
 `integrate` steps l = log z, in which the annulus is the strip
 0 < Re l < ln sqrt(phi) and its dilations are translations.  It takes one
@@ -376,27 +376,23 @@ def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(times, positions)
 
 
-def _pair_log_matrix(zs: np.ndarray) -> np.ndarray:
-    """T_ij = ln|z_i - z_j| plus the image terms of the pair, through ln|P|.
-
-    Off the diagonal T_ij = ln|z_j| + ln|P(z_i/z_j)| - ln|P(z_i conj z_j)|
-    + ln|z_i conj z_j|; on it the first two terms become 2 ln (p; p)_inf,
-    the limit of ln|P(zeta)/(1 - zeta)| at zeta = 1.
-    """
-    zeta = kernel.pair_arguments(zs)
-    lnp = kernel.log_abs_prime(zeta, ANNULUS.k)
-    direct = np.log(np.abs(zs)) + lnp[0]
-    direct.flat[:: len(zs) + 1] = 2 * kernel.nome(ANNULUS.k).log_euler
-    return direct - lnp[1] + np.log(np.abs(zeta[1]))
-
-
 def hamiltonian(state: VortexState) -> float:
     """Conserved energy: pairwise ln-distance term plus image terms
     (self-terms i = j included), in the gauge of the phi-exponential product
-    prod_n (1 + w/phi^(n+2)) over all images."""
-    zs = np.asarray(state.positions, dtype=complex)
-    gs = np.asarray(state.circulations, dtype=float)
-    return float(-(gs @ _pair_log_matrix(zs) @ gs) / (4 * math.pi))
+    prod_n (1 + w/phi^(n+2)) over all images.
+
+    H = -(1 / 4 pi) sum_ij g_i g_j T_ij with T_ij = ln|z_j| + ln|P(z_i/z_j)|
+    - ln|P(z_i conj z_j)| + ln|z_i conj z_j|; on the diagonal the first two
+    terms become 2 ln (p; p)_inf (the kernel's pair evaluator on the points'
+    logs, `kernel._pair_block`, with its diagonal rule).  A pair closer than
+    COLLISION_DISTANCE raises VortexCollisionError (step None) before any log.
+    """
+    zs, gs = np.asarray(state.positions, dtype=complex), np.asarray(state.circulations, dtype=float)
+    _check_pairs(zs.tolist(), None)
+    log_z = np.log(zs)
+    sums = kernel._pair_block(gs, ANNULUS.k, log=True)(log_z.tolist())
+    # the rest of T @ g: ln|z_j| off the diagonal and ln|z_i| + ln|z_j|
+    return float(-(gs @ sums + 3 * (log_z.real @ gs) * gs.sum() - (gs * gs) @ log_z.real) / (4 * math.pi))
 
 
 def green_function(z: complex, z_l: complex) -> float:
@@ -405,15 +401,15 @@ def green_function(z: complex, z_l: complex) -> float:
     Vanishes on the outer circle |z| = sqrt(phi) and equals
     ln|sqrt(phi)/z_l| / (2 pi) on the inner circle; symmetric in its arguments.
     The source point z_l must lie in the open annulus; the field point z may
-    lie on either wall.
+    lie on either wall.  ln|P(z/z_l)| - ln|P(z conj(z_l))| comes from the
+    kernel's evaluator `kernel.prime_sums`, with z the target and z_l the source.
     """
     ANNULUS.check(z_l)
     if abs(z - z_l) < COLLISION_DISTANCE:
         raise ValueError("green_function arguments coincide")
-    zeta = np.array([z / z_l, z * z_l.conjugate()])
-    lnp = kernel.log_abs_prime(zeta, ANNULUS.k)
-    pair = math.log(abs(z_l)) + lnp[0] - lnp[1] + math.log(abs(zeta[1]))
-    return float(-pair / (2 * math.pi) + ANNULUS.log_outer_radius / (2 * math.pi))
+    lnp, _ = kernel.prime_sums([z], [z_l], [1.0], ANNULUS.k)
+    pair = 2 * math.log(abs(z_l)) + float(lnp[0]) + math.log(abs(z))
+    return (ANNULUS.log_outer_radius - pair) / (2 * math.pi)
 
 
 def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:
@@ -437,18 +433,22 @@ def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:
 
 
 def semiclassical_energy(n: int, gamma: float) -> float:
-    """Quantized single-vortex energy level E_n; finite for every n >= 0.
+    """Quantized single-vortex energy level E_n for an integer n >= 0.
 
     E_n = gamma^2/(4 pi) ln|e_phi(-phi h) e_phi(-phi^2/h)| with h = n + 1/2,
-    which is gamma^2/(4 pi) (ln|P(h)| - ln h).
+    which is gamma^2/(4 pi) (ln|P(h)| - ln h), with ln|P(h)| from the
+    kernel's series of w = exp(2 pi i ln h / lam) (`kernel.log_abs_prime`).
+    Raises ValueError for a level that is not a non-negative integer, and
+    for an energy that overflows.
     """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"level index must be a non-negative integer, got {n!r}")
     if gamma == 0:
         return 0.0
-    half = n + 0.5
-    val = float(kernel.log_abs_prime(half, ANNULUS.k)) - math.log(half)
-    return gamma * gamma / (4 * math.pi) * val
+    energy = gamma * gamma / (4 * math.pi) * (float(kernel.log_abs_prime(n + 0.5, ANNULUS.k)) - math.log(n + 0.5))
+    if not math.isfinite(energy):
+        raise ValueError(f"energy of level {n} at gamma = {gamma!r} is not finite")
+    return energy
 
 
 def load_initial_conditions(path) -> VortexState:

@@ -243,18 +243,6 @@ def velocity_via_ln_phi(vortices, z: complex) -> complex:
 
 # --- the production path: the annulus prime function ----------------------
 
-def _psi_term(gamma: float, z0: complex, zeta: np.ndarray, dz: np.ndarray, lnp: np.ndarray,
-              log_r: np.ndarray) -> np.ndarray:
-    """psi = -gamma / (2 pi) [ln|P(z/z0)| - ln|P(z conj(z0))| + ln|z|] of the
-    vortex (z0, gamma) at the points z, from zeta = [z/z0, z conj(z0)], their
-    ln|P| lnp, dz = z - z0 and log_r = ln|z|.  P(z/z0) carries the factor
-    1 - z/z0; from the rounded ratio it costs relative precision
-    1e-16/|z - z0| near the vortex, so it is swapped for the exact
-    difference: ln|1 - z/z0| -> ln|dz/z0|."""
-    lnp_near = lnp[0] - np.log(np.abs(1 - zeta[0])) + np.log(np.abs(dz / z0))
-    return -gamma / (2 * math.pi) * (lnp_near - lnp[1] + log_r)
-
-
 def flow(annulus: kernel.Annulus, vortices, z) -> tuple[np.ndarray, np.ndarray]:
     """Stream function psi and conjugate velocity u - i v at the points z.
 
@@ -263,37 +251,32 @@ def flow(annulus: kernel.Annulus, vortices, z) -> tuple[np.ndarray, np.ndarray]:
         u - i v = gamma / (2 pi i z) [K(z/z0) - K(z conj(z0)) + 1]
         psi     = -gamma / (2 pi) [ln|P(z/z0)| - ln|P(z conj(z0))| + ln|z|]
 
-    with P and K = zeta P'/P from `goldcalc.kernel`.  This psi equals
-    gamma ln|z0| / (2 pi) on the inner circle |z| = 1 and
-    gamma ln(|z0|^2 / phi^(k/2)) / (2 pi) on the outer one; it differs from
-    the truncated ladder's Im F by a constant.  `vortex_psi` is psi alone.
+    with P and K = zeta P'/P from the kernel's evaluator `kernel.prime_sums`:
+    the points are its targets, the vortices of nonzero gamma its sources.
+    A point on a vortex gets nan.  This psi equals gamma ln|z0| / (2 pi) on
+    the inner circle |z| = 1 and gamma ln(|z0|^2 / phi^(k/2)) / (2 pi) on
+    the outer one; it differs from the truncated ladder's Im F by a
+    constant.  `vortex_psi` is psi alone.
     """
     z = np.asarray(z, dtype=complex)
-    psi = np.zeros(z.shape)
-    vel = np.zeros(z.shape, dtype=complex)
-    log_r = np.log(np.abs(z))
     for z0, gamma in vortices:
         _check_vortex(annulus, z0, gamma)
-        if gamma == 0:
-            continue
-        zeta = np.stack([z / z0, z * np.conj(z0)])
-        lnp, kk = kernel.log_prime(zeta, annulus.k)
-        near, dz = zeta[0], z - z0
-        psi += _psi_term(gamma, z0, zeta, dz, lnp, log_r)
-        # as in _psi_term, the share -zeta/(1 - zeta) of K of the factor
-        # 1 - z/z0 goes to z/(z - z0)
-        k_near = kk[0] + near / (1 - near) + z / dz
-        vel += gamma / (2j * math.pi) * (k_near - kk[1] + 1) / z
-    return psi, vel
+    # gamma / (2 pi) as the weights, whose sums stay finite up to gamma near the float maximum
+    z_s = [z0 for z0, gamma in vortices if gamma != 0]
+    weights = [gamma / (2 * math.pi) for _, gamma in vortices if gamma != 0]
+    lnp, kk = kernel.prime_sums(z, z_s, weights, annulus.k, derivative=True)
+    total = sum(weights)
+    return -(lnp + total * np.log(np.abs(z))), (kk + total) / (1j * z)
 
 
 def vortex_psi(annulus: kernel.Annulus, z0: complex, gamma: float, z: np.ndarray) -> np.ndarray:
-    """psi of flow for the one vortex (z0, gamma) at the points z, from ln|P|
-    alone: no K and no velocity, whose factor gamma / z can overflow where
-    psi does not (gamma near the float maximum)."""
+    """psi of flow for the one vortex (z0, gamma) at the points z, from the
+    ln|P| sums of `kernel.prime_sums` alone: no K and no velocity, whose
+    factor gamma / z can overflow where psi does not (gamma near the float
+    maximum)."""
     _check_vortex(annulus, z0, gamma)
-    zeta = np.stack([z / z0, z * np.conj(z0)])
-    return _psi_term(gamma, z0, zeta, z - z0, kernel.log_abs_prime(zeta, annulus.k), np.log(np.abs(z)))
+    lnp, _ = kernel.prime_sums(z, [z0], [1.0], annulus.k)
+    return -gamma / (2 * math.pi) * (lnp + np.log(np.abs(z)))
 
 
 # --- sampled fields ---------------------------------------------------------

@@ -16,61 +16,45 @@ bounds check that `hydro` and `dynamics` use, and `nome(k)` its constants.
 
 P is a Jacobi theta function of nome p^(1/2).  Jacobi's imaginary
 transformation (DLMF §20.7(viii)) rewrites it in the dual nome
-Q = exp(-4 pi^2 / lam), lam = k ln(phi).  With L = log(zeta) on the principal
-branch, c = cos(2 pi L / lam) and s = sin(2 pi L / lam):
+Q = exp(-4 pi^2 / lam), lam = k ln(phi), and in w = exp(2 pi i L / lam),
+L = log(zeta) on any branch, c = 2 pi i / lam:
 
-    K(zeta)     = 1/2 + L/lam + (pi/lam) cot(pi L / lam)
-                  + (4 pi / lam) sum_n Q^n s / (1 - 2 Q^n c + Q^(2n))
-    ln|P(zeta)| = Re[L/2 + L^2/(2 lam) + log sin(pi L / lam)]
-                  + sum_n ln|1 - 2 Q^n c + Q^(2n)| + C_k
+    K(zeta)     = 1/2 + L/lam + i pi/lam + c g(w),
+    g(w)        = 1/(w - 1) - sum_n [Q^n w/(1 - Q^n w) - Q^n w^-1/(1 - Q^n w^-1)],
+    ln|P(zeta)| = Re[L/2 + L^2/(2 lam)] + pi Im L/lam - ln 2 + ln|w - 1|
+                  + sum_n ln|(1 - Q^n w)(1 - Q^n / w)| + C_k,
     C_k         = 2 ln (p; p)_inf - ln(pi / lam) - 2 sum_n ln(1 - Q^n).
 
-With w = exp(2 pi i L / lam), K = 1/2 + L/lam + i pi/lam + (2 pi i/lam) g(w),
-g(w) = 1/(w - 1) - sum_n [Q^n w/(1 - Q^n w) - Q^n w^-1/(1 - Q^n w^-1)].  For
-points z_j, `pair_evaluator` takes L = l_i - l_j and l_i + conj(l_j),
-l_j = log z_j, so w = e_i/e_j and e_i/conj(e_j), e_j = exp(2 pi i l_j / lam),
-and the two L differ by -2 ln|z_j|.  Moving l_i by 2 pi i m, w gains Q^m for
-both and g(w Q^m) = g(w) - m, so D is the same on every branch of every l_j.
-Both L of a pair have |Im L| = |gap|, the gap between the two points'
-angles, and the g(w) terms it needs grow with |gap| (pair_terms).  The
-plain pair sums move a gap wider than pi a turn, so each pair takes the
-terms of its own |gap| <= pi: none at k = 1 unless it is within about
-0.11 rad of antipodal.  The numpy block takes one count for all its
-entries, from the points' angular spread S with the cut at pi or at 0,
-whichever gives the smaller S: every pair then has |Im L| <= S.  Sizing its
-entries one by one would add passes over the block and save nothing for
-points all round the circle, whose nearly antipodal pairs need the terms
-either way (the one term of a 16-vortex ring at k = 1).  The
-diagonal D_ii = -K(|z_i|^2) has the real L = 2 ln|z_i| on every branch, so
-the plain sums give it the terms of gap 0: none at k = 1.
+Moving L by 2 pi i m multiplies w by Q^m and changes neither; the terms
+needed grow with |Im L| (pair_terms).  Q is 2e-36 at k = 1 and 1e-9 at
+k = 4, so the series needs one or two terms there.  As k grows Q tends to 1
+while p vanishes, and the product in p converges faster; each k uses the
+form that needs fewer terms to push the neglected tail below TAIL: the
+w-form up to k = 14, the direct product from k = 15.  Per-k constants are
+computed on first use and cached; importing this module does no work.
 
-Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the dual series needs one or two
-terms there.  As k grows Q tends to 1 while p vanishes, and the direct
-product in p converges faster; each k uses whichever form needs fewer terms
-to push the neglected tail below TAIL.  Per-k constants are computed on first
-use and cached; importing this module does no work.
-
-`pair_evaluator(weights, k)` gives the velocities of point vortices of
-circulations `weights` in l = log z: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)),
-S_l = sum_j w_j (D_lj + 1), which is (dz_l/dt) / z_l.  It takes only the logs,
-so an RK4 stage in l takes no log and divides by no z.  It binds the
-weights and their sum once, so `dynamics.integrate` builds one per run.  The
-pair sums have two forms, chosen by the number of points N.  Above
-LIST_MAX_POINTS numpy builds the (N, 2N) block, in blocks of rows whose
-temporaries hold about CHUNK entries (64 KB), so its memory does not grow as
-N^2; one block up to N = 45.  Up to LIST_MAX_POINTS every pair is summed in
-plain complex arithmetic, since each numpy call has a fixed cost of about a
-microsecond, which at a few points outweighs the arithmetic.  At k = 1 the
-plain sums of a few vortices away from antipodal add no g(w) term, so they
-are interpreter work around a few dozen complex operations per vortex, and
-a loop over the pairs spent most of its time on lists, zip and pair
-indices.  So they are compiled on first use, once per (N, k), to
-straight-line code with every vortex and every pair on local names
-(_sum_plan); importing compiles nothing.  LIST_MAX_POINTS is the measured
-crossover of whole RK4 steps of `dynamics.integrate` at k = 1: at N = 7 the
-compiled sums beat the block clearly; at N = 8 they win for points all round
-the circle, but not clearly within a half turn once their compiling, tens of
-steps, is counted.
+The flows need P of point pairs, zeta = z_t / z_s and z_t conj(z_s), whose
+w come from exponentials of the points: w = x_t / e_s and x_t / conj(e_s),
+e = x = exp(2 pi i log z / lam), one exp per point and a division per pair,
+where a complex log, sine and cosine of each argument took three
+transcendental calls per pair.  The two L of a pair differ by the real
+-2 ln|z_s|, so in their differences the real parts reduce to column terms.
+Three evaluators read the one series (_log_derivative, _log_abs_prime):
+- `prime_sums`, targets against sources, each pair moved into |Im L| <= pi,
+  with the exact difference z_t - z_s next to a source (`hydro.flow`,
+  `vortex_psi`, `dynamics.green_function`); `log_abs_prime` and
+  `log_derivative` are its case of the one source 1, for single arguments;
+- `_pair_block`, one set of points against itself with the diagonal rule,
+  on one branch for the whole set, so with no pass to wrap pairs one by one
+  (`pair_evaluator` above LIST_MAX_POINTS, `dynamics.hamiltonian`), in
+  blocks of rows of about CHUNK entries, so its memory does not grow as N^2;
+- up to LIST_MAX_POINTS, the measured crossover of whole RK4 steps at k = 1,
+  the same entries summed pair by pair in plain complex arithmetic by code
+  compiled once per (N, k) (_sum_plan): each numpy call has a fixed cost of
+  about a microsecond, which at a few points outweighs the arithmetic.
+The direct form builds the pair arguments from the points themselves.
+`pair_evaluator` gives vortex velocities in l = log z from the logs alone,
+so an RK4 stage in l takes no log and divides by no z.
 """
 
 from __future__ import annotations
@@ -111,7 +95,7 @@ class Nome(NamedTuple):
     pair_order: float       # log_Q(TAIL lam (1 - Q)^2 / (4 pi)), see pair_terms
     dual_sums: tuple        # Q^n + Q^-n for the pair_terms of the widest spread, 2 pi
     log_euler: float        # ln (p; p)_inf = sum_n ln(1 - p^n)
-    const: float            # C_k of ln|P| in the dual form
+    const: float            # C_k - ln 2, the constant of ln|P| in the dual form
 
 
 def _log_pochhammer(x: float) -> float:
@@ -181,8 +165,8 @@ def nome(k: int) -> Nome:
     lam = k * LN_PHI
     p = math.exp(-lam)
     q = math.exp(-4 * math.pi**2 / lam)
-    # |Im L| <= pi bounds |c|, |s| by Q^(-1/2), so dual term n is below
-    # (4 pi/lam + 2) Q^(n - 1/2), and the tail after M terms below that
+    # |Im L| <= pi bounds |w| and 1/|w| by Q^(-1/2), so dual term n of K and
+    # of ln|P| is below (4 pi/lam + 2) Q^(n - 1/2), and the tail after M terms below that
     # bound at n = M + 1 divided by (1 - Q)
     scale = (4 * math.pi / lam + 2) / (1 - q)
     terms = 0
@@ -194,7 +178,7 @@ def nome(k: int) -> Nome:
     widest = int(pair_order + 1) if dual else 0  # pair_terms at spread 2 pi
     dual_sums = tuple(q**n + q**-n for n in range(1, widest + 1))
     log_euler = _log_pochhammer(p)
-    const = 2 * log_euler - math.log(math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
+    const = 2 * log_euler - math.log(2 * math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
     return Nome(lam, p, dual, q, terms, pair_order, dual_sums, log_euler, const)
 
 
@@ -206,87 +190,120 @@ def pair_terms(nm: Nome, spread: float) -> int:
     return int(nm.pair_order + spread / (2 * math.pi))  # pair_order > 0 in the dual form
 
 
-def _prime_parts(zeta, k: int):
-    """zeta as an array, its Nome and what K and ln|P| share: L, sin x and cos x
-    with x = pi L / lam in the dual form, the product factor count in the direct one."""
-    zeta = np.asarray(zeta, dtype=complex)
-    nm, modulus = nome(k), np.abs(zeta)
-    if not (np.isfinite(modulus) & (modulus > 0)).all():  # before any log
+def _log_derivative(v: np.ndarray, d: np.ndarray, nm: Nome, count: int) -> np.ndarray:
+    """The part of K that the series carries, with count terms, in place of
+    d, which is v - 1 or the value of a caller's rule.  Dual form, v = w:
+    c g(w) = c/d less the terms q w/(1 - q w) - q w^-1/(1 - q w^-1)
+    = (w - 1/w)/(q + 1/q - w - 1/w), q = Q^n, which vanish at w = 1.
+    Direct form, v = zeta: K = 1 + 1/d + sum_n [1/(1 - p^n/zeta) - 1/(1 - p^n zeta)]."""
+    if nm.dual:
+        c = 2j * math.pi / nm.lam
+        out = np.divide(c, d, out=d)
+        if count:
+            inv = 1 / v
+            ends, odd = v + inv, c * (v - inv)
+            for s in nm.dual_sums[:count]:
+                out -= odd / (s - ends)
+        return out
+    out = np.divide(1, d, out=d)
+    out += 1
+    inv = 1 / v
+    for n in range(1, count + 1):
+        pn = nm.p**n
+        out += 1 / (1 - pn * inv) - 1 / (1 - pn * v)
+    return out
+
+
+def _log_abs_prime(v: np.ndarray, d: np.ndarray, nm: Nome, count: int) -> np.ndarray:
+    """The part of ln|P| that the series carries, with count terms:
+    ln|d| + sum_n ln|(1 - r^n v)(1 - r^n / v)|, with r = Q, v = w in the dual
+    form and r = p, v = zeta in the direct one; d is as in _log_derivative."""
+    out = np.log(np.abs(d))
+    ends, r = v + 1 / v, nm.q if nm.dual else nm.p
+    for n in range(1, count + 1):
+        out += np.log(np.abs((1 + r ** (2 * n)) - r**n * ends))
+    return out
+
+
+def _blocks(z_t: np.ndarray, z_s: np.ndarray, nm: Nome):
+    """(v, d = v - 1, count, on, log z_t, log z_s): the (M, 2N) block v of
+    the targets z_t, finite and nonzero (ValueError), against the sources
+    z_s, its count of terms, and the rows where a target is on a source.
+    Dual form: v = [x_t / e_s, x_t / conj(e_s)], x_t moved by Q^-+1 where
+    the angle gap wraps into [-pi, pi] (as _sum_plan's pairs are), so both L
+    of a pair share a branch with |Im L| <= pi; direct form: v = [z_t / z_s,
+    z_t conj(z_s)].  Where |d| < 1/2 the rounded logs would cost d relative
+    precision 1e-16/|z_t - z_s|, so d is taken from u = (z_t - z_s)/z_s:
+    expm1(2 pi i L/lam) of L = log(1 + u) in real arithmetic
+    (ln|1 + u| = log1p(2 Re u + |u|^2)/2), or u itself.  A target on a
+    source, u = 0, is found there, before any log or division; d is 1 there."""
+    if not (np.isfinite(z_t) & (z_t != 0)).all():  # before any log
         raise ValueError("prime function arguments must be finite and nonzero")
-    if not nm.dual:
-        spread = float(np.max(np.abs(np.log(modulus)), initial=0.0)) / nm.lam
-        return zeta, nm, _direct_terms(nm.lam, spread)
-    log_z = np.log(zeta)
-    x = (math.pi / nm.lam) * log_z
-    return zeta, nm, (log_z, np.sin(x), np.cos(x))
-
-
-def _log_derivative(zeta: np.ndarray, nm: Nome, parts) -> np.ndarray:
+    n, log_t, log_s = len(z_s), np.log(z_t), np.log(z_s)
     if nm.dual:
-        log_z, sin_x, cos_x = parts
-        out = (math.pi / nm.lam) * (cos_x / sin_x)
-        out += log_z / nm.lam
-        out += 0.5
-        # 1 - 2 q c + q^2 = (1 - q)^2 + 4 q sin^2 x and s = 2 sin x cos x
-        sin2, sin_cos = sin_x * sin_x, sin_x * cos_x
-        for n in range(1, nm.terms + 1):
-            qn = nm.q**n
-            out += (8 * math.pi / nm.lam * qn) * sin_cos / ((1 - qn) ** 2 + (4 * qn) * sin2)
-        return out
-    # K = 1 - 1/(1 - zeta) + sum_n [1/(1 - p^n/zeta) - 1/(1 - p^n zeta)]
-    out = 1 - 1 / (1 - zeta)
-    inv = 1 / zeta
-    pn = 1.0
-    for _ in range(parts):
-        pn *= nm.p
-        out += 1 / (1 - pn * inv) - 1 / (1 - pn * zeta)
-    return out
+        c = 2j * math.pi / nm.lam
+        turn = np.rint((log_t.imag[:, None] - log_s.imag) * (0.5 / math.pi))  # -1, 0 or 1
+        x, e = np.exp(c * log_t)[:, None] * np.exp(turn * (4 * math.pi**2 / nm.lam)), np.exp(c * log_s)
+        v = np.concatenate((x / e, x / np.conj(e)), axis=1)
+    else:
+        v = np.concatenate((z_t[:, None] / z_s, z_t[:, None] * np.conj(z_s)), axis=1)
+    d = v - 1
+    i, j = np.nonzero(np.abs(d[:, :n]) < 0.5)
+    u = (z_t[i] - z_s[j]) / z_s[j]
+    d[i, j] = np.expm1(c * (0.5 * np.log1p(2 * u.real + np.abs(u) ** 2) + 1j * np.angle(1 + u))) if nm.dual else u
+    count = nm.terms if nm.dual else _direct_terms(
+        nm.lam, float(np.max(np.abs(np.log(np.abs(v))), initial=0.0)) / nm.lam)
+    on = d == 0
+    d[on] = 1.0
+    return v, d, count, on.any(axis=1), log_t, log_s
 
 
-def _log_abs_prime(zeta: np.ndarray, nm: Nome, parts) -> np.ndarray:
-    if nm.dual:
-        log_z, sin_x, _ = parts
-        a, b = log_z.real, log_z.imag
-        out = a / 2 + (a * a - b * b) / (2 * nm.lam) + np.log(np.abs(sin_x)) + nm.const
-        sin2 = sin_x * sin_x
-        for n in range(1, nm.terms + 1):
-            qn = nm.q**n
-            out += np.log(np.abs((1 - qn) ** 2 + (4 * qn) * sin2))
-        return out
-    out = np.log(np.abs(1 - zeta))
-    inv = 1 / zeta
-    pn = 1.0
-    for _ in range(parts):
-        pn *= nm.p
-        out += np.log(np.abs((1 - pn * zeta) * (1 - pn * inv)))
-    return out
+def _argument(zeta, k: int, log: bool) -> np.ndarray:
+    """ln|P| (log) or K of each zeta: its block against the one source 1,
+    whose log is 0, so L = log zeta on the principal branch; nan at zeta = 1."""
+    nm, zeta = nome(k), np.asarray(zeta, dtype=complex)
+    v, d, count, on, log_z, _ = _blocks(zeta.ravel(), np.ones(1, dtype=complex), nm)
+    out = (_log_abs_prime if log else _log_derivative)(v[:, 0], d[:, 0], nm, count)
+    if nm.dual and log:  # Re[L/2 + L^2/(2 lam) - i pi L/lam] = Re[L/2 + L^2/(2 lam)] + pi Im L/lam
+        out += (log_z * (0.5 + log_z / (2 * nm.lam) - 1j * math.pi / nm.lam)).real + nm.const
+    elif nm.dual:
+        out += log_z / nm.lam + (0.5 + 1j * math.pi / nm.lam)
+    out[on] = np.nan
+    return out.reshape(zeta.shape)
 
 
 def log_derivative(zeta, k: int) -> np.ndarray:
     """K(zeta) = zeta P'(zeta) / P(zeta), elementwise over a complex array."""
-    return _log_derivative(*_prime_parts(zeta, k))
+    return _argument(zeta, k, False)
 
 
 def log_abs_prime(zeta, k: int) -> np.ndarray:
-    """ln|P(zeta)|, elementwise over a complex array (-inf at the zeros zeta = p^m)."""
-    return _log_abs_prime(*_prime_parts(zeta, k))
+    """ln|P(zeta)|, elementwise over a complex array."""
+    return _argument(zeta, k, True)
 
 
-def log_prime(zeta, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ln|P(zeta)|, K(zeta)), sharing one log, sin and cos of the arguments."""
-    parts = _prime_parts(zeta, k)
-    return _log_abs_prime(*parts), _log_derivative(*parts)
+def prime_sums(z_t, z_s, weights, k: int, derivative: bool = False):
+    """For each target z_t, sum_s weights_s [ln|P(z_t/z_s)| - ln|P(z_t conj z_s)|],
+    and with derivative also the same sums of K (else None), as arrays of
+    z_t's shape, from the blocks of _blocks; nan where a target is on a
+    source.  The sources z_s are points of the open annulus.  Each pair's
+    difference comes before its weight, as weights near the float maximum
+    need; in the dual form its real parts are the column terms
+    -(1 + 2 ln|z_t|/lam) ln|z_s| of ln|P| and -(2/lam) ln|z_s| of K."""
+    nm, z_t = nome(k), np.asarray(z_t, dtype=complex)
+    v, d, count, on, log_t, log_s = _blocks(z_t.ravel(), np.asarray(z_s, dtype=complex), nm)
+    n, weights = len(log_s), np.asarray(weights, dtype=float)
 
+    def summed(block: np.ndarray, scale) -> np.ndarray:
+        out = (block[:, :n] - block[:, n:]) @ weights
+        if nm.dual:
+            out -= scale * (log_s.real @ weights)
+        out[on] = np.nan
+        return out.reshape(z_t.shape)
 
-def pair_arguments(zs: np.ndarray) -> np.ndarray:
-    """Arguments (z_i / z_j, z_i conj(z_j)) as a (2, N, N) array; the zeros
-    zeta = 1 of the first block's diagonal become -1, for callers to replace."""
-    n = len(zs)
-    zeta = np.empty((2, n, n), dtype=complex)
-    np.divide(zs[:, None], zs, out=zeta[0])
-    np.multiply(zs[:, None], np.conj(zs), out=zeta[1])
-    zeta[0].flat[:: n + 1] = -1.0
-    return zeta
+    # ln|P| first: it reads d, which _log_derivative overwrites
+    lnp = summed(_log_abs_prime(v, d, nm, count), 1 + (2 / nm.lam) * log_t.real)
+    return lnp, summed(_log_derivative(v, d, nm, count), 2 / nm.lam) if derivative else None
 
 
 def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
@@ -317,61 +334,67 @@ def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=16)
-def _pair_rows(n: int, k: int) -> list:
+def _pair_rows(n: int, offset: complex) -> list:
     """The (N, 2N) block as blocks of rows, each a temporary of about CHUNK
-    entries, with their offsets: 1, and the value that makes
-    c / (w - offset) = -1/2 - i pi/lam where w = 1 on the diagonal.  The
-    offsets of every block are views of one flat array: with top the start
-    of the last block, the m rows from row a take the 2N m entries from
-    top - a, whose diagonal entries a + r (2N + 1) hold that value."""
+    entries, with their offsets: 1, and offset on the diagonal, where v = 1
+    and v - offset is d of _pair_block's diagonal rule.  The offsets of every
+    block are views of one flat array:
+    with top the start of the last block, the m rows from row a take the
+    2N m entries from top - a, whose diagonal entries a + r (2N + 1) hold
+    offset."""
+    if not n:
+        return []
     rows = min(n, max(1, CHUNK // (2 * n)))
     top = (n - 1) // rows * rows
     flat = np.ones(top + 2 * n * rows, dtype=complex)
-    flat[top :: 2 * n + 1] = 1 + 2j * math.pi / (nome(k).lam / 2 + 1j * math.pi)
+    flat[top :: 2 * n + 1] = offset
     flat.flags.writeable = False
     return [(slice(a, min(a + rows, n)), flat[top - a: top - a + 2 * n * rows].reshape(-1, 2 * n)[: n - a])
             for a in range(0, n, rows)]
 
 
-def _velocities(rows: np.ndarray, total, ln_r) -> np.ndarray:
-    """i conj(rows + total) / (2 pi e^(2 ln r_l)) in place, for the rows
-    D @ weights of points of log radii ln_r and total, the sum of the weights."""
-    rows += total
-    np.conj(rows, out=rows)
-    rows *= (I_OVER_TWO_PI * np.exp(-2 * np.asarray(ln_r))).reshape((-1,) + (1,) * (rows.ndim - 1))
-    return rows
-
-
-def _pair_block(weights: np.ndarray, k: int):
-    """The velocities from D @ weights through the (N, 2N) block
-    w = e_i / [e_j, conj(e_j)] in numpy, in the blocks of rows of _pair_rows."""
-    nm, blocks = nome(k), _pair_rows(len(weights), k)
-    c, scale, sums = 2j * math.pi / nm.lam, 2 / nm.lam, nm.dual_sums
+def _pair_block(weights: np.ndarray, k: int, log: bool = False):
+    """The callable log_z -> sum_j weights_j [F(z_i/z_j) - F(z_i conj(z_j))]
+    of the points z = exp(l), in numpy, for F = ln|P| with log, and for
+    F = K the velocities of pair_evaluator: prime_sums' evaluation with the
+    targets as the sources.  The points share the branch _pair_branches
+    chooses and the terms of its spread.  On the diagonal, v = 1, P loses
+    its factor 1 - zeta: _pair_rows' offsets make d the value for which
+    K(z_i/z_i) is 0 and ln|P(z_i/z_i)| is 2 ln (p; p)_inf, the limit of
+    ln|P(zeta)/(1 - zeta)| at 1 (c/d = -1/2 - i pi/lam, d = c, and d = -1
+    in the direct form).  The count is K's, which bounds ln|P|'s tail too
+    up to k = 13, and within 7% at k = 14."""
+    nm, n = nome(k), len(weights)
+    c, scale = 2j * math.pi / nm.lam, 2 / nm.lam
+    offset = (1 - c if log else 1 + 2j * math.pi / (nm.lam / 2 + 1j * math.pi)) if nm.dual else 2.0
+    blocks, series = _pair_rows(n, offset), _log_abs_prime if log else _log_derivative
     signed, total = np.concatenate((weights, -weights)), sum(weights)
     weight_list = weights.tolist() if weights.ndim == 1 else None
 
     def evaluate(log_z: list) -> np.ndarray:
-        log_z, terms = _pair_branches(log_z, nm)
-        e = [cmath.exp(c * l) for l in log_z]
-        e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
-        out = np.empty(weights.shape, dtype=complex)
+        if nm.dual:
+            log_z, count = _pair_branches(log_z, nm)
+            e = [cmath.exp(c * l) for l in log_z]
+            e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
+        else:
+            z = np.exp(np.asarray(log_z, dtype=complex))
+            e = np.concatenate((z, 1 / np.conj(z)))  # zeta = z_i / e_j
+            count = _direct_terms(nm.lam, 2 * max((abs(l.real) for l in log_z), default=0.0) / nm.lam)
+        out = np.empty(weights.shape, dtype=float if log else complex)
         for part, offsets in blocks:
-            w = e[part, None] / e
-            g = w - offsets
-            np.divide(c, g, out=g)
-            if terms:
-                # term n over one denominator: q w/(1 - q w) - q w^-1/(1 - q w^-1)
-                # = (w - 1/w) / (q + 1/q - w - 1/w), q = Q^n, which vanishes at w = 1
-                inv = 1 / w
-                ends, odd = w + inv, c * (w - inv)
-                for s in sums[:terms]:
-                    g -= odd / (s - ends)
-            g.dot(signed, out=out[part])
-        # column j's term -(2/lam) ln|z_j|, summed in plain arithmetic for 1-D weights
+            v = e[part, None] / e
+            series(v, v - offsets, nm, count).dot(signed, out=out[part])
         ln_r = [l.real for l in log_z]
-        col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
-        out -= scale * col
-        return _velocities(out, total, ln_r)
+        if nm.dual:  # column j's terms, summed in plain arithmetic for 1-D weights
+            col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
+            out -= (1 + scale * np.array(ln_r)) * col if log else scale * col
+        if log:
+            return out
+        # the velocities dl_l/dt = i conj(S_l) / (2 pi e^(2 ln|z_l|)), in place
+        out += total
+        np.conj(out, out=out)
+        out *= (I_OVER_TWO_PI * np.exp(-2 * np.asarray(ln_r))).reshape((-1,) + (1,) * (out.ndim - 1))
+        return out
 
     return evaluate
 
@@ -464,34 +487,14 @@ def pair_evaluator(weights, k: int):
     annulus: dl_l/dt = i conj(S_l) / (2 pi e^(2 Re l_l)), S_l = sum_j w_j
     (D_lj + 1), with D_lj = K(z_l/z_j) - K(z_l conj(z_j)) and
     D_ll = -K(|z_l|^2).  Built once per set of weights (an RK4 run), it binds
-    the weights and their sum, so a call does only the work the points need.
-
-    log_z, the list of Python complex numbers log z_j, is checked by the
-    caller before any exponential and put on the principal branch, whose
-    angles size the g(w) terms.  The N exps are plain complex arithmetic.
-    In the dual form the number of points chooses the pair sums:
-    - above LIST_MAX_POINTS numpy does the (N, 2N) block
-      w = e_i / [e_j, conj(e_j)] in rows of about CHUNK entries, with the
-      g(w) terms the points' angular spread needs, chosen on Python angles,
-      one product with [weights; -weights] and the scaling in place;
-    - up to LIST_MAX_POINTS the same entries are summed pair by pair in plain
-      complex arithmetic, by the code _sum_plan compiles for (N, k), each
-      pair with the terms of its own angle gap: weights given as a list of N
-      numbers give a list, with no numpy call.
-    The direct form takes log_derivative of all 2 N^2 pair arguments of the
-    points z = exp(l) at once.  Coincident points divide by 0."""
-    nm, n = nome(k), len(weights)
-    if not nm.dual:
-        total = sum(weights)
-
-        def direct(log_z: list) -> np.ndarray:
-            log_z = np.asarray(log_z, dtype=complex)
-            kk = log_derivative(pair_arguments(np.exp(log_z)), k)
-            kk[0].flat[:: n + 1] = 0.0
-            return _velocities((kk[0] - kk[1]) @ weights, total, log_z.real)
-        return direct
-    if n > LIST_MAX_POINTS:
-        return _pair_block(np.asarray(weights), k)
+    the weights and their sum.  log_z, the list of Python complex numbers
+    log z_j, is checked by the caller before any exponential and put on the
+    principal branch.  In the dual form up to LIST_MAX_POINTS points the
+    plain sums of _sum_plan take it (weights given as a list of N numbers
+    give a list, with no numpy call), else the numpy block of _pair_block.
+    Coincident points divide by 0."""
+    if not nome(k).dual or len(weights) > LIST_MAX_POINTS:
+        return _pair_block(np.asarray(weights, dtype=float), k)
     if isinstance(weights, list):
         return _pair_sums(weights, k)
     sums = _pair_sums(list(weights), k)

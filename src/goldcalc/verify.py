@@ -456,6 +456,18 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
                         (f"velocity {worst_v:.1e}", worst_v, 1e-10),
                         (f"psi differences {worst_psi:.1e}", worst_psi, 1e-10),
                         (f"pole-sum rhs {worst_pole:.1e}", worst_pole, 1e-10)))
+
+    worst, ann = 0.0, hydro.AnnulusSpec(1)
+    for _ in range(10):  # a vortex and two points 0.05 rad or more round from it, so 0.05 or more away
+        a0 = rng.uniform(-math.pi, math.pi)
+        z0, za, zb = (cmath.rect(rng.uniform(1.01, ann.outer_radius - 0.01), a0 + a)
+                      for a in (0.0, *rng.uniform(0.05, 2 * math.pi - 0.05, 2)))
+        fa, fb = (hydro.potential_via_e_phi([(z0, -1 / (2 * math.pi))], z) for z in (za, zb))
+        psi, _ = hydro.flow(ann, [(z0, 1.0)], np.array([za, zb]))
+        worst = max(worst, abs((fa - fb).imag - (psi[0] - psi[1])))
+    # measured at most 1.3e-15 over 400 draws (seeds 0-39): the bound leaves about 75x
+    out.append(_bounded("explicit potential: Im differences equal flow's psi",
+                        (f"worst {worst:.1e}", worst, 1e-13)))
     return out
 
 

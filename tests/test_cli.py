@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,18 @@ class TestField:
                         "--grid", "20x20", "--out", str(out)]) == 0
         rows = read_field_csv(out)
         assert len(rows) and np.isfinite(rows).all()
+
+    def test_vortex_on_a_grid_node_reports_non_finite_samples_alone(self, tmp_path, capsys):
+        # the vortex sits on a node of the 41x41 grid and nothing is excluded:
+        # the kernel finds the point on the vortex before any log or division,
+        # so stderr holds the one line and no numpy warning
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["field", "--z0=1.1448176845626619+0i", "--gamma=1", "--k=1", "--grid=41x41",
+                            "--exclusion=0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"goldcalc field: error: non-finite samples; {out} not written\n"
+        assert not out.exists()
 
     def test_non_finite_samples_exit_two(self, tmp_path, capsys, monkeypatch):
         def nan_flow(annulus, vortices, z):

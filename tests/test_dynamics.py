@@ -612,6 +612,17 @@ class TestHamiltonian:
                           st.circulations)
         assert abs(hamiltonian(rot) - hamiltonian(st)) < 1e-10
 
+    @pytest.mark.parametrize("second", [1.1 + 0j, 1.1 + 5e-7j])
+    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (1.0, -1.0)])
+    def test_close_pair_refused_before_any_log(self, second, gammas):
+        # a coincident pair gave -inf or inf and numpy's divide-by-zero warning
+        st = VortexState((1.1 + 0j, second), gammas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VortexCollisionError) as err:
+                hamiltonian(st)
+        assert err.value.pair == (0, 1) and err.value.step is None
+
 
 class TestGreenFunction:
     ZL = 1.18 * cmath.exp(0.9j)
@@ -700,6 +711,16 @@ class TestSemiclassicalSpectrum:
     def test_validation(self):
         with pytest.raises(ValueError):
             semiclassical_energy(-1, 1.0)
+
+    def test_non_integer_level_rejected(self):
+        # 1.5 gave -0.4749, the energy at h = 2
+        with pytest.raises(ValueError, match="non-negative integer, got 1.5"):
+            semiclassical_energy(1.5, 1.0)
+
+    def test_overflowing_energy_rejected(self):
+        # gamma^2 = 1e400 gave -inf
+        with pytest.raises(ValueError, match="not finite"):
+            semiclassical_energy(2, 1e200)
 
 
 class TestIO:

@@ -157,10 +157,12 @@ class TestFlowAgainstLadders:
 
     @pytest.mark.parametrize("k", [1, 4, 20])
     @pytest.mark.parametrize("distance", [1e-6, 1e-4, 1e-2])
-    def test_precision_near_the_vortex(self, k, distance):
+    @pytest.mark.parametrize("angle", [0.7, math.pi - 1e-7])
+    def test_precision_near_the_vortex(self, k, distance, angle):
         # the ladder subtracts z - z0 exactly; the kernel must not lose
-        # relative precision to the rounded ratio z / z0 there
-        z0 = point(k, 0.4, 0.7)
+        # relative precision to the rounded ratio z / z0 there, nor to the
+        # logs of points on both sides of the cut at pi
+        z0 = point(k, 0.4, angle)
         ann = ladder_annulus(k)
         sys = hydro.ImageSystem(z0, 1.0, ann)
         zs = z0 + distance * np.exp(1j * np.linspace(0, 2 * math.pi, 12, endpoint=False))
@@ -205,11 +207,28 @@ def pair_points(draw, k: int) -> np.ndarray:
     return zs
 
 
+def product_prime(zeta, k: int):
+    """(ln|P(zeta)|, K(zeta)) from the written-out product, to a 1e-20 tail,
+    independent of the kernel's series."""
+    zeta = np.asarray(zeta, dtype=complex)
+    p = PHI**-k
+    spread = float(np.max(np.abs(np.log(np.abs(zeta))), initial=0.0)) / (k * math.log(PHI))
+    lnp, kk = np.log(np.abs(1 - zeta)), 1 - 1 / (1 - zeta)
+    for n in range(1, math.ceil(spread + 20 / (k * math.log10(PHI))) + 2):
+        pn = p**n
+        lnp += np.log(np.abs((1 - pn * zeta) * (1 - pn / zeta)))
+        kk += 1 / (1 - pn / zeta) - 1 / (1 - pn * zeta)
+    return lnp, kk
+
+
 def pair_reference(zs: np.ndarray, k: int):
-    """K(z_i/z_j) - K(z_i conj z_j) from log_derivative on the built arguments,
-    with K(z_i/z_i) dropped; also |K| of both arguments."""
-    kk = kernel.log_derivative(kernel.pair_arguments(zs), k)
-    kk[0].flat[:: len(zs) + 1] = 0.0
+    """K(z_i/z_j) - K(z_i conj z_j) from the written-out product on the built
+    arguments, with K(z_i/z_i) dropped; also |K| of both arguments."""
+    n = len(zs)
+    zeta = np.stack([zs[:, None] / zs, zs[:, None] * np.conj(zs)])
+    zeta[0].flat[:: n + 1] = -1.0  # zeta = 1, whose K is dropped
+    kk = product_prime(zeta, k)[1]
+    kk[0].flat[:: n + 1] = 0.0
     return kk[0] - kk[1], np.abs(kk[0]) ** 2 + np.abs(kk[1]) ** 2
 
 
@@ -414,9 +433,13 @@ class TestPrimeArguments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for zeta in (bad, np.array([1.3 + 0.2j, bad, 0.7 - 0.1j])):
-                for f in (kernel.log_derivative, kernel.log_abs_prime, kernel.log_prime):
+                for f in (kernel.log_derivative, kernel.log_abs_prime, self.sums_at_targets):
                     with pytest.raises(ValueError, match="finite and nonzero"):
                         f(zeta, k)
+
+    @staticmethod
+    def sums_at_targets(zeta, k):
+        return kernel.prime_sums(zeta, [1.1 + 0.1j], [1.0], k, derivative=True)
 
 
 class TestPairTermSizing:
@@ -449,7 +472,7 @@ class TestPairTermSizing:
         log_z = [cmath.log(z) for z in zs]
         assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
         got = np.diag(pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z))
-        ref = -kernel.log_derivative(np.abs(zs) ** 2, k)
+        ref = -product_prime(np.abs(zs) ** 2, k)[1]
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
 
     CASES = {
@@ -669,3 +692,28 @@ class TestProductionPathBuildsNoOracle:
                       for l in range(n)), (1.0,) * n)
             traj = dynamics.integrate(state, dynamics.IntegratorConfig(1e-3, 10))
             assert np.isfinite(traj.positions).all()
+
+
+class TestProductionPathTakesNoTrigonometry:
+    def test_no_sine_or_cosine(self, monkeypatch):
+        # the kernel reads ln|P| and K from exponentials: numpy's sine and
+        # cosine, which its dual series took of every argument, are refused
+        def refuse(*args, **kwargs):
+            raise AssertionError("the production path took a sine or cosine")
+
+        monkeypatch.setattr(np, "sin", refuse)
+        monkeypatch.setattr(np, "cos", refuse)
+        for k in (1, 4):
+            ann, z0 = kernel.Annulus(k), point(k, 0.3, 0.7)
+            grid = hydro.field_grid(ann, [(z0, 1.0)], (30, 30))
+            assert len(grid) and np.isfinite(grid.psi).all() and np.isfinite(grid.u).all()
+            wall = ann.outer_radius * np.exp(2j * math.pi * np.arange(16) / 16)
+            assert np.isfinite(hydro.vortex_psi(ann, z0, 1.0, wall)).all()
+        for n in (2, 16):
+            state = dynamics.VortexState(
+                tuple(dynamics.ANNULUS.mean_radius * cmath.exp(2j * math.pi * l / n + 0.1j)
+                      for l in range(n)), (1.0,) * n)
+            assert np.isfinite(dynamics.integrate(state, dynamics.IntegratorConfig(1e-3, 10)).positions).all()
+            assert math.isfinite(dynamics.hamiltonian(state))
+        assert math.isfinite(dynamics.green_function(1.07 * cmath.exp(2.1j), 1.18 * cmath.exp(0.9j)))
+        assert math.isfinite(dynamics.semiclassical_energy(3, 1.0))
