@@ -395,21 +395,26 @@ def hamiltonian(state: VortexState) -> float:
     return float(-(gs @ sums + 3 * (log_z.real @ gs) * gs.sum() - (gs * gs) @ log_z.real) / (4 * math.pi))
 
 
-def green_function(z: complex, z_l: complex) -> float:
-    """Dirichlet-type Green function of the k=1 annulus.
+def green_function(z, z_l: complex):
+    """Dirichlet-type Green function of the k=1 annulus, as a float at a field
+    point z or elementwise over an array z of field points (an array of its shape).
 
     Vanishes on the outer circle |z| = sqrt(phi) and equals
     ln|sqrt(phi)/z_l| / (2 pi) on the inner circle; symmetric in its arguments.
-    The source point z_l must lie in the open annulus; the field point z may
-    lie on either wall.  ln|P(z/z_l)| - ln|P(z conj(z_l))| comes from the
-    kernel's evaluator `kernel.prime_sums`, with z the target and z_l the source.
+    The source point z_l must lie in the open annulus; the field points may
+    lie on either wall, and none within COLLISION_DISTANCE of z_l.
+    ln|P(z/z_l)| - ln|P(z conj(z_l))| comes from the kernel's evaluator
+    `kernel.prime_sums`, with the field points its targets and z_l the source.
     """
     ANNULUS.check(z_l)
-    if abs(z - z_l) < COLLISION_DISTANCE:
+    zs = np.asarray(z, dtype=complex)
+    if (np.abs(zs - z_l) < COLLISION_DISTANCE).any():
         raise ValueError("green_function arguments coincide")
-    lnp, _ = kernel.prime_sums([z], [z_l], [1.0], ANNULUS.k)
-    pair = 2 * math.log(abs(z_l)) + float(lnp[0]) + math.log(abs(z))
-    return (ANNULUS.log_outer_radius - pair) / (2 * math.pi)
+    lnp, _ = kernel.prime_sums(zs, [z_l], [1.0], ANNULUS.k)
+    # a point takes math.log: np.log does not always match its last bit
+    pair = 2 * math.log(abs(z_l)) + lnp + (np.log(np.abs(zs)) if zs.ndim else math.log(abs(z)))
+    g = (ANNULUS.log_outer_radius - pair) / (2 * math.pi)
+    return g if zs.ndim else float(g)
 
 
 def ring_frequency(n_vortices: int, r: float, gamma: float) -> float:

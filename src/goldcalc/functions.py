@@ -207,8 +207,9 @@ class GoldenAnalyticFunction:
             (a, golden_binomial(n, self.k)) for n, a in enumerate(self.coeffs) if a != 0))
 
 
-def golden_analytic_eval(g: GoldenAnalyticFunction, x: float, y: float) -> tuple[float, float]:
-    """(u, v) with u + iv = sum a_n * (x + i y)^n at binomial level k."""
+def golden_analytic_eval(g: GoldenAnalyticFunction, x, y) -> tuple:
+    """(u, v) with u + iv = sum a_n * (x + i y)^n at binomial level k, at
+    floats x, y or elementwise over numpy arrays of one shape."""
     total = 0j
     for a, binomial in g.binomials:
         total += a * golden_binomial_eval(binomial, x, 1j * y)

@@ -33,7 +33,8 @@ from goldcalc import kernel
 from goldcalc.ring import PHI
 
 SINGULARITY_EXCLUSION = 1e-9  # closest approach to a singularity the series forms allow
-CHUNK = kernel.CHUNK  # points per array pass of field_grid and rows per block of the file writers
+CHUNK = kernel.CHUNK  # points per array pass of field_grid, rows per block of the file
+# writers, and about the points x ladder terms per block of the ladder oracles
 # field_grid's deepest images, z0 phi^(-80 k) and phi^(-79 k) / conj(z0): from exclusion
 # 0.5 on nothing else bounds its windows below, and deeper ones lie as close to 0, within
 # about 2e-17 |z0| or 2e-17 / |z0|
@@ -87,9 +88,9 @@ def _images(z0: complex, k: int, fam1_range, fam2_range):
 
 def _ladders(sys: ImageSystem, fam1_range=None, fam2_range=None):
     """_images of the system, by default over the module's pairing of ranges."""
-    n = sys.annulus.truncation
-    return _images(sys.z0, sys.annulus.k, range(-n, n + 1) if fam1_range is None else fam1_range,
-                   range(1 - n, n + 1) if fam2_range is None else fam2_range)
+    n = sys.annulus.truncation  # np.arange: numpy reads a range object one entry at a time
+    return _images(sys.z0, sys.annulus.k, np.arange(-n, n + 1) if fam1_range is None else fam1_range,
+                   np.arange(1 - n, n + 1) if fam2_range is None else fam2_range)
 
 
 def _check_clearance(z, points: np.ndarray) -> None:
@@ -104,25 +105,44 @@ def _check_clearance(z, points: np.ndarray) -> None:
                                         f"singularity (exclusion {SINGULARITY_EXCLUSION:.3g})")
 
 
+def _ladder_blocks(z, ladders, block_sums):
+    """block_sums(zs) of the points z, a point (a complex) or an array of
+    points (an array of their shape), passed to it as (m, 1) blocks whose
+    (m, ladder terms) temporaries hold about CHUNK entries; each block is
+    checked against the ladders' points by _check_clearance first, so the
+    error names the first point in order that is too close."""
+    ladder = np.concatenate(ladders)
+    shape, zs = np.shape(z), np.asarray(z, dtype=complex).reshape(-1, 1)
+    out = np.empty(len(zs), dtype=complex)
+    rows = max(1, CHUNK // len(ladder))
+    for start in range(0, len(zs), rows):
+        part = slice(start, start + rows)
+        _check_clearance(zs[part], ladder)
+        out[part] = block_sums(zs[part])
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
 def vortex_potential(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
     """Truncated image-ladder complex potential F(z), at a point (a complex)
-    or at an array of points (an array of their shape), one array pass over
-    the points and ladder terms.
+    or at an array of points (an array of their shape), in array passes over
+    blocks of points (_ladder_blocks).
 
     Defined up to an additive constant; compare differences, or use Im for the
     stream function.  The paired terms are evaluated as single logarithms of
     quotients so that window reindexing is exact in floating point.
     """
     fam1, fam2 = _ladders(sys, fam1_range, fam2_range)
-    shape, zs = np.shape(z), np.asarray(z, dtype=complex).reshape(-1, 1)
-    _check_clearance(zs, np.concatenate([fam1, fam2]))
     m = min(len(fam1), len(fam2))
-    # pair from the top of both ladders; the leftover fam1 tail enters bare
-    total = np.sum(np.log((zs - fam1[len(fam1) - m:]) / (zs - fam2[len(fam2) - m:])), axis=1)
-    total += np.sum(np.log(zs - fam1[: len(fam1) - m]), axis=1)
-    total -= np.sum(np.log(zs - fam2[: len(fam2) - m]), axis=1)
-    total *= sys.gamma / (2j * math.pi)
-    return complex(total[0]) if shape == () else total.reshape(shape)
+
+    def block_sums(zs: np.ndarray) -> np.ndarray:
+        # pair from the top of both ladders; the leftover fam1 tail enters bare
+        total = np.sum(np.log((zs - fam1[len(fam1) - m:]) / (zs - fam2[len(fam2) - m:])), axis=1)
+        total += np.sum(np.log(zs - fam1[: len(fam1) - m]), axis=1)
+        total -= np.sum(np.log(zs - fam2[: len(fam2) - m]), axis=1)
+        total *= sys.gamma / (2j * math.pi)
+        return total
+
+    return _ladder_blocks(z, (fam1, fam2), block_sums)
 
 
 def stream_function(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
@@ -131,12 +151,13 @@ def stream_function(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
     return vortex_potential(sys, z, fam1_range, fam2_range).imag
 
 
-def vortex_velocity(sys: ImageSystem, z: complex, fam1_range=None,
-                    fam2_range=None) -> complex:
-    """Conjugate velocity V(z) = u - i v of the truncated image system."""
+def vortex_velocity(sys: ImageSystem, z, fam1_range=None, fam2_range=None):
+    """Conjugate velocity V(z) = u - i v of the truncated image system, at a
+    point (a complex) or at an array of points (an array of their shape), in
+    array passes over blocks of points (_ladder_blocks)."""
     fam1, fam2 = _ladders(sys, fam1_range, fam2_range)
-    _check_clearance(z, np.concatenate([fam1, fam2]))
-    total = complex(np.sum(1.0 / (z - fam1)) - np.sum(1.0 / (z - fam2)))
+    total = _ladder_blocks(z, (fam1, fam2), lambda zs: np.sum(1.0 / (zs - fam1), axis=1)
+                           - np.sum(1.0 / (zs - fam2), axis=1))
     return sys.gamma / (2j * math.pi) * total
 
 
@@ -201,7 +222,7 @@ def _ephi_ratio_log(z: complex, zs: complex) -> complex:
 
 
 def _vortex_clearance(z: complex, zs: complex) -> None:
-    ns = range(-60, 61)  # the images within phi^60 of the vortex
+    ns = np.arange(-60, 61)  # the images within phi^60 of the vortex
     _check_clearance(z, np.concatenate(_images(zs, 1, ns, ns)))
 
 

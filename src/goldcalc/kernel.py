@@ -190,9 +190,18 @@ def pair_terms(nm: Nome, spread: float) -> int:
     return int(nm.pair_order + spread / (2 * math.pi))  # pair_order > 0 in the dual form
 
 
-def _log_derivative(v: np.ndarray, d: np.ndarray, nm: Nome, count: int) -> np.ndarray:
+def _reciprocals(v: np.ndarray, count: int):
+    """1/v and v + 1/v, which both series read when they keep terms (count > 0)."""
+    if not count:
+        return None, None
+    inv = 1 / v
+    return inv, v + inv
+
+
+def _log_derivative(d: np.ndarray, v: np.ndarray, inv, ends, nm: Nome, count: int) -> np.ndarray:
     """The part of K that the series carries, with count terms, in place of
-    d, which is v - 1 or the value of a caller's rule.  Dual form, v = w:
+    d, which is v - 1 or the value of a caller's rule; inv and ends are
+    _reciprocals(v, count).  Dual form, v = w:
     c g(w) = c/d less the terms q w/(1 - q w) - q w^-1/(1 - q w^-1)
     = (w - 1/w)/(q + 1/q - w - 1/w), q = Q^n, which vanish at w = 1.
     Direct form, v = zeta: K = 1 + 1/d + sum_n [1/(1 - p^n/zeta) - 1/(1 - p^n zeta)]."""
@@ -200,26 +209,25 @@ def _log_derivative(v: np.ndarray, d: np.ndarray, nm: Nome, count: int) -> np.nd
         c = 2j * math.pi / nm.lam
         out = np.divide(c, d, out=d)
         if count:
-            inv = 1 / v
-            ends, odd = v + inv, c * (v - inv)
+            odd = c * (v - inv)
             for s in nm.dual_sums[:count]:
                 out -= odd / (s - ends)
         return out
     out = np.divide(1, d, out=d)
     out += 1
-    inv = 1 / v
     for n in range(1, count + 1):
         pn = nm.p**n
         out += 1 / (1 - pn * inv) - 1 / (1 - pn * v)
     return out
 
 
-def _log_abs_prime(v: np.ndarray, d: np.ndarray, nm: Nome, count: int) -> np.ndarray:
+def _log_abs_prime(d: np.ndarray, ends, nm: Nome, count: int) -> np.ndarray:
     """The part of ln|P| that the series carries, with count terms:
     ln|d| + sum_n ln|(1 - r^n v)(1 - r^n / v)|, with r = Q, v = w in the dual
-    form and r = p, v = zeta in the direct one; d is as in _log_derivative."""
+    form and r = p, v = zeta in the direct one; d is as in _log_derivative,
+    and ends = v + 1/v from _reciprocals."""
     out = np.log(np.abs(d))
-    ends, r = v + 1 / v, nm.q if nm.dual else nm.p
+    r = nm.q if nm.dual else nm.p
     for n in range(1, count + 1):
         out += np.log(np.abs((1 + r ** (2 * n)) - r**n * ends))
     return out
@@ -263,7 +271,9 @@ def _argument(zeta, k: int, log: bool) -> np.ndarray:
     whose log is 0, so L = log zeta on the principal branch; nan at zeta = 1."""
     nm, zeta = nome(k), np.asarray(zeta, dtype=complex)
     v, d, count, on, log_z, _ = _blocks(zeta.ravel(), np.ones(1, dtype=complex), nm)
-    out = (_log_abs_prime if log else _log_derivative)(v[:, 0], d[:, 0], nm, count)
+    v, d = v[:, 0], d[:, 0]
+    inv, ends = _reciprocals(v, count)
+    out = _log_abs_prime(d, ends, nm, count) if log else _log_derivative(d, v, inv, ends, nm, count)
     if nm.dual and log:  # Re[L/2 + L^2/(2 lam) - i pi L/lam] = Re[L/2 + L^2/(2 lam)] + pi Im L/lam
         out += (log_z * (0.5 + log_z / (2 * nm.lam) - 1j * math.pi / nm.lam)).real + nm.const
     elif nm.dual:
@@ -302,8 +312,9 @@ def prime_sums(z_t, z_s, weights, k: int, derivative: bool = False):
         return out.reshape(z_t.shape)
 
     # ln|P| first: it reads d, which _log_derivative overwrites
-    lnp = summed(_log_abs_prime(v, d, nm, count), 1 + (2 / nm.lam) * log_t.real)
-    return lnp, summed(_log_derivative(v, d, nm, count), 2 / nm.lam) if derivative else None
+    inv, ends = _reciprocals(v, count)
+    lnp = summed(_log_abs_prime(d, ends, nm, count), 1 + (2 / nm.lam) * log_t.real)
+    return lnp, summed(_log_derivative(d, v, inv, ends, nm, count), 2 / nm.lam) if derivative else None
 
 
 def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
@@ -367,7 +378,7 @@ def _pair_block(weights: np.ndarray, k: int, log: bool = False):
     nm, n = nome(k), len(weights)
     c, scale = 2j * math.pi / nm.lam, 2 / nm.lam
     offset = (1 - c if log else 1 + 2j * math.pi / (nm.lam / 2 + 1j * math.pi)) if nm.dual else 2.0
-    blocks, series = _pair_rows(n, offset), _log_abs_prime if log else _log_derivative
+    blocks = _pair_rows(n, offset)
     signed, total = np.concatenate((weights, -weights)), sum(weights)
     weight_list = weights.tolist() if weights.ndim == 1 else None
 
@@ -383,7 +394,10 @@ def _pair_block(weights: np.ndarray, k: int, log: bool = False):
         out = np.empty(weights.shape, dtype=float if log else complex)
         for part, offsets in blocks:
             v = e[part, None] / e
-            series(v, v - offsets, nm, count).dot(signed, out=out[part])
+            inv, ends = _reciprocals(v, count)
+            sums = (_log_abs_prime(v - offsets, ends, nm, count) if log
+                    else _log_derivative(v - offsets, v, inv, ends, nm, count))
+            sums.dot(signed, out=out[part])
         ln_r = [l.real for l in log_z]
         if nm.dual:  # column j's terms, summed in plain arithmetic for 1-D weights
             col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights

@@ -3,7 +3,8 @@
 The level-k golden derivative is the two-base difference quotient
 (f(phi^k x) - f(phi'^k x)) / ((phi^k - phi'^k) x).  On monomials it acts as
 x^n -> F_n^(k) x^(n-1); on black-box callables it is evaluated numerically
-away from x = 0, where the quotient is singular.
+away from x = 0, where the quotient is singular, at a point or over an
+array of points.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ def golden_derivative_poly(p: Polynomial, k: int = 1) -> Polynomial:
     return Polynomial([c * fib_divisor(n, k) for n, c in enumerate(p.coeffs)][1:])
 
 
-def golden_derivative_numeric(f, x: float, k: int = 1) -> float:
-    """Difference quotient (f(phi^k x) - f(phi'^k x)) / ((phi^k - phi'^k) x)."""
+def golden_derivative_numeric(f, x, k: int = 1):
+    """Difference quotient (f(phi^k x) - f(phi'^k x)) / ((phi^k - phi'^k) x),
+    at a number x or elementwise over a numpy array x, for an f that takes
+    what x is."""
     if k == 0:
         raise ValueError("k must be nonzero")
-    if x == 0:
+    zero = x == 0  # a bool, or an array with .any(): this module imports no numpy
+    if zero.any() if hasattr(zero, "any") else zero:
         raise ValueError("golden derivative quotient is singular at x = 0")
     pk = PHI**k
     qk = PHI_PRIME**k

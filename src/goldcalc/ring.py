@@ -10,6 +10,7 @@ they can cross-check each other.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 PHI: float = (1 + math.sqrt(5)) / 2
 PHI_PRIME: float = 1 - PHI  # conjugate root of x^2 = x + 1, equals -1/phi
@@ -145,8 +146,10 @@ def golden_pow(n: int) -> GoldenExact:
     return GoldenExact(fibonacci(n - 1), fibonacci(n))
 
 
+@lru_cache(maxsize=1024, typed=True)
 def fib_divisor(n: int, k: int) -> int:
-    """F_n^(k) = F_{k*n} / F_k, an exact integer (k != 0)."""
+    """F_n^(k) = F_{k*n} / F_k, an exact integer (k != 0), computed once per
+    (n, k) in a process: the last 1024 are cached."""
     if k == 0:
         raise ValueError("k must be nonzero: F_0 = 0 leaves F_{k*n}/F_k undefined")
     num = fibonacci(k * n)

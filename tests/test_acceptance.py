@@ -9,8 +9,9 @@ to see one `criterion <suite> NN` line per check.  The seed is the CLI's default
 
 import pytest
 
-from goldcalc import verify
+from goldcalc import dynamics, hydro, verify
 from goldcalc.cli import build_parser
+from goldcalc.ring import fib_divisor
 
 SEED = build_parser().parse_args(["verify"]).seed
 
@@ -35,3 +36,20 @@ def test_bounded_check_is_strict_and_reports_the_nearest_quantity():
     assert not r.passed and r.bound == 1e-8
     assert not verify._bounded("c", ("a", 1e-12, 1e-10), ok=False).passed
     assert verify.run_suite("ring")[1].value is None  # exact checks carry no bound
+
+
+def test_oracles_are_called_once_per_point_set(monkeypatch):
+    # the ladder velocity and the Green function take each check's points as one
+    # array (301 and 130 calls when they took one point at a time), and each
+    # Fibonacci divisor is computed once (7,521 calls on 469 distinct (n, k))
+    calls = {"vortex_velocity": 0, "green_function": 0}
+    for module, name in ((hydro, "vortex_velocity"), (dynamics, "green_function")):
+        def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    fib_divisor.cache_clear()
+    assert all(r.passed for r in verify.run_suite("all", SEED))
+    info = fib_divisor.cache_info()
+    assert calls["vortex_velocity"] <= 20 and calls["green_function"] <= 4
+    assert info.misses == info.currsize <= 469  # nothing evicted: one miss per (n, k)

@@ -151,6 +151,44 @@ class TestVortexPotential:
         assert integral.real == pytest.approx(self.SYS.gamma, rel=1e-6)
 
 
+class TestVortexVelocityArrays:
+    SYS = TestVortexPotential.SYS
+
+    def test_a_point_gives_a_complex(self):
+        assert isinstance(vortex_velocity(self.SYS, 1.2 + 0.1j), complex)
+        assert isinstance(vortex_velocity(self.SYS, np.complex128(1.2 + 0.1j)), complex)
+
+    @pytest.mark.parametrize("ranges", [(None, None), (range(-81, 80), range(-80, 80)), ([0], [0, 1, 2])])
+    def test_array_of_points_equals_the_points_one_by_one(self, ranges):
+        # bit for bit: each point's row of a block is summed as the one-point call sums its ladder
+        zs = np.array([[1.1 * cmath.exp(0.4j), 1.2 * cmath.exp(2.2j), -1.05 + 0.1j],
+                       [1.01j, 1.25 + 0j, 1.18 * cmath.exp(-2.9j)]])
+        got = vortex_velocity(self.SYS, zs, *ranges)
+        assert got.shape == zs.shape
+        assert got.tolist() == [[vortex_velocity(self.SYS, complex(z), *ranges) for z in row] for row in zs]
+        assert vortex_velocity(self.SYS, zs[0], *ranges).tolist() == got[0].tolist()
+        assert vortex_velocity(self.SYS, zs[:0], *ranges).shape == (0, 3)
+
+    @pytest.mark.parametrize("ranges,n_points", [((None, None), 256), (([0], [0]), hydro.CHUNK + 300)])
+    def test_contour_over_several_blocks(self, ranges, n_points):
+        # 256 points at 321 ladder terms take 22 blocks of 12 points; the two-term
+        # window takes blocks of CHUNK / 2 points
+        z0 = self.SYS.z0
+        pts = z0 + 0.02 * np.exp(2j * math.pi * np.arange(n_points) / n_points)
+        got = vortex_velocity(self.SYS, pts, *ranges)
+        assert got.tolist() == [vortex_velocity(self.SYS, complex(z), *ranges) for z in pts]
+        assert got.tolist() == [v for z in pts for v in vortex_velocity(self.SYS, np.array([z]), *ranges)]
+
+    def test_first_point_too_close_named_across_blocks(self):
+        # 321 ladder terms make blocks of 12 points: the near points sit in blocks 3 and 1
+        pts = 1.1 + 0.05j * np.arange(1, 41) / 40
+        pts[40 - 1], pts[17] = self.SYS.z0 * PHI + 1e-12, self.SYS.z0 + 2e-12
+        with pytest.raises(SingularityProximityError, match=re.escape(f"point {complex(pts[17])} within 2e-12 ")):
+            vortex_velocity(self.SYS, pts)
+        with pytest.raises(SingularityProximityError, match=re.escape(f"point {complex(pts[17])} within 2e-12 ")):
+            vortex_potential(self.SYS, pts)
+
+
 class TestPureGoldenFlow:
     def test_quarter_power_value(self):
         _, psi, _ = pure_golden_flow(PHI**0.25 + 0j)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from goldcalc.operators import (
@@ -70,6 +71,27 @@ class TestGoldenDerivativeNumeric:
             sym = golden_derivative_poly(p, k)(x)
             num = golden_derivative_numeric(p, x, k)
             assert abs(sym - num) <= 1e-11 * max(1.0, abs(sym))
+
+
+class TestGoldenDerivativeNumericArrays:
+    P = Polynomial([0.3, -1.2, 0.5, 0.25, -0.125])
+
+    @pytest.mark.parametrize("k", [1, 2, -1, -3])
+    def test_array_equals_the_points_one_by_one(self, k):
+        # bit for bit: the quotient and a polynomial take the same float operations per entry
+        xs = np.linspace(-2.0, 2.0, 4096 + 101)
+        xs = xs[xs != 0]
+        got = golden_derivative_numeric(self.P, xs, k)
+        assert got.tolist() == [golden_derivative_numeric(self.P, float(x), k) for x in xs]
+        grid = xs[:60].reshape(3, 20)
+        assert np.array_equal(golden_derivative_numeric(self.P, grid, k), got[:60].reshape(3, 20))
+        assert type(golden_derivative_numeric(self.P, 0.7, k)) is float
+
+    def test_zero_entry_rejected(self):
+        with pytest.raises(ValueError, match="singular at x = 0"):
+            golden_derivative_numeric(self.P, np.array([[0.5, 1.0], [0.0, 2.0]]), 1)
+        with pytest.raises(ValueError, match="singular at x = 0"):
+            golden_derivative_numeric(self.P, np.float64(0.0), 1)
 
 
 class TestContinuousBranch:

@@ -123,6 +123,20 @@ class TestFibDivisor:
         with pytest.raises(ValueError):
             fib_divisor_recursion(3, 0)
 
+    def test_k_zero_rejected_after_other_levels_are_cached(self):
+        fib_divisor(3, 1)
+        for _ in range(2):  # an error is not cached
+            with pytest.raises(ValueError):
+                fib_divisor(3, 0)
+
+    def test_cache_is_bounded(self):
+        info = fib_divisor.cache_info()
+        assert info.maxsize == 1024 and info.currsize <= info.maxsize
+
+    def test_cache_keeps_the_division_route(self):
+        # the cached function is F_kn // F_k, not the Lucas recursion it is checked against
+        assert fib_divisor.__wrapped__(40, 7) == fibonacci(280) // fibonacci(7) == fib_divisor(40, 7)
+
     def test_known_values(self):
         table = {
             1: [1, 1, 2, 3, 5],
