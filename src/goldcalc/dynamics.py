@@ -109,18 +109,23 @@ def _lnphi_pole(args: np.ndarray) -> np.ndarray:
     return (PHI - 1.0) * np.sum(args[..., None] / (POLES + args[..., None]), axis=-1)
 
 
-def single_vortex_omega(r: float, kappa: float) -> float:
-    """Angular velocity of one vortex of strength kappa at radius r.
+def single_vortex_omega(r, kappa: float):
+    """Angular velocity of one vortex of strength kappa at radius r, as a
+    float, or elementwise over an array r of radii (an array of its shape).
 
     omega = (phi kappa / r^2) [Ln(1 - r^2) - Ln(1 - phi/r^2)]; zero exactly at
     the geometric-mean radius r = phi^(1/4).
     """
-    if not 1.0 < r < ANNULUS.outer_radius:
-        raise ValueError(f"radius must lie in (1, sqrt(phi)), got {r:.6f}")
+    rs = np.asarray(r, dtype=float)
+    outside = ~((1.0 < rs) & (rs < ANNULUS.outer_radius))
+    if outside.any():
+        raise ValueError(f"radius must lie in (1, sqrt(phi)), got {rs[outside].flat[0]:.6f}")
     if kappa == 0:
-        return 0.0
-    vals = _lnphi_pole(np.array([-(r * r), -PHI / (r * r)]))
-    return PHI * kappa / (r * r) * float(vals[0] - vals[1])
+        return np.zeros_like(rs) if rs.ndim else 0.0
+    r2 = rs * rs
+    vals = _lnphi_pole(np.stack([-r2, -PHI / r2]))
+    omega = PHI * kappa / r2 * (vals[0] - vals[1])
+    return omega if rs.ndim else float(omega)
 
 
 def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
@@ -205,22 +210,23 @@ def _velocity_field(circulations) -> Callable[[list], list]:
 def _run_plan(n: int):
     """make(field) -> run(l_0, ..., l_{n-1}, closest, steps, dt, positions),
     integrate's RK4 loop for n vortices, compiled once from source that writes
-    a step out on local names (logs l_i, stages m_i, velocities ka_i .. kd_i).
-    Stage 1 is the step end's checked logs.  A later stage log_z + h k takes
-    max|k| and the pair bound (n >= 2), _principal's fast test inline (the
-    call wraps or raises), the exact pair check the bound does not clear, and
-    the field; then come the update, the step end's checks (no pair check
-    for n < 2, whose closest no stage reads) and the row positions[step].
-
-    The pair bound: vortex l moves from z_l to z_l e^(h k_l), so by at most
-    |z_l| |h k_l| e^|h k_l| < r_out d e^d, d = h max|k|, r_out the outer
-    radius, and every pair of the stage is at least closest - 2 r_out d e^d
-    apart; clear says that is at least 2 COLLISION_DISTANCE, whose factor 2
-    absorbs the rounding of both.  d >= 1 moves a vortex farther than the
-    annulus is wide (and exp(d) may overflow), so it never clears.  A
-    non-finite k makes a non-finite stage, which the escape test rejects
-    before any pair check.
-
+    a step out on local names (logs l_i, stages m_i, velocities ka_i .. kd_i,
+    increments d_i).  A later stage l + h k and the step end l + d take
+    move = max|x|, x = h k or d, then the exact tests that their running
+    bounds do not clear (_principal's fast test inline, whose call wraps or
+    raises; the pair check).  The step end lowers the bounds by what move can
+    take from them and resets each that could not clear a second such step.
+    room, a quarter of the least distance of a log from Re l = 0, from
+    Re l = ln sqrt(phi) and from |Im l| = pi, clears move < room: one factor
+    2 as a rounded l + x lies within 2|x| of l; the other for the rounding of
+    room and move, under 4e-16 of room a step, over 10^15 steps.  closest
+    clears while closest - 2 r_out d e^d >= 2 COLLISION_DISTANCE, d = move,
+    r_out the outer radius: vortex l moves from z_l to z_l e^(x_l), by at
+    most |z_l| |x_l| e^|x_l| < r_out d e^d, and the factor 2 absorbs the
+    rounding of both; a step end also takes 2e-15 from closest, above the
+    rounding of its update and of closest itself.  d >= 1 never clears
+    (exp(d) may overflow), nor does a nan, which max|x| keeps.  So the loop
+    raises where, and as, one testing every stage and step end would.
     make binds the field and the annulus constants; _principal and
     _check_pairs are looked up in this module as the loop runs.
     kernel.compile_make registers the source in linecache."""
@@ -229,37 +235,47 @@ def _run_plan(n: int):
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(i) for i in points)
 
-    def checked(x: str, step: str) -> list:
+    def largest(x: str, scale: str) -> list:
+        # move = scale max|x_i|, which a nan keeps wherever it stands
+        return [f"move = {scale if n == 1 else ''}abs({x}0)",
+                *(line for i in points[1:] for line in (
+                    f"speed = abs({x}{i})", "if speed > move or speed != speed:", "    move = speed")),
+                *([f"move = {scale}move"] if scale and n > 1 else [])] if n else []
+
+    def escape(x: str, step: str) -> list:
+        # the exact escape test, where move does not fit in room
         xs = each(x + "{0}")
         inside = each(f"0 < {x}{{0}}.real < outer and -pi < {x}{{0}}.imag <= pi", " and ")
-        return [f"if not ({inside}):", f"    [{xs}] = _principal([{xs}], {step})"] if n else []
+        return ["if not move < room:", f"    if not ({inside}):",
+                f"        [{xs}] = _principal([{xs}], {step})"] if n else []
+
+    room = f"room = 0.25 * min({each('l{0}.real, outer - l{0}.real, pi - abs(l{0}.imag)')})"
 
     def stage(k: str, h: str, out: str) -> list:
-        lines = [f"m{i} = l{i} + {h} * {k}{i}" for i in points]
+        lines = [f"m{i} = l{i} + {h} * {k}{i}" for i in points] + largest(k, h + " * ") + escape("m", "None")
         if n > 1:
-            lines += ["fastest = 0.0",
-                      *(line for i in points
-                        for line in (f"speed = abs({k}{i})", "if speed > fastest:", "    fastest = speed")),
-                      f"move = {h} * fastest",
-                      "clear = move < 1 and closest - drift * move * exp_real(move) >= apart"]
-        lines += checked("m", "None")
-        if n > 1:
-            lines += ["if not clear:", f"    _check_pairs([{each('exp(m{0})')}], None)"]
+            lines += ["if not (move < 1 and closest - drift * move * exp_real(move) >= apart):",
+                      f"    _check_pairs([{each('exp(m{0})')}], None)"]
         return lines + [f"[{each(out + '{0}')}] = field([{each('m{0}')}])"]
 
     logs = each("l{0}")
     body = [f"[{each('ka{0}')}] = field([{logs}])",
             *stage("ka", "half", "kb"), *stage("kb", "half", "kc"), *stage("kc", "dt", "kd"),
-            *(f"l{i} = l{i} + sixth * (ka{i} + 2 * kb{i} + 2 * kc{i} + kd{i})" for i in points),
-            *checked("l", "step"),
-            *([f"closest = _check_pairs([{each('exp(l{0})')}], step)"] if n > 1 else []),
+            *(f"d{i} = sixth * (ka{i} + 2 * kb{i} + 2 * kc{i} + kd{i})" for i in points),
+            *(f"l{i} = l{i} + d{i}" for i in points),
+            *largest("d", ""), *(["room = room - move", *escape("l", "step"), "    " + room] if n else []),
+            *(["shift = drift * move * exp_real(move) + 2e-15 if move < 1 else inf",
+               "closest = closest - shift",
+               "if not closest - shift >= apart:",
+               f"    closest = _check_pairs([{each('exp(l{0})')}], step)"] if n > 1 else []),
             f"positions[step] = [{logs}]"]
     source = "".join([
         "def make(field):\n",
         "    exp, exp_real, pi, outer = cmath.exp, math.exp, math.pi, ANNULUS.log_outer_radius\n",
-        "    drift, apart = 2 * ANNULUS.outer_radius, 2 * COLLISION_DISTANCE\n",
+        "    drift, apart, inf = 2 * ANNULUS.outer_radius, 2 * COLLISION_DISTANCE, math.inf\n",
         f"    def run({''.join(f'l{i}, ' for i in points)}closest, steps, dt, positions):\n",
         "        half, sixth = 0.5 * dt, dt / 6.0\n",
+        *([f"        {room}\n"] if n else []),
         "        for step in range(1, steps + 1):\n",
         *(f"            {line}\n" for line in body),
         "    return run\n"])
@@ -336,13 +352,13 @@ class Trajectory:
 
 def integrate(state: VortexState, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 evolution of l = log z, kept on the principal branch;
-    aborts on boundary escape or near-collision.  Every stage is
-    escape-checked on its logs before any exponential (see n_vortex_rhs).  The
-    exact pair distances are taken at step 0 and, from N = 2, once per step,
-    on z = exp(l) at its end; a later stage checks its pairs only when the
-    distance it can have moved leaves no proof that they stay
-    2 COLLISION_DISTANCE apart (see _run_plan).  The dt guard reads the wall
-    distance at step 0.  The steps run in the loop _run_plan compiles for N.
+    aborts on boundary escape or near-collision.  Step 0 takes the exact
+    escape test and pair distances; a later stage or step end takes them,
+    before any exponential of a position, where a running lower bound from
+    the last exact test, on the logs' margin or the pair distance, no longer
+    proves them clear (see _run_plan), so a run aborts where checking every
+    stage and step end would.  The dt guard reads the wall distance at
+    step 0.  The steps run in the loop _run_plan compiles for N.
     The times are one cumulative sum of dt, which adds in sequence as
     t += dt does.  The logs fill the trajectory and become positions in
     place at the end, as z_0 exp(l - l_0), which keeps row 0 and a still

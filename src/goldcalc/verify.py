@@ -512,9 +512,8 @@ def omega_zero_by_bisection() -> tuple[float, int]:
     """Locate the zero of the rotation frequency at kappa = 1; also count sign changes."""
     kappa = 1.0
     lo, hi = 1.0 + 1e-9, dynamics.ANNULUS.outer_radius - 1e-9
-    rs = np.linspace(lo, hi, 200)
-    vals = [dynamics.single_vortex_omega(float(r), kappa) for r in rs]
-    changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
+    vals = dynamics.single_vortex_omega(np.linspace(lo, hi, 200), kappa)
+    changes = int(np.count_nonzero(vals[:-1] * vals[1:] < 0))
     a, b = lo, hi
     fa = dynamics.single_vortex_omega(a, kappa)
     for _ in range(200):

@@ -53,3 +53,13 @@ def test_oracles_are_called_once_per_point_set(monkeypatch):
     info = fib_divisor.cache_info()
     assert calls["vortex_velocity"] <= 20 and calls["green_function"] <= 4
     assert info.misses == info.currsize <= 469  # nothing evicted: one miss per (n, k)
+
+
+def test_dynamics_suite_takes_few_exact_pair_checks(monkeypatch):
+    # the RK4 runs take the exact pair distances only where the running bound
+    # from the last ones runs out (32 calls; 20,011 with one per step)
+    calls = []
+    check = dynamics._check_pairs
+    monkeypatch.setattr(dynamics, "_check_pairs", lambda zs, step: calls.append(step) or check(zs, step))
+    assert all(r.passed for r in verify.run_suite("dynamics", SEED))
+    assert len(calls) <= 100

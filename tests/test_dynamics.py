@@ -68,6 +68,17 @@ class TestSingleVortexOmega:
             single_vortex_omega(1.0, 1.0)
         with pytest.raises(ValueError):
             single_vortex_omega(ANNULUS.outer_radius, 1.0)
+        with pytest.raises(ValueError, match="got 1.300000"):
+            single_vortex_omega(np.array([1.1, 1.3, 0.9]), 1.0)
+
+    @pytest.mark.parametrize("kappa", [0.7, 0.0])
+    def test_radii_as_an_array(self, kappa):
+        # each entry equals the float call bit for bit; a float gives a float
+        rs = np.linspace(1.001, ANNULUS.outer_radius - 0.001, 12).reshape(3, 4)
+        omega = single_vortex_omega(rs, kappa)
+        assert omega.shape == rs.shape
+        assert omega.tolist() == [[single_vortex_omega(float(r), kappa) for r in row] for row in rs]
+        assert type(single_vortex_omega(1.1, kappa)) is float
 
     def test_boundary_frequency_ratio_is_phi(self):
         # approach the walls at matched relative offsets
@@ -328,6 +339,27 @@ class TestIntegrate:
             integrate(st, IntegratorConfig(0.02, 20))
         assert err.value.step == 8 and err.value.index == n - 1
 
+    @pytest.mark.parametrize("n", [2, LIST_MAX + 1], ids=["list", "numpy"])
+    def test_collision_at_a_later_step_end_detected(self, monkeypatch, n):
+        # vortex 1 turns toward vortex 0 by 1e-3 rad a step, from 0.01 + 3e-7
+        # rad, and only the last stage of each step moves it, so the pair
+        # bound, lowered step by step from the distance at step 0, must give
+        # way to the exact check that finds them 3.3e-7 apart at step 10
+        def field(gammas):
+            calls = itertools.count()
+
+            def velocity(log_z):
+                call = next(calls)
+                return [0j, -6j if call and call % 4 == 0 else 0j] + [0j] * (n - 2)
+            return velocity
+
+        monkeypatch.setattr(dynamics, "_velocity_field", field)
+        st = VortexState((1.1 + 0j, 1.1 * cmath.exp(1j * (0.01 + 3e-7)))
+                         + tuple(1.2 * cmath.exp(1j * (1.5 + l)) for l in range(n - 2)), (1.0,) * n)
+        with pytest.raises(VortexCollisionError, match="vortices 0 and 1 within 3.3e-07 at step 10") as err:
+            integrate(st, IntegratorConfig(1e-3, 20))
+        assert err.value.step == 10 and err.value.pair == (0, 1)
+
     def test_arrays_start_at_input_and_add_dt_per_step(self):
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
         traj = integrate(st, IntegratorConfig(1e-3, 300))
@@ -352,16 +384,28 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak < 0.6e6
 
-    def test_one_exact_pair_check_per_step(self, monkeypatch):
-        # the step-end check covers the next step's first stage, and the
-        # distance the later stages can move proves their pairs far apart
-        steps = []
+    def test_exact_pair_checks_only_where_the_bound_fails(self, monkeypatch):
+        # a step end lowers the last exact distance by the most a pair can
+        # have moved, 2 r_out d e^d, d = max|delta l|, and 2e-15 for rounding,
+        # and takes the exact distances where what is left could not clear a
+        # second such step by 2 COLLISION_DISTANCE; no stage of this pair
+        # needs them
+        checks = []
         check = dynamics._check_pairs
         monkeypatch.setattr(dynamics, "_check_pairs",
-                            lambda zs, step: steps.append(step) or check(zs, step))
+                            lambda zs, step: checks.append((step, check(zs, step))) or checks[-1][1])
         st = VortexState((1.1 * cmath.exp(0.2j), 1.22 * cmath.exp(2.0j)), (1.0, -0.7))
-        integrate(st, IntegratorConfig(1e-3, 50))
-        assert steps == list(range(51))
+        traj = integrate(st, IntegratorConfig(1e-3, 10000))
+        assert checks[0][0] == 0 and len(checks) <= 50
+        exact = dict(checks)
+        assert None not in exact
+        d = np.max(np.abs(np.log(traj.positions[1:] / traj.positions[:-1])), axis=1)
+        shift = 2 * ANNULUS.outer_radius * d * np.exp(d) + 2e-15
+        bound = exact[0]
+        for step in range(1, 10001):
+            bound -= shift[step - 1]
+            assert (step in exact) == (bound - shift[step - 1] < 2 * dynamics.COLLISION_DISTANCE)
+            bound = exact.get(step, bound)
 
     def test_one_vortex_checks_no_pairs_after_step_0(self, monkeypatch):
         # a lone vortex has no pair, and its step end reads no distance
@@ -565,6 +609,36 @@ class TestCompiledRun:
             integrate(self.escaping(n), IntegratorConfig(0.02, 5))
         assert (err.value.step, err.value.index, str(err.value)) == (
             None, n - 1, f"vortex {n - 1} left the annulus during evaluation (|z| = 1.978466)")
+
+    @pytest.mark.parametrize("n", [1, 2, LIST_MAX, LIST_MAX + 1, 16])
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)], ids=["nan", "inf", "nan_j"])
+    @pytest.mark.parametrize("call, step", [(1, None), (4, 1)], ids=["stage_2", "step_end"])
+    def test_non_finite_velocity_raises_before_any_exponential(self, monkeypatch, n, last, bad, call, step):
+        # the field's call 1 is stage 1 of step 1 (after the dt guard's), so
+        # its velocity moves stage 2; call 4 is step 1's last stage, which
+        # moves the step's end.  A nan must reach the escape test, however the
+        # running bounds would clear a finite move
+        def build(gammas):
+            calls = itertools.count()
+
+            def velocity(log_z):
+                v = [0j] * n
+                if next(calls) == call:
+                    v[-1 if last else 0] = bad
+                return v
+            return velocity
+
+        state = VortexState(tuple(1.15 * cmath.exp(1j * (0.3 + 2 * l)) for l in range(n)), (1.0,) * n)
+        exps = []
+        monkeypatch.setattr(dynamics, "_velocity_field", build)
+        monkeypatch.setattr(cmath, "exp", lambda z, exp=cmath.exp: exps.append(z) or exp(z))
+        with pytest.raises(VortexEscapeError) as err:
+            integrate(state, IntegratorConfig(1e-3, 5))
+        where = "during evaluation" if step is None else f"at step {step}"
+        assert (err.value.step, err.value.index) == (step, n - 1 if last else 0)
+        assert str(err.value).startswith(f"vortex {err.value.index} position became non-finite {where}")
+        assert exps == []
 
     @pytest.mark.parametrize("n", [1, 2, LIST_MAX, LIST_MAX + 1, 16])
     def test_wrapped_rhs_sees_every_stage_and_changes_no_bit(self, monkeypatch, n):
