@@ -198,11 +198,7 @@ def _velocity_field(circulations) -> Callable[[list], list]:
     """The velocity of vortices of these circulations, built once per run: the
     callable log_z -> dl/dt, l = log z, as a list of Python complex numbers,
     for logs the caller has checked and put on the principal branch;
-    kernel.pair_evaluator at ANNULUS.k, whose numpy block (above
-    kernel.LIST_MAX_POINTS vortices) gives an array the list is made of."""
-    if len(circulations) > kernel.LIST_MAX_POINTS:
-        velocity = kernel.pair_evaluator(np.asarray(circulations, dtype=float), ANNULUS.k)
-        return lambda log_z: velocity(log_z).tolist()
+    kernel.pair_evaluator at ANNULUS.k of the circulations as a list."""
     return kernel.pair_evaluator(list(map(float, circulations)), ANNULUS.k)
 
 

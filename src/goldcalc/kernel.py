@@ -26,12 +26,13 @@ L = log(zeta) on any branch, c = 2 pi i / lam:
     C_k         = 2 ln (p; p)_inf - ln(pi / lam) - 2 sum_n ln(1 - Q^n).
 
 Moving L by 2 pi i m multiplies w by Q^m and changes neither; the terms
-needed grow with |Im L| (pair_terms).  Q is 2e-36 at k = 1 and 1e-9 at
-k = 4, so the series needs one or two terms there.  As k grows Q tends to 1
-while p vanishes, and the product in p converges faster; each k uses the
-form that needs fewer terms to push the neglected tail below TAIL: the
-w-form up to k = 14, the direct product from k = 15.  Per-k constants are
-computed on first use and cached; importing this module does no work.
+needed grow with |Im L|, by one bound for K and ln|P| alike (pair_terms).
+Q is 2e-36 at k = 1 and 1e-9 at k = 4, so the series needs one or two terms
+there.  As k grows Q tends to 1 while p vanishes, and the product in p
+converges faster; each k uses the form that needs fewer terms to push the
+neglected tail below TAIL: the w-form up to k = 15 (7 terms against 7
+factors), the direct product from k = 16.  Per-k constants are computed on
+first use and cached; importing this module does no work.
 
 The flows need P of point pairs, zeta = z_t / z_s and z_t conj(z_s), whose
 w come from exponentials of the points: w = x_t / e_s and x_t / conj(e_s),
@@ -45,8 +46,9 @@ Three evaluators read the one series (_log_derivative, _log_abs_prime):
   `vortex_psi`, `dynamics.green_function`); `log_abs_prime` and
   `log_derivative` are its case of the one source 1, for single arguments;
 - `_pair_block`, one set of points against itself with the diagonal rule,
-  on one branch for the whole set, so with no pass to wrap pairs one by one
-  (`pair_evaluator` above LIST_MAX_POINTS, `dynamics.hamiltonian`), in
+  on their principal branches with the terms of their angular spread, so
+  with no pass to wrap pairs one by one (`pair_evaluator` above
+  LIST_MAX_POINTS, `dynamics.hamiltonian`), in
   blocks of rows of about CHUNK entries, so its memory does not grow as N^2;
 - up to LIST_MAX_POINTS, the measured crossover of whole RK4 steps at k = 1,
   the same entries summed pair by pair in plain complex arithmetic by code
@@ -89,13 +91,17 @@ class Nome(NamedTuple):
 
     lam: float
     p: float
-    dual: bool              # evaluate through the dual (Jacobi) series
     q: float                # dual nome exp(-4 pi^2 / lam)
-    terms: int              # dual-series terms kept (dual form only)
-    pair_order: float       # log_Q(TAIL lam (1 - Q)^2 / (4 pi)), see pair_terms
-    dual_sums: tuple        # Q^n + Q^-n for the pair_terms of the widest spread, 2 pi
+    pair_order: float       # log_Q(TAIL (1 - Q)^2 / (4 pi/lam + 2)), see pair_terms
     log_euler: float        # ln (p; p)_inf = sum_n ln(1 - p^n)
-    const: float            # C_k - ln 2, the constant of ln|P| in the dual form
+    dual: bool = False      # evaluate through the dual (Jacobi) series
+    dual_sums: tuple = ()   # Q^n + Q^-n for the pair_terms of the widest spread, 2 pi
+    const: float = 0.0      # C_k - ln 2, the constant of ln|P| in the dual form
+
+    @property
+    def terms(self) -> int:
+        """Dual-series terms for |Im L| <= pi, where prime_sums moves each pair."""
+        return pair_terms(self, math.pi)
 
 
 def _log_pochhammer(x: float) -> float:
@@ -165,28 +171,25 @@ def nome(k: int) -> Nome:
     lam = k * LN_PHI
     p = math.exp(-lam)
     q = math.exp(-4 * math.pi**2 / lam)
-    # |Im L| <= pi bounds |w| and 1/|w| by Q^(-1/2), so dual term n of K and
-    # of ln|P| is below (4 pi/lam + 2) Q^(n - 1/2), and the tail after M terms below that
-    # bound at n = M + 1 divided by (1 - Q)
-    scale = (4 * math.pi / lam + 2) / (1 - q)
-    terms = 0
-    while scale * q ** (terms + 0.5) >= TAIL:
-        terms += 1
-    pair_order = math.log(TAIL * lam / (4 * math.pi) * (1 - q) ** 2, q)
+    nm = Nome(lam, p, q, math.log(TAIL * (1 - q) ** 2 / (4 * math.pi / lam + 2), q), _log_pochhammer(p))
     # the direct form is sized for the arguments the flows use, |ln|zeta|| <= lam
-    dual = terms <= _direct_terms(lam, 1.0)
-    widest = int(pair_order + 1) if dual else 0  # pair_terms at spread 2 pi
-    dual_sums = tuple(q**n + q**-n for n in range(1, widest + 1))
-    log_euler = _log_pochhammer(p)
-    const = 2 * log_euler - math.log(2 * math.pi / lam) - 2 * _log_pochhammer(q) if dual else 0.0
-    return Nome(lam, p, dual, q, terms, pair_order, dual_sums, log_euler, const)
+    if nm.terms > _direct_terms(lam, 1.0):
+        return nm
+    dual_sums = tuple(q**n + q**-n for n in range(1, pair_terms(nm, 2 * math.pi) + 1))
+    const = 2 * nm.log_euler - math.log(2 * math.pi / lam) - 2 * _log_pochhammer(q)
+    return nm._replace(dual=True, dual_sums=dual_sums, const=const)
 
 
 def pair_terms(nm: Nome, spread: float) -> int:
-    """g(w) terms for pair arguments with |Im L| <= spread: the smallest M with
-    (4 pi/lam) Q^(M + 1) e^(2 pi spread/lam) / (1 - Q)^2 < TAIL, a bound on the
-    tail after M terms.  e^(2 pi spread/lam) = Q^(-spread / 2 pi), so M is
-    floor(pair_order + spread / 2 pi); spread 2 pi covers any principal branch."""
+    """Dual-series terms of K and of ln|P| for pair arguments with
+    |Im L| <= spread.  There |w| and 1/|w| are at most
+    Q^(-spread / 2 pi) = e^(2 pi spread/lam), so term n is below
+    (4 pi/lam) Q^n e^(2 pi spread/lam) / (1 - Q) in K, c times the two of
+    g(w), and below 2 Q^n e^(2 pi spread/lam) / (1 - Q) in ln|P|.  The tail
+    after M terms of either is below (4 pi/lam + 2) Q^(M + 1)
+    e^(2 pi spread/lam) / (1 - Q)^2; the least M that puts it under TAIL is
+    floor(pair_order + spread / 2 pi).  Spread pi covers prime_sums' pairs
+    (Nome.terms), 2 pi any principal branches."""
     return int(nm.pair_order + spread / (2 * math.pi))  # pair_order > 0 in the dual form
 
 
@@ -317,33 +320,6 @@ def prime_sums(z_t, z_s, weights, k: int, derivative: bool = False):
     return lnp, summed(_log_derivative(d, v, inv, ends, nm, count), 2 / nm.lam) if derivative else None
 
 
-def _pair_branches(log_z: list, nm: Nome) -> tuple[list, int]:
-    """log_z on the branches that need the fewest g(w) terms, and that number.
-
-    The angular spread S of the branches bounds every |Im L|.  A gap between
-    the points' angles wider than pi holds the angle pi or 0, so the principal
-    cut at pi or a cut at 0 (angles <= 0 moved up a turn) gives the least S,
-    2 pi less that gap.  O(N), with no sort."""
-    angles = [l.imag for l in log_z]
-    spread = max(angles) - min(angles) if angles else 0.0
-    terms = pair_terms(nm, spread)
-    if spread <= math.pi:  # the gap that holds pi is the widest
-        return log_z, terms
-    # the spread with the cut at 0: the largest angle <= 0, moved up a turn,
-    # less the smallest angle > 0 (both exist, since spread > pi)
-    top, bottom = -math.pi, math.pi
-    for a in angles:
-        if a > 0:
-            if a < bottom:
-                bottom = a
-        elif a > top:
-            top = a
-    moved = top + 2 * math.pi - bottom
-    if pair_terms(nm, moved) >= terms:
-        return log_z, terms
-    return [l + 2j * math.pi if a <= 0 else l for l, a in zip(log_z, angles)], pair_terms(nm, moved)
-
-
 @lru_cache(maxsize=16)
 def _pair_rows(n: int, offset: complex) -> list:
     """The (N, 2N) block as blocks of rows, each a temporary of about CHUNK
@@ -368,13 +344,13 @@ def _pair_block(weights: np.ndarray, k: int, log: bool = False):
     """The callable log_z -> sum_j weights_j [F(z_i/z_j) - F(z_i conj(z_j))]
     of the points z = exp(l), in numpy, for F = ln|P| with log, and for
     F = K the velocities of pair_evaluator: prime_sums' evaluation with the
-    targets as the sources.  The points share the branch _pair_branches
-    chooses and the terms of its spread.  On the diagonal, v = 1, P loses
+    targets as the sources.  The points stay on their principal branches,
+    and every pair takes the terms of their angular spread, which bounds
+    each |Im L|.  On the diagonal, v = 1, P loses
     its factor 1 - zeta: _pair_rows' offsets make d the value for which
     K(z_i/z_i) is 0 and ln|P(z_i/z_i)| is 2 ln (p; p)_inf, the limit of
     ln|P(zeta)/(1 - zeta)| at 1 (c/d = -1/2 - i pi/lam, d = c, and d = -1
-    in the direct form).  The count is K's, which bounds ln|P|'s tail too
-    up to k = 13, and within 7% at k = 14."""
+    in the direct form)."""
     nm, n = nome(k), len(weights)
     c, scale = 2j * math.pi / nm.lam, 2 / nm.lam
     offset = (1 - c if log else 1 + 2j * math.pi / (nm.lam / 2 + 1j * math.pi)) if nm.dual else 2.0
@@ -384,16 +360,17 @@ def _pair_block(weights: np.ndarray, k: int, log: bool = False):
 
     def evaluate(log_z: list) -> np.ndarray:
         if nm.dual:
-            log_z, count = _pair_branches(log_z, nm)
+            angles = [l.imag for l in log_z]
+            count = pair_terms(nm, max(angles, default=0.0) - min(angles, default=0.0))
             e = [cmath.exp(c * l) for l in log_z]
             e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
         else:
             z = np.exp(np.asarray(log_z, dtype=complex))
-            e = np.concatenate((z, 1 / np.conj(z)))  # zeta = z_i / e_j
+            e = np.conj(z)  # zeta = z_i / z_j and z_i conj(z_j), each rounded once, as in _blocks
             count = _direct_terms(nm.lam, 2 * max((abs(l.real) for l in log_z), default=0.0) / nm.lam)
         out = np.empty(weights.shape, dtype=float if log else complex)
         for part, offsets in blocks:
-            v = e[part, None] / e
+            v = e[part, None] / e if nm.dual else np.concatenate((z[part, None] / z, z[part, None] * e), axis=1)
             inv, ends = _reciprocals(v, count)
             sums = (_log_abs_prime(v - offsets, ends, nm, count) if log
                     else _log_derivative(v - offsets, v, inv, ends, nm, count))
@@ -401,7 +378,7 @@ def _pair_block(weights: np.ndarray, k: int, log: bool = False):
         ln_r = [l.real for l in log_z]
         if nm.dual:  # column j's terms, summed in plain arithmetic for 1-D weights
             col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
-            out -= (1 + scale * np.array(ln_r)) * col if log else scale * col
+            out -= np.multiply.outer(1 + scale * np.array(ln_r), col) if log else scale * col
         if log:
             return out
         # the velocities dl_l/dt = i conj(S_l) / (2 pi e^(2 ln|z_l|)), in place
@@ -504,12 +481,15 @@ def pair_evaluator(weights, k: int):
     the weights and their sum.  log_z, the list of Python complex numbers
     log z_j, is checked by the caller before any exponential and put on the
     principal branch.  In the dual form up to LIST_MAX_POINTS points the
-    plain sums of _sum_plan take it (weights given as a list of N numbers
-    give a list, with no numpy call), else the numpy block of _pair_block.
+    plain sums of _sum_plan take it, with no numpy call, else the numpy
+    block of _pair_block.  Weights given as a list of N numbers give a list
+    of Python complex numbers, numpy weights an array of their shape.
     Coincident points divide by 0."""
-    if not nome(k).dual or len(weights) > LIST_MAX_POINTS:
-        return _pair_block(np.asarray(weights, dtype=float), k)
-    if isinstance(weights, list):
-        return _pair_sums(weights, k)
-    sums = _pair_sums(list(weights), k)
-    return lambda log_z: np.array(sums(log_z), dtype=complex).reshape(weights.shape)
+    as_list = isinstance(weights, list)
+    if nome(k).dual and len(weights) <= LIST_MAX_POINTS:
+        if as_list:
+            return _pair_sums(weights, k)
+        sums = _pair_sums(list(weights), k)
+        return lambda log_z: np.array(sums(log_z), dtype=complex).reshape(weights.shape)
+    block = _pair_block(np.asarray(weights, dtype=float), k)
+    return (lambda log_z: block(log_z).tolist()) if as_list else block

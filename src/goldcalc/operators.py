@@ -1,4 +1,4 @@
-"""Golden derivative hierarchy, translation operator and periodicity testing.
+"""Golden derivative hierarchy and translation operator.
 
 The level-k golden derivative is the two-base difference quotient
 (f(phi^k x) - f(phi'^k x)) / ((phi^k - phi'^k) x).  On monomials it acts as
@@ -87,19 +87,6 @@ def golden_derivative_numeric(f, x, k: int = 1):
     return (f(pk * x) - f(qk * x)) / ((pk - qk) * x)
 
 
-def golden_derivative_continuous(f, x: float, s: float) -> float:
-    """Even-branch quotient (f(phi^s x) - f(phi^-s x)) / ((phi^s - phi^-s) x).
-
-    Converges to the classical derivative f'(x) as s -> 0.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x == 0:
-        raise ValueError("quotient is singular at x = 0")
-    ps = PHI**s
-    return (f(ps * x) - f(x / ps)) / ((ps - 1.0 / ps) * x)
-
-
 def translate(p: Polynomial, y: complex, k: int = 1) -> Polynomial:
     """Golden shift of a polynomial: sum a_n (x + y)^n at binomial level k.
 
@@ -118,12 +105,3 @@ def translate(p: Polynomial, y: complex, k: int = 1) -> Polynomial:
         for m, c in enumerate(b.coeffs):
             out[n - m] += a * c * ypow[m]
     return Polynomial(out)
-
-
-def is_golden_periodic(f, k: int, samples: Sequence[float], tol: float = 1e-10) -> bool:
-    """True iff the numeric level-k golden derivative vanishes on every sample."""
-    if len(samples) == 0:
-        raise ValueError("empty sample list")
-    if any(x == 0 for x in samples):
-        raise ValueError("samples must be nonzero")
-    return max(abs(golden_derivative_numeric(f, x, k)) for x in samples) <= tol

@@ -59,6 +59,9 @@ class TestNome:
     def test_form_and_terms(self):
         assert kernel.nome(1).dual and kernel.nome(1).terms == 1
         assert kernel.nome(4).dual and kernel.nome(4).terms == 2
+        # the last dual level takes 7 terms against 7 product factors
+        assert kernel.nome(15).dual and kernel.nome(15).terms == 7 == kernel._direct_terms(kernel.nome(15).lam, 1.0)
+        assert not kernel.nome(16).dual
         assert not kernel.nome(20).dual
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, True, 1475])
@@ -442,25 +445,48 @@ class TestPrimeArguments:
         return kernel.prime_sums(zeta, [1.1 + 0.1j], [1.0], k, derivative=True)
 
 
+def old_dual_terms(nm) -> int:
+    """The dual-series terms nome once counted in a loop of its own: the
+    least M with (4 pi/lam + 2) Q^(M + 1/2) / (1 - Q) below TAIL."""
+    terms = 0
+    while (4 * math.pi / nm.lam + 2) / (1 - nm.q) * nm.q ** (terms + 0.5) >= kernel.TAIL:
+        terms += 1
+    return terms
+
+
 class TestPairTermSizing:
     """Up to LIST_MAX points each pair sums the g(w) terms of its own angle
     gap, moved a turn into [-pi, pi]; above it the numpy block sums those of
-    the points' angular spread, on branches that put the cut in a gap wider
-    than pi if there is one."""
+    the points' principal angular spread."""
 
     def test_terms_from_spread(self):
-        assert kernel.pair_terms(kernel.nome(1), 3.03) == 0
-        assert kernel.pair_terms(kernel.nome(1), 3.04) == 1
-        for k in range(1, 15):  # the dual form; at spread 2 pi, the tail bound (4 pi/lam) Q^M / (1 - Q)^2
+        assert kernel.pair_terms(kernel.nome(1), 3.029) == 0
+        assert kernel.pair_terms(kernel.nome(1), 3.030) == 1
+        dual = [k for k in range(1, 17) if kernel.nome(k).dual]
+        assert dual == list(range(1, 16))
+        for k in dual:  # at spread 2 pi, the tail bound (4 pi/lam + 2) Q^M / (1 - Q)^2
             nm = kernel.nome(k)
-            assert nm.dual
-            full = max(1, math.ceil(math.log(kernel.TAIL * nm.lam / (4 * math.pi) * (1 - nm.q) ** 2, nm.q)))
-            assert kernel.pair_terms(nm, 2 * math.pi) == full
+            bound = math.log(kernel.TAIL * (1 - nm.q) ** 2 / (4 * math.pi / nm.lam + 2), nm.q)
+            assert kernel.pair_terms(nm, 2 * math.pi) == max(1, math.ceil(bound)) == len(nm.dual_sums)
+            # prime_sums' pairs, |Im L| <= pi, take the terms of spread pi
+            assert nm.terms == kernel.pair_terms(nm, math.pi) == old_dual_terms(nm)
+        assert [kernel.nome(k).terms for k in dual] == [1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
 
     @pytest.mark.parametrize("angles", [(0.3, 1.5), (3.0, -3.0), (-0.1, 2.9), (2.0, -1.0)])
-    def test_a_pair_at_k1_needs_no_term_unless_nearly_antipodal(self, angles):
-        zs = np.array([cmath.rect(1.1, a) for a in angles])
-        assert kernel._pair_branches(np.log(zs).tolist(), kernel.nome(1))[1] == 0
+    def test_a_pair_at_k1_needs_no_term_unless_nearly_antipodal(self, monkeypatch, angles):
+        # the plain sums, which a pair runs, take the terms of its angle gap
+        # moved a turn into [-pi, pi]: none here, so every g(w) term is made
+        # nan and the velocities stay finite
+        log_z, nm = np.log([cmath.rect(1.1, a) for a in angles]).tolist(), kernel.nome(1)
+        gap = abs(math.remainder(log_z[0].imag - log_z[1].imag, 2 * math.pi))
+        assert kernel.pair_terms(nm, gap) == kernel.pair_terms(nm, 0.0) == 0
+        monkeypatch.setattr(kernel, "nome", lambda level: nm._replace(dual_sums=(math.nan,) * len(nm.dual_sums)))
+        kernel._sum_plan.cache_clear()
+        try:
+            got = kernel.pair_evaluator([1.0, -0.5], 1)(log_z)
+        finally:
+            kernel._sum_plan.cache_clear()
+        assert all(cmath.isfinite(v) for v in got)
 
     @pytest.mark.parametrize("k", DUAL_LEVELS)
     @pytest.mark.parametrize("n", range(2, LIST_MAX + 1))
@@ -470,7 +496,8 @@ class TestPairTermSizing:
         # spread needs at least one; two lie within 1e-9 of a wall
         zs = [point(k, f, 0.3 + 2 * math.pi * l / n) for l, f in enumerate([1e-10, 1 - 1e-10, 0.5, 0.2, 0.8, 0.35, 0.65][:n])]
         log_z = [cmath.log(z) for z in zs]
-        assert kernel._pair_branches(log_z, kernel.nome(k))[1] >= 1
+        spread = max(l.imag for l in log_z) - min(l.imag for l in log_z)
+        assert kernel.pair_terms(kernel.nome(k), spread) >= 1
         got = np.diag(pair_matrix(kernel.pair_evaluator(np.eye(n), k), log_z))
         ref = -product_prime(np.abs(zs) ** 2, k)[1]
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.abs(ref) ** 2)
@@ -499,11 +526,28 @@ class TestPairTermSizing:
         if kernel.nome(k).dual and n:
             # the numpy block with the terms of spread 2 pi, the most any
             # principal branches need, whatever evaluator the points chose
-            monkeypatch.setattr(kernel, "_pair_branches",
-                                lambda log_z, nm: (log_z, kernel.pair_terms(nm, 2 * math.pi)))
+            terms = kernel.pair_terms
+            monkeypatch.setattr(kernel, "pair_terms", lambda nm, spread: terms(nm, 2 * math.pi))
             ref = pair_matrix(kernel._pair_block(np.eye(n), k), log_z)
         else:  # the direct form chooses no branch, and no points make no block
             ref = pair_reference(np.array(zs, dtype=complex), k)[0]
+        assert got.shape == ref.shape == (n, n)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("k", [14, 15])
+    @pytest.mark.parametrize("case", ["ring", "clustered across the cut"])
+    def test_log_block_equals_the_product(self, case, k):
+        # the Hamiltonian's ln|P| sums, whose tail the terms of the spread
+        # bound as they bound K's, against the written-out product;
+        # on the diagonal ln|P(zeta)/(1 - zeta)| at zeta = 1 is 2 ln (p; p)_inf
+        zs = np.array([point(k, f, a) for f, a in self.CASES[case]])
+        n, p = len(zs), PHI**-k
+        got = kernel._pair_block(np.eye(n), k, log=True)(np.log(zs).tolist())
+        zeta = np.stack([zs[:, None] / zs, zs[:, None] * np.conj(zs)])
+        zeta[0].flat[:: n + 1] = -1.0  # zeta = 1, replaced below
+        lnp = product_prime(zeta, k)[0]
+        lnp[0].flat[:: n + 1] = 2 * sum(math.log1p(-(p**m)) for m in range(1, 200))
+        ref = lnp[0] - lnp[1]
         assert got.shape == ref.shape == (n, n)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -530,6 +574,23 @@ class TestPairTermSizing:
         finally:
             kernel._sum_plan.cache_clear()
         assert np.isfinite(got).all()
+
+
+class TestEvaluatorResults:
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("n", [0, 1, LIST_MAX, LIST_MAX + 1, 16])
+    def test_list_weights_give_a_list_of_python_complex(self, k, n):
+        # at every N and in both forms; numpy weights give an array, the
+        # same numbers bit for bit
+        zs = np.array([point(k, 0.1 + 0.8 * (l % 7) / 6, 2 * math.pi * l / n - 3) for l in range(n)], dtype=complex)
+        log_z, weights = np.log(zs).tolist(), [1.0 - 1.5 * l / n for l in range(n)]
+        got = kernel.pair_evaluator(weights, k)(log_z)
+        ref = kernel.pair_evaluator(np.array(weights), k)(log_z)
+        assert type(got) is list and all(type(v) is complex for v in got)
+        assert type(ref) is np.ndarray and ref.shape == (n,)
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [(v.real.hex(), v.imag.hex()) for v in ref.tolist()]
+        if k == dynamics.ANNULUS.k:
+            assert dynamics._velocity_field(weights)(log_z) == got
 
 
 class TestCompiledPairSums:

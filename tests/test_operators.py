@@ -6,10 +6,8 @@ import pytest
 
 from goldcalc.operators import (
     Polynomial,
-    golden_derivative_continuous,
     golden_derivative_numeric,
     golden_derivative_poly,
-    is_golden_periodic,
     translate,
 )
 from goldcalc.ring import PHI, PHI_PRIME
@@ -94,24 +92,6 @@ class TestGoldenDerivativeNumericArrays:
             golden_derivative_numeric(self.P, np.float64(0.0), 1)
 
 
-class TestContinuousBranch:
-    def test_converges_to_classical_derivative(self):
-        vals = [golden_derivative_continuous(lambda x: x * x, 1.0, s)
-                for s in (1.0, 0.5, 0.25)]
-        errors = [abs(v - 2.0) for v in vals]
-        assert errors[0] > errors[1] > errors[2]
-        assert golden_derivative_continuous(lambda x: x * x, 1.0, 1e-6) == pytest.approx(2.0)
-
-    def test_exponential(self):
-        got = golden_derivative_continuous(math.exp, 0.7, 1e-4)
-        assert abs(got - math.exp(0.7)) < 1e-7
-
-    def test_constant_and_validation(self):
-        assert golden_derivative_continuous(lambda x: 4.0, 2.0, 0.3) == 0.0
-        with pytest.raises(ValueError):
-            golden_derivative_continuous(math.exp, 1.0, 0.0)
-
-
 class TestLeibnizAndQuotient:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_leibniz(self, k):
@@ -170,23 +150,23 @@ class TestTranslate:
 
 
 class TestGoldenPeriodicity:
+    """A level-k golden-periodic f, f(phi^k x) = f(phi'^k x), is one whose
+    level-k golden derivative vanishes."""
+
     SAMPLES = [0.3, 0.7, 1.1, 1.3, 1.9, 2.6, -0.8, -1.5]
+
+    def largest(self, f, k: int) -> float:
+        return max(abs(golden_derivative_numeric(f, x, k)) for x in self.SAMPLES)
 
     def test_counterexample_function(self):
         f = lambda x: math.sin(math.pi * math.log(abs(x)) / math.log(PHI**2))
-        assert is_golden_periodic(f, 2, self.SAMPLES, 1e-10)
-        assert not is_golden_periodic(f, 1, self.SAMPLES, 1e-10)
+        assert self.largest(f, 2) <= 1e-10
+        assert not self.largest(f, 1) <= 1e-10
 
     def test_level_one_implies_higher(self):
         f = lambda x: math.sin(2 * math.pi * math.log(abs(x)) / math.log(PHI))
         for k in (1, 2, 3):
-            assert is_golden_periodic(f, k, self.SAMPLES, 1e-9)
+            assert self.largest(f, k) <= 1e-9
 
     def test_constant_is_periodic(self):
-        assert is_golden_periodic(lambda x: 2.0, 1, [1.0, 2.0], 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            is_golden_periodic(lambda x: x, 1, [], 1e-8)
-        with pytest.raises(ValueError):
-            is_golden_periodic(lambda x: x, 1, [0.0, 1.0], 1e-8)
+        assert [golden_derivative_numeric(lambda x: 2.0, x, 1) for x in (1.0, 2.0)] == [0.0, 0.0]
