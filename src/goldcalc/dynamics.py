@@ -14,12 +14,11 @@ so a stage takes no log and divides by no z: its escape test is a
 comparison on Re l, then N complex exps and the pair sums.  The number of
 vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at
 the measured crossover; see `goldcalc.kernel`): up to that N in plain complex
-arithmetic, with no numpy call; above it numpy builds the pair block and the
-N x N distance matrix, both in blocks of rows.  The RK4 loop is compiled once
-per N to straight-line Python (`_run_plan`), with every vortex and stage on
-local names around the calls of the field, since the stage records, calls
-and lists of a loop over stages cost about as much as the pair sums of a few
-vortices.
+arithmetic, with no numpy call; above it numpy builds the pair block in
+blocks of rows.  The RK4 loop is compiled once per N to straight-line Python
+(`_run_plan`), with every vortex and stage on local names around the calls
+of the field, since the stage records, calls and lists of a loop over stages
+cost about as much as the pair sums of a few vortices.
 
 The phi-logarithm pole sums (`single_vortex_omega`, `ring_frequency`) stay as
 independent closed forms the tests and `verify` compare against.  Image
@@ -131,31 +130,21 @@ def single_vortex_omega(r, kappa: float):
 def _check_pairs(zs: list | np.ndarray, step: int | None) -> float:
     """Smallest pair distance of the positions zs (inf for fewer than two
     vortices); raises VortexCollisionError for a pair closer than
-    COLLISION_DISTANCE.  Up to kernel.LIST_MAX_POINTS vortices the pairs are
-    taken one by one, above that as rows of the N x N distance matrix in
-    numpy, in blocks of about kernel.CHUNK entries.  Ties keep the first pair
-    in row order, as argmin does."""
+    COLLISION_DISTANCE.  The pairs are taken as rows of the N x N distance
+    matrix in numpy, in blocks of about kernel.CHUNK entries.  Ties keep the
+    first pair in row order, as argmin does."""
     n = len(zs)
     if n < 2:
         return math.inf
-    closest = math.inf
-    if n <= kernel.LIST_MAX_POINTS:
-        for a in range(n - 1):
-            z = zs[a]
-            for b in range(a + 1, n):
-                d = abs(z - zs[b])
-                if d < closest:
-                    closest, i, j = d, a, b
-    else:
-        zs = np.asarray(zs, dtype=complex)
-        rows = max(1, kernel.CHUNK // n)
-        for a in range(0, n, rows):
-            dist = np.abs(zs[a:a + rows, None] - zs)
-            dist.flat[a :: n + 1] = np.inf  # the entries (a + r, a + r)
-            at = int(dist.argmin())
-            if dist.flat[at] < closest:
-                closest = float(dist.flat[at])
-                i, j = sorted(divmod(a * n + at, n))
+    closest, zs = math.inf, np.asarray(zs, dtype=complex)
+    rows = max(1, kernel.CHUNK // n)
+    for a in range(0, n, rows):
+        dist = np.abs(zs[a:a + rows, None] - zs)
+        dist.flat[a :: n + 1] = np.inf  # the entries (a + r, a + r)
+        at = int(dist.argmin())
+        if dist.flat[at] < closest:
+            closest = float(dist.flat[at])
+            i, j = sorted(divmod(a * n + at, n))
     if closest < COLLISION_DISTANCE:
         raise VortexCollisionError(step, i, j, closest)
     return closest

@@ -36,20 +36,22 @@ first use and cached; importing this module does no work.
 
 The flows need P of point pairs, zeta = z_t / z_s and z_t conj(z_s), whose
 w come from exponentials of the points: w = x_t / e_s and x_t / conj(e_s),
-e = x = exp(2 pi i log z / lam), one exp per point and a division per pair,
-where a complex log, sine and cosine of each argument took three
-transcendental calls per pair.  The two L of a pair differ by the real
--2 ln|z_s|, so in their differences the real parts reduce to column terms.
-Three evaluators read the one series (_log_derivative, _log_abs_prime):
-- `prime_sums`, targets against sources, each pair moved into |Im L| <= pi,
-  with the exact difference z_t - z_s next to a source (`hydro.flow`,
-  `vortex_psi`, `dynamics.green_function`); `log_abs_prime` and
-  `log_derivative` are its case of the one source 1, for single arguments;
-- `_pair_block`, one set of points against itself with the diagonal rule,
-  on their principal branches with the terms of their angular spread, so
-  with no pass to wrap pairs one by one (`pair_evaluator` above
-  LIST_MAX_POINTS, `dynamics.hamiltonian`), in
-  blocks of rows of about CHUNK entries, so its memory does not grow as N^2;
+e = x = exp(2 pi i log z / lam), one exp per point and a division per pair.
+The two L of a pair differ by the real -2 ln|z_s|, so in their differences
+the real parts reduce to column terms.
+Three evaluators read the one series (_log_derivative, _log_abs_prime).
+The two in numpy share one branch rule, the points' principal branches with
+pair_terms of their angular spread, and one block builder (_ratios), series
+step (_series) and column terms (_column_terms):
+- `prime_sums`, targets against sources (`hydro.flow`, `vortex_psi`,
+  `dynamics.green_function`), which takes a near pair,
+  |z_t - z_s| < |z_s|/2, from the exact difference z_t - z_s, on the branch
+  of log(1 + (z_t - z_s)/z_s); `log_abs_prime` and `log_derivative` are
+  its case of the one source 1, for single arguments;
+- `_pair_block`, its case of one set of points against itself, with the
+  diagonal rule in place of the near pairs (`pair_evaluator` above
+  LIST_MAX_POINTS, `dynamics.hamiltonian`), in blocks of rows of about
+  CHUNK entries, so its memory does not grow as N^2;
 - up to LIST_MAX_POINTS, the measured crossover of whole RK4 steps at k = 1,
   the same entries summed pair by pair in plain complex arithmetic by code
   compiled once per (N, k) (_sum_plan): each numpy call has a fixed cost of
@@ -87,7 +89,7 @@ CHUNK = 4096
 
 
 class Nome(NamedTuple):
-    """Per-k constants: p = phi^-k, lam = -ln p, the dual nome and its terms."""
+    """Per-k constants: p = phi^-k, lam = -ln p, the dual nome and its sums."""
 
     lam: float
     p: float
@@ -97,11 +99,6 @@ class Nome(NamedTuple):
     dual: bool = False      # evaluate through the dual (Jacobi) series
     dual_sums: tuple = ()   # Q^n + Q^-n for the pair_terms of the widest spread, 2 pi
     const: float = 0.0      # C_k - ln 2, the constant of ln|P| in the dual form
-
-    @property
-    def terms(self) -> int:
-        """Dual-series terms for |Im L| <= pi, where prime_sums moves each pair."""
-        return pair_terms(self, math.pi)
 
 
 def _log_pochhammer(x: float) -> float:
@@ -172,8 +169,9 @@ def nome(k: int) -> Nome:
     p = math.exp(-lam)
     q = math.exp(-4 * math.pi**2 / lam)
     nm = Nome(lam, p, q, math.log(TAIL * (1 - q) ** 2 / (4 * math.pi / lam + 2), q), _log_pochhammer(p))
-    # the direct form is sized for the arguments the flows use, |ln|zeta|| <= lam
-    if nm.terms > _direct_terms(lam, 1.0):
+    # the forms compared on the flows' arguments: a pair's angle gap moved a
+    # turn into [-pi, pi], as the plain sums move it, and |ln|zeta|| <= lam
+    if pair_terms(nm, math.pi) > _direct_terms(lam, 1.0):
         return nm
     dual_sums = tuple(q**n + q**-n for n in range(1, pair_terms(nm, 2 * math.pi) + 1))
     const = 2 * nm.log_euler - math.log(2 * math.pi / lam) - 2 * _log_pochhammer(q)
@@ -188,23 +186,15 @@ def pair_terms(nm: Nome, spread: float) -> int:
     g(w), and below 2 Q^n e^(2 pi spread/lam) / (1 - Q) in ln|P|.  The tail
     after M terms of either is below (4 pi/lam + 2) Q^(M + 1)
     e^(2 pi spread/lam) / (1 - Q)^2; the least M that puts it under TAIL is
-    floor(pair_order + spread / 2 pi).  Spread pi covers prime_sums' pairs
-    (Nome.terms), 2 pi any principal branches."""
+    floor(pair_order + spread / 2 pi).  Spread 2 pi covers any principal
+    branches, pi a pair's gap moved a turn into [-pi, pi] (_sum_plan)."""
     return int(nm.pair_order + spread / (2 * math.pi))  # pair_order > 0 in the dual form
-
-
-def _reciprocals(v: np.ndarray, count: int):
-    """1/v and v + 1/v, which both series read when they keep terms (count > 0)."""
-    if not count:
-        return None, None
-    inv = 1 / v
-    return inv, v + inv
 
 
 def _log_derivative(d: np.ndarray, v: np.ndarray, inv, ends, nm: Nome, count: int) -> np.ndarray:
     """The part of K that the series carries, with count terms, in place of
-    d, which is v - 1 or the value of a caller's rule; inv and ends are
-    _reciprocals(v, count).  Dual form, v = w:
+    d, which is v - 1 or the value of a caller's rule; inv = 1/v and
+    ends = v + 1/v, read only with terms (count > 0).  Dual form, v = w:
     c g(w) = c/d less the terms q w/(1 - q w) - q w^-1/(1 - q w^-1)
     = (w - 1/w)/(q + 1/q - w - 1/w), q = Q^n, which vanish at w = 1.
     Direct form, v = zeta: K = 1 + 1/d + sum_n [1/(1 - p^n/zeta) - 1/(1 - p^n zeta)]."""
@@ -224,49 +214,75 @@ def _log_derivative(d: np.ndarray, v: np.ndarray, inv, ends, nm: Nome, count: in
     return out
 
 
-def _log_abs_prime(d: np.ndarray, ends, nm: Nome, count: int) -> np.ndarray:
+def _log_abs_prime(d: np.ndarray, v: np.ndarray, ends, nm: Nome, count: int) -> np.ndarray:
     """The part of ln|P| that the series carries, with count terms:
     ln|d| + sum_n ln|(1 - r^n v)(1 - r^n / v)|, with r = Q, v = w in the dual
-    form and r = p, v = zeta in the direct one; d is as in _log_derivative,
-    and ends = v + 1/v from _reciprocals."""
-    out = np.log(np.abs(d))
+    form and r = p, v = zeta in the direct one; d and ends are as in
+    _log_derivative.  The dual form leaves out ln max(1, |w|): the same in a
+    pair's two columns, it reaches 4 pi^2/lam (82 at k = 1) and its rounding."""
+    out = np.log(np.abs(d) / np.maximum(np.abs(v), 1.0)) if nm.dual else np.log(np.abs(d))
     r = nm.q if nm.dual else nm.p
     for n in range(1, count + 1):
         out += np.log(np.abs((1 + r ** (2 * n)) - r**n * ends))
     return out
 
 
+def _series(v: np.ndarray, d: np.ndarray, count: int, nm: Nome, log: bool, derivative: bool):
+    """The parts of ln|P| (log) and of K (derivative) that the series carries
+    on the block v, d as in _log_derivative, each None if not asked for: the
+    one series step of both numpy evaluators, which take 1/v once for both."""
+    inv = 1 / v if count else None
+    ends = v + inv if count else None
+    lnp = _log_abs_prime(d, v, ends, nm, count) if log else None  # first: _log_derivative overwrites d
+    return lnp, _log_derivative(d, v, inv, ends, nm, count) if derivative else None
+
+
+def _ratios(t: np.ndarray, s: np.ndarray, nm: Nome) -> np.ndarray:
+    """The block v of targets against sources, for both numpy evaluators, from
+    the column t of x_t and s = [e_s, conj(e_s)] in the dual form, one
+    division, and of z_t and z_s in the direct one: [z_t / z_s, z_t conj(z_s)]."""
+    return t / s if nm.dual else np.concatenate((t / s, t * np.conj(s)), axis=1)
+
+
+def _column_terms(out: np.ndarray, ln_r, col, nm: Nome, log: bool) -> None:
+    """Add the dual form's column terms to the weighted sums out, in place:
+    -(1 + 2 ln|z_t|/lam) col to ln|P| and -(2/lam) col to K, ln_r = ln|z_t|,
+    col = sum_s weights_s ln|z_s|: a pair's two L share a branch, and differ by -2 ln|z_s|."""
+    out -= np.multiply.outer(1 + (2 / nm.lam) * np.asarray(ln_r), col) if log else (2 / nm.lam) * col
+
+
 def _blocks(z_t: np.ndarray, z_s: np.ndarray, nm: Nome):
-    """(v, d = v - 1, count, on, log z_t, log z_s): the (M, 2N) block v of
-    the targets z_t, finite and nonzero (ValueError), against the sources
-    z_s, its count of terms, and the rows where a target is on a source.
-    Dual form: v = [x_t / e_s, x_t / conj(e_s)], x_t moved by Q^-+1 where
-    the angle gap wraps into [-pi, pi] (as _sum_plan's pairs are), so both L
-    of a pair share a branch with |Im L| <= pi; direct form: v = [z_t / z_s,
-    z_t conj(z_s)].  Where |d| < 1/2 the rounded logs would cost d relative
-    precision 1e-16/|z_t - z_s|, so d is taken from u = (z_t - z_s)/z_s:
-    expm1(2 pi i L/lam) of L = log(1 + u) in real arithmetic
-    (ln|1 + u| = log1p(2 Re u + |u|^2)/2), or u itself.  A target on a
-    source, u = 0, is found there, before any log or division; d is 1 there."""
+    """(v, d = v - 1, count, on, log z_t, log z_s) of prime_sums: the block v
+    (_ratios) of the targets z_t, finite and nonzero (ValueError), against
+    the sources z_s; its count of terms (pair_terms of the angular spread of
+    both, or _direct_terms of max|ln|z_t|| + max|ln|z_s||); the rows on
+    where a target is on a source, u = 0, with d = 1 there.  A near pair,
+    |u| < 1/2 with u = (z_t - z_s)/z_s, would lose relative precision
+    1e-16/|u| in d to the rounded logs, so d = u in the direct form, and in
+    the dual one expm1(2 pi i L/lam) of L = log(1 + u) in real arithmetic
+    (ln|1 + u| = log1p(2 Re u + |u|^2)/2), with v = 1 + d.  That L is a turn
+    from the principal one across the cut at pi; the conj column moves by
+    the same turn (x_t by Q^-+1), so both L of the pair keep one branch."""
     if not (np.isfinite(z_t) & (z_t != 0)).all():  # before any log
         raise ValueError("prime function arguments must be finite and nonzero")
-    n, log_t, log_s = len(z_s), np.log(z_t), np.log(z_s)
+    n, c, log_t, log_s = len(z_s), 2j * math.pi / nm.lam, np.log(z_t), np.log(z_s)
     if nm.dual:
-        c = 2j * math.pi / nm.lam
-        turn = np.rint((log_t.imag[:, None] - log_s.imag) * (0.5 / math.pi))  # -1, 0 or 1
-        x, e = np.exp(c * log_t)[:, None] * np.exp(turn * (4 * math.pi**2 / nm.lam)), np.exp(c * log_s)
-        v = np.concatenate((x / e, x / np.conj(e)), axis=1)
+        e, angles = np.exp(c * log_s), np.concatenate((log_t.imag, log_s.imag))
+        v = _ratios(np.exp(c * log_t)[:, None], np.concatenate((e, np.conj(e))), nm)
+        count = pair_terms(nm, float(angles.max() - angles.min()) if len(angles) else 0.0)
     else:
-        v = np.concatenate((z_t[:, None] / z_s, z_t[:, None] * np.conj(z_s)), axis=1)
-    d = v - 1
-    i, j = np.nonzero(np.abs(d[:, :n]) < 0.5)
+        v = _ratios(z_t[:, None], z_s, nm)
+        reach = np.max(np.abs(log_t.real), initial=0.0) + np.max(np.abs(log_s.real), initial=0.0)
+        count = _direct_terms(nm.lam, float(reach) / nm.lam)
+    i, j = np.nonzero(np.abs(z_t[:, None] - z_s) < 0.5 * np.abs(z_s))
     u = (z_t[i] - z_s[j]) / z_s[j]
-    d[i, j] = np.expm1(c * (0.5 * np.log1p(2 * u.real + np.abs(u) ** 2) + 1j * np.angle(1 + u))) if nm.dual else u
-    count = nm.terms if nm.dual else _direct_terms(
-        nm.lam, float(np.max(np.abs(np.log(np.abs(v))), initial=0.0)) / nm.lam)
-    on = d == 0
-    d[on] = 1.0
-    return v, d, count, on.any(axis=1), log_t, log_s
+    if nm.dual:
+        v[i, j + n] *= np.exp(np.rint((log_t.imag[i] - log_s.imag[j]) * (0.5 / math.pi)) * (4 * math.pi**2 / nm.lam))
+        u = np.expm1(c * (0.5 * np.log1p(2 * u.real + np.abs(u) ** 2) + 1j * np.angle(1 + u)))
+    v[i, j] = 1 + u
+    d = v - 1
+    d[i, j] = np.where(u == 0, 1.0, u)
+    return v, d, count, i[u == 0], log_t, log_s
 
 
 def _argument(zeta, k: int, log: bool) -> np.ndarray:
@@ -274,11 +290,9 @@ def _argument(zeta, k: int, log: bool) -> np.ndarray:
     whose log is 0, so L = log zeta on the principal branch; nan at zeta = 1."""
     nm, zeta = nome(k), np.asarray(zeta, dtype=complex)
     v, d, count, on, log_z, _ = _blocks(zeta.ravel(), np.ones(1, dtype=complex), nm)
-    v, d = v[:, 0], d[:, 0]
-    inv, ends = _reciprocals(v, count)
-    out = _log_abs_prime(d, ends, nm, count) if log else _log_derivative(d, v, inv, ends, nm, count)
-    if nm.dual and log:  # Re[L/2 + L^2/(2 lam) - i pi L/lam] = Re[L/2 + L^2/(2 lam)] + pi Im L/lam
-        out += (log_z * (0.5 + log_z / (2 * nm.lam) - 1j * math.pi / nm.lam)).real + nm.const
+    out = _series(v[:, 0], d[:, 0], count, nm, log, not log)[0 if log else 1]
+    if nm.dual and log:  # Re[L/2 + L^2/(2 lam)] + pi Im L/lam, and ln|w| = -2 pi Im L/lam where > 0
+        out += (log_z * (0.5 + log_z / (2 * nm.lam))).real + (math.pi / nm.lam) * np.abs(log_z.imag) + nm.const
     elif nm.dual:
         out += log_z / nm.lam + (0.5 + 1j * math.pi / nm.lam)
     out[on] = np.nan
@@ -298,26 +312,23 @@ def log_abs_prime(zeta, k: int) -> np.ndarray:
 def prime_sums(z_t, z_s, weights, k: int, derivative: bool = False):
     """For each target z_t, sum_s weights_s [ln|P(z_t/z_s)| - ln|P(z_t conj z_s)|],
     and with derivative also the same sums of K (else None), as arrays of
-    z_t's shape, from the blocks of _blocks; nan where a target is on a
-    source.  The sources z_s are points of the open annulus.  Each pair's
-    difference comes before its weight, as weights near the float maximum
-    need; in the dual form its real parts are the column terms
-    -(1 + 2 ln|z_t|/lam) ln|z_s| of ln|P| and -(2/lam) ln|z_s| of K."""
+    z_t's shape, from _blocks; nan where a target is on a source, z_s being
+    points of the open annulus.  Each pair's difference comes before its
+    weight, as weights near the float maximum need: a pair's two K entries
+    share |w|, and hold about -c per term for a small |w|, which cancel."""
     nm, z_t = nome(k), np.asarray(z_t, dtype=complex)
     v, d, count, on, log_t, log_s = _blocks(z_t.ravel(), np.asarray(z_s, dtype=complex), nm)
     n, weights = len(log_s), np.asarray(weights, dtype=float)
 
-    def summed(block: np.ndarray, scale) -> np.ndarray:
+    def summed(block: np.ndarray, log: bool) -> np.ndarray:
         out = (block[:, :n] - block[:, n:]) @ weights
         if nm.dual:
-            out -= scale * (log_s.real @ weights)
+            _column_terms(out, log_t.real, log_s.real @ weights, nm, log)
         out[on] = np.nan
         return out.reshape(z_t.shape)
 
-    # ln|P| first: it reads d, which _log_derivative overwrites
-    inv, ends = _reciprocals(v, count)
-    lnp = summed(_log_abs_prime(d, ends, nm, count), 1 + (2 / nm.lam) * log_t.real)
-    return lnp, summed(_log_derivative(d, v, inv, ends, nm, count), 2 / nm.lam) if derivative else None
+    lnp, kk = _series(v, d, count, nm, True, derivative)
+    return summed(lnp, True), summed(kk, False) if derivative else None
 
 
 @lru_cache(maxsize=16)
@@ -325,10 +336,9 @@ def _pair_rows(n: int, offset: complex) -> list:
     """The (N, 2N) block as blocks of rows, each a temporary of about CHUNK
     entries, with their offsets: 1, and offset on the diagonal, where v = 1
     and v - offset is d of _pair_block's diagonal rule.  The offsets of every
-    block are views of one flat array:
-    with top the start of the last block, the m rows from row a take the
-    2N m entries from top - a, whose diagonal entries a + r (2N + 1) hold
-    offset."""
+    block are views of one flat array: with top the start of the last block,
+    the m rows from row a take the 2N m entries from top - a, whose diagonal
+    entries a + r (2N + 1) hold offset."""
     if not n:
         return []
     rows = min(n, max(1, CHUNK // (2 * n)))
@@ -343,48 +353,43 @@ def _pair_rows(n: int, offset: complex) -> list:
 def _pair_block(weights: np.ndarray, k: int, log: bool = False):
     """The callable log_z -> sum_j weights_j [F(z_i/z_j) - F(z_i conj(z_j))]
     of the points z = exp(l), in numpy, for F = ln|P| with log, and for
-    F = K the velocities of pair_evaluator: prime_sums' evaluation with the
-    targets as the sources.  The points stay on their principal branches,
-    and every pair takes the terms of their angular spread, which bounds
-    each |Im L|.  On the diagonal, v = 1, P loses
-    its factor 1 - zeta: _pair_rows' offsets make d the value for which
-    K(z_i/z_i) is 0 and ln|P(z_i/z_i)| is 2 ln (p; p)_inf, the limit of
-    ln|P(zeta)/(1 - zeta)| at 1 (c/d = -1/2 - i pi/lam, d = c, and d = -1
-    in the direct form)."""
+    F = K the velocities of pair_evaluator: prime_sums' case of the targets
+    as the sources, with the diagonal rule in place of its near pairs, and
+    [weights, -weights] dotting the block (circulations are far below the
+    float maximum).  On the diagonal, v = 1, P loses its factor 1 - zeta:
+    _pair_rows' offsets make d the value for which K(z_i/z_i) is 0 and
+    ln|P(z_i/z_i)| is 2 ln (p; p)_inf, the limit of ln|P(zeta)/(1 - zeta)|
+    at 1 (c/d = -1/2 - i pi/lam, d = c, and d = -1 in the direct form)."""
     nm, n = nome(k), len(weights)
-    c, scale = 2j * math.pi / nm.lam, 2 / nm.lam
+    c = 2j * math.pi / nm.lam
     offset = (1 - c if log else 1 + 2j * math.pi / (nm.lam / 2 + 1j * math.pi)) if nm.dual else 2.0
     blocks = _pair_rows(n, offset)
     signed, total = np.concatenate((weights, -weights)), sum(weights)
-    weight_list = weights.tolist() if weights.ndim == 1 else None
+    weight_list, rows = (weights.tolist() if weights.ndim == 1 else None), (-1,) + (1,) * (weights.ndim - 1)
 
     def evaluate(log_z: list) -> np.ndarray:
+        ln_r = [l.real for l in log_z]
         if nm.dual:
             angles = [l.imag for l in log_z]
             count = pair_terms(nm, max(angles, default=0.0) - min(angles, default=0.0))
             e = [cmath.exp(c * l) for l in log_z]
-            e = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
+            points = np.array(e + [x.conjugate() for x in e], dtype=complex)  # e_j, conj(e_j)
         else:
-            z = np.exp(np.asarray(log_z, dtype=complex))
-            e = np.conj(z)  # zeta = z_i / z_j and z_i conj(z_j), each rounded once, as in _blocks
-            count = _direct_terms(nm.lam, 2 * max((abs(l.real) for l in log_z), default=0.0) / nm.lam)
+            points = np.exp(np.asarray(log_z, dtype=complex))
+            count = _direct_terms(nm.lam, 2 * max(map(abs, ln_r), default=0.0) / nm.lam)
         out = np.empty(weights.shape, dtype=float if log else complex)
         for part, offsets in blocks:
-            v = e[part, None] / e if nm.dual else np.concatenate((z[part, None] / z, z[part, None] * e), axis=1)
-            inv, ends = _reciprocals(v, count)
-            sums = (_log_abs_prime(v - offsets, ends, nm, count) if log
-                    else _log_derivative(v - offsets, v, inv, ends, nm, count))
-            sums.dot(signed, out=out[part])
-        ln_r = [l.real for l in log_z]
+            v = _ratios(points[part, None], points, nm)
+            _series(v, v - offsets, count, nm, log, not log)[0 if log else 1].dot(signed, out=out[part])
         if nm.dual:  # column j's terms, summed in plain arithmetic for 1-D weights
             col = sum(map(operator.mul, ln_r, weight_list)) if weight_list is not None else ln_r @ weights
-            out -= np.multiply.outer(1 + scale * np.array(ln_r), col) if log else scale * col
+            _column_terms(out, ln_r, col, nm, log)
         if log:
             return out
         # the velocities dl_l/dt = i conj(S_l) / (2 pi e^(2 ln|z_l|)), in place
         out += total
         np.conj(out, out=out)
-        out *= (I_OVER_TWO_PI * np.exp(-2 * np.asarray(ln_r))).reshape((-1,) + (1,) * (out.ndim - 1))
+        out *= (I_OVER_TWO_PI * np.exp(-2 * np.asarray(ln_r))).reshape(rows)
         return out
 
     return evaluate

@@ -82,8 +82,9 @@ def _bounded(name: str, *measured: tuple[str, float, float], ok: bool = True) ->
     return CheckResult(name, passed, detail, float(value), bound)
 
 
-def _worst(pairs) -> float:
-    return max(pairs) if pairs else 0.0
+def _worst(*values) -> float:
+    """The largest of values (0.0 for none), nan if any is: max(0.0, nan) is 0.0."""
+    return float(np.max(values, initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +98,7 @@ def suite_ring(rng: np.random.Generator) -> list[CheckResult]:
         exact = golden_pow(n).to_real()
         direct = PHI**n
         errs.append(abs(exact - direct) / abs(direct))
-    worst = _worst(errs)
+    worst = _worst(*errs)
     out.append(_bounded("golden_pow matches floating powers, |n| <= 60",
                         (f"worst rel {worst:.2e}", worst, 1e-12)))
 
@@ -175,11 +176,11 @@ def suite_calculus(rng: np.random.Generator) -> list[CheckResult]:
         gp, gq = g(PHI**k * x), g(PHI_PRIME**k * x)
         lhs = golden_derivative_numeric(lambda s: f(s) * g(s), x, k)
         rhs = df * gp + f(PHI_PRIME**k * x) * dg
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         if abs(gp * gq) > 0.1:
             lhs_q = golden_derivative_numeric(lambda s: f(s) / g(s), x, k)
             rhs_q = (df * gp - f(PHI**k * x) * dg) / (gp * gq)
-            worst_q = max(worst_q, abs(lhs_q - rhs_q) / max(1.0, abs(lhs_q)))
+            worst_q = _worst(worst_q, abs(lhs_q - rhs_q) / max(1.0, abs(lhs_q)))
     out.append(_bounded("Leibniz rule on random polynomial pairs",
                         (f"worst rel {worst:.2e}", worst, 1e-10)))
     out.append(_bounded("quotient rule where denominator is safe",
@@ -192,13 +193,13 @@ def suite_calculus(rng: np.random.Generator) -> list[CheckResult]:
         x = float(rng.uniform(0.2, 1.5))
         sym = golden_derivative_poly(p, k)(x)
         num = golden_derivative_numeric(p, x, k)
-        worst = max(worst, abs(sym - num) / max(1.0, abs(sym)))
+        worst = _worst(worst, abs(sym - num) / max(1.0, abs(sym)))
     out.append(_bounded("symbolic and numeric golden derivatives agree",
                         (f"worst rel {worst:.2e}", worst, 1e-11)))
 
     f1 = lambda x: math.sin(2 * math.pi * math.log(abs(x)) / math.log(PHI))
     samples = [0.3, 0.7, 1.1, 1.9, 2.6, -0.8, -1.5]
-    worst = max(abs(golden_derivative_numeric(f1, x, k)) for k in (1, 2, 3) for x in samples)
+    worst = _worst(*(abs(golden_derivative_numeric(f1, x, k)) for k in (1, 2, 3) for x in samples))
     out.append(_bounded("level-1 periodic function stays periodic at k = 2, 3",
                         (f"worst {worst:.2e}", worst, 1e-9)))
 
@@ -259,7 +260,7 @@ def _cr_residuals(coeffs, k: int) -> tuple[float, float]:
             lambda s: golden_derivative_numeric(lambda r: w(r, y), s, k), x, k)
         dyy = golden_derivative_numeric(
             lambda s: golden_derivative_numeric(lambda r: w(x, r), s, -k), y, -k)
-        worst_lap = max(worst_lap, float(np.max(np.abs(dxx + dyy))))
+        worst_lap = _worst(worst_lap, float(np.max(np.abs(dxx + dyy))))
     return worst_cr, worst_lap
 
 
@@ -272,7 +273,7 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
                 f = lambda s: golden_exp(lam * s, k, "e")
                 lhs = golden_derivative_numeric(f, x, k)
                 rhs = lam * golden_exp(lam * x, k, "e")
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+                worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(_bounded("golden exponential eigenfunction property",
                         (f"worst rel {worst:.2e}", worst, 1e-9)))
 
@@ -284,7 +285,7 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
                 f = lambda s: golden_exp(lam * s, k, "E")
                 lhs = golden_derivative_numeric(f, x, k)
                 rhs = lam * golden_exp(sgn * lam * x, k, "E")
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+                worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(_bounded("E-exponential derivative property",
                         (f"worst rel {worst:.2e}", worst, 1e-9)))
 
@@ -297,7 +298,7 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
             for y in (-0.4, 0.25, 0.5):
                 lhs = golden_exp(x, k, "E") * golden_exp(y, k, "e")
                 rhs = binomial_power_series(y, x, k)
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+                worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     out.append(_bounded("E(x) e(y) equals the golden-binomial series",
                         (f"worst rel {worst:.2e}", worst, 1e-9)))
 
@@ -306,8 +307,8 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
     for k in (1, 2):
         coeffs = rng.uniform(-1, 1, size=7)
         cr, lap = _cr_residuals(coeffs, k)
-        worst_cr = max(worst_cr, cr)
-        worst_lap = max(worst_lap, lap)
+        worst_cr = _worst(worst_cr, cr)
+        worst_lap = _worst(worst_lap, lap)
     out.append(_bounded("golden Cauchy-Riemann residuals",
                         (f"worst {worst_cr:.2e}", worst_cr, 1e-8)))
     out.append(_bounded("golden Laplace residuals",
@@ -316,7 +317,7 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
     worst = 0.0
     for _ in range(200):
         z = cmath.rect(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * math.pi)))
-        worst = max(worst, abs(e_phi(z) - e_phi_product(z)))
+        worst = _worst(worst, abs(e_phi(z) - e_phi_product(z)))
     out.append(_bounded("Euler identity: e_phi series vs product on |z| <= 1",
                         (f"worst {worst:.2e}", worst, 1e-10)))
 
@@ -324,7 +325,7 @@ def suite_functions(rng: np.random.Generator) -> list[CheckResult]:
     for k in (1, 2):
         for _ in range(60):
             z = cmath.rect(float(rng.uniform(0, 0.9)), float(rng.uniform(0, 2 * math.pi)))
-            worst = max(worst, abs(ln_phi(z, k, "series") - ln_phi(z, k, "pole_sum")))
+            worst = _worst(worst, abs(ln_phi(z, k, "series") - ln_phi(z, k, "pole_sum")))
     out.append(_bounded("ln_phi series vs pole sum, k in {1,2}, |z| <= 0.9",
                         (f"worst {worst:.2e}", worst, 1e-9)))
     return out
@@ -381,10 +382,10 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
                            for f, a in ((0.2, 0.3), (0.5, 2.0), (0.8, 4.4), (0.35, 5.5))])
         base = hydro.vortex_potential(sys, probes, fam1_range=sh1, fam2_range=sh2)
         moved = hydro.vortex_potential(sys, PHI**k * probes)
-        worst_f = max(worst_f, float(np.max(np.abs((moved[1:] - moved[0]) - (base[1:] - base[0])))))
+        worst_f = _worst(worst_f, float(np.max(np.abs((moved[1:] - moved[0]) - (base[1:] - base[0])))))
         va = hydro.vortex_velocity(sys, PHI**k * probes)
         vb = hydro.vortex_velocity(sys, probes, fam1_range=sh1, fam2_range=sh2)
-        worst_v = max(worst_v, float(np.max(np.abs(va - vb / PHI**k))))
+        worst_v = _worst(worst_v, float(np.max(np.abs(va - vb / PHI**k))))
     out.append(_bounded("potential golden-periodic (difference comparison, reindexed)",
                         (f"worst {worst_f:.2e}", worst_f, 1e-7)))
     out.append(_bounded("velocity self-similar V(phi^k z) = phi^-k V(z)",
@@ -407,11 +408,11 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
     for n in (-2, -1, 0, 1, 2):
         r = PHI ** (n / 2)
         for th in np.linspace(-0.3, math.pi, 16):
-            worst = max(worst, abs(hydro.pure_golden_flow(r * cmath.exp(1j * th))[1]))
+            worst = _worst(worst, abs(hydro.pure_golden_flow(r * cmath.exp(1j * th))[1]))
     worst_p = 0.0
     for th in np.linspace(-0.3, math.pi, 8):
         z = 1.17 * cmath.exp(1j * th)
-        worst_p = max(worst_p, abs(hydro.pure_golden_flow(PHI * z)[0]
+        worst_p = _worst(worst_p, abs(hydro.pure_golden_flow(PHI * z)[0]
                                    - hydro.pure_golden_flow(z)[0]))
     out.append(_bounded("pure flow: zero streamlines at r = phi^(n/2), F(phi z) = F(z)",
                         (f"worst psi {worst:.2e}", worst, 1e-12),
@@ -427,7 +428,7 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
         for t_val in np.linspace(0.5, 2.0, 7):
             lhs = hydro.wm_fractal(PHI * t_val, d, 60)
             rhs = PHI**d * hydro.wm_fractal(t_val, d, 60)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+            worst = _worst(worst, abs(lhs - rhs) / abs(rhs))
     out.append(_bounded("WM fractal self-similarity W(phi t) = phi^d W(t)",
                         (f"worst rel {worst:.2e}", worst, 1e-5)))
 
@@ -441,7 +442,7 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
         if abs(z - z0) >= 0.1:
             zs.append(z)
     ladder = hydro.vortex_velocity(sys200, np.array(zs))
-    worst = max(abs(hydro.velocity_via_ln_phi([(z0, kappa)], z) - v) for z, v in zip(zs, ladder))
+    worst = _worst(*(abs(hydro.velocity_via_ln_phi([(z0, kappa)], z) - v) for z, v in zip(zs, ladder)))
     out.append(_bounded("phi-logarithm velocity equals image-sum velocity",
                         (f"worst {worst:.2e}", worst, 1e-7)))
 
@@ -458,7 +459,7 @@ def suite_hydro(rng: np.random.Generator) -> list[CheckResult]:
                       for a in (0.0, *rng.uniform(0.05, 2 * math.pi - 0.05, 2)))
         fa, fb = (hydro.potential_via_e_phi([(z0, -1 / (2 * math.pi))], z) for z in (za, zb))
         psi, _ = hydro.flow(ann, [(z0, 1.0)], np.array([za, zb]))
-        worst = max(worst, abs((fa - fb).imag - (psi[0] - psi[1])))
+        worst = _worst(worst, abs((fa - fb).imag - (psi[0] - psi[1])))
     # measured at most 1.3e-15 over 400 draws (seeds 0-39): the bound leaves about 75x
     out.append(_bounded("explicit potential: Im differences equal flow's psi",
                         (f"worst {worst:.1e}", worst, 1e-13)))
@@ -486,18 +487,18 @@ def _kernel_against_oracles(rng: np.random.Generator) -> tuple[float, float, flo
         sys = hydro.ImageSystem(z0, 0.9, ann)
         ref_v = hydro.vortex_velocity(sys, zs)
         ref_psi = hydro.stream_function(sys, zs)
-        worst_v = max(worst_v, _relative_error(vel, ref_v))
-        worst_psi = max(worst_psi, float(np.ptp(psi - ref_psi)))
+        worst_v = _worst(worst_v, _relative_error(vel, ref_v))
+        worst_psi = _worst(worst_psi, float(np.ptp(psi - ref_psi)))
         if k == 1:
             ref = [hydro.velocity_via_ln_phi([(z0, -0.9 / (2 * math.pi))], complex(z)) for z in zs]
-            worst_pole = max(worst_pole, _relative_error(vel, np.array(ref)))
+            worst_pole = _worst(worst_pole, _relative_error(vel, np.array(ref)))
     pos = tuple(cmath.rect(r, rng.uniform(0, 2 * math.pi)) for r in (1.08, 1.2))
     gs = (1.0, -0.6)
     ref = [hydro.velocity_via_ln_phi([(pos[1 - l], -gs[1 - l] / (2 * math.pi))], zl).conjugate()
            + 1j * zl * dynamics.single_vortex_omega(abs(zl), -gs[l] / (2 * math.pi))
            for l, zl in enumerate(pos)]
     rhs = dynamics.n_vortex_rhs(dynamics.VortexState(pos, gs))
-    worst_pole = max(worst_pole, _relative_error(rhs, np.array(ref)))
+    worst_pole = _worst(worst_pole, _relative_error(rhs, np.array(ref)))
     return worst_v, worst_psi, worst_pole
 
 
@@ -552,11 +553,11 @@ def suite_dynamics(rng: np.random.Generator) -> list[CheckResult]:
         h0 = dynamics.hamiltonian(st)
         traj = dynamics.integrate(st, dynamics.IntegratorConfig(1e-3, 10000))
         h1 = dynamics.hamiltonian(dynamics.VortexState(tuple(traj.positions[-1].tolist()), gs))
-        worst = max(worst, abs(h1 - h0) / abs(h0))
+        worst = _worst(worst, abs(h1 - h0) / abs(h0))
         # the annulus is invariant under rotation, so I = sum gamma_i |z_i|^2
         # is conserved; its drift is relative to sum |gamma_i| |z_i|^2
         r2 = np.abs(traj.positions[[0, -1]]) ** 2
-        worst_i = max(worst_i, abs((r2[1] - r2[0]) @ gs) / (r2[0] @ np.abs(gs)))
+        worst_i = _worst(worst_i, abs((r2[1] - r2[0]) @ gs) / (r2[0] @ np.abs(gs)))
     out.append(_bounded("Hamiltonian conserved for 2- and 3-vortex runs",
                         (f"worst rel drift {worst:.2e}", worst, 1e-6)))
     # measured 5.4e-16 (N = 2) and 5.9e-16 (N = 3): the bound leaves 169x
@@ -569,7 +570,7 @@ def suite_dynamics(rng: np.random.Generator) -> list[CheckResult]:
         st = dynamics.VortexState((z0,), (1.0,))
         v = dynamics.n_vortex_rhs(st)[0]
         om = dynamics.single_vortex_omega(r, -1.0 / (2 * math.pi))
-        worst = max(worst, abs(v - 1j * om * z0))
+        worst = _worst(worst, abs(v - 1j * om * z0))
     out.append(_bounded("single-vortex rhs equals the closed rotation law",
                         (f"worst {worst:.2e}", worst, 1e-7)))
 

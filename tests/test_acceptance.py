@@ -7,10 +7,11 @@ to see one `criterion <suite> NN` line per check.  The seed is the CLI's default
 `goldcalc verify --suite all` runs.
 """
 
+import numpy as np
 import pytest
 
 from goldcalc import dynamics, hydro, verify
-from goldcalc.cli import build_parser
+from goldcalc.cli import build_parser, main
 from goldcalc.ring import fib_divisor
 
 SEED = build_parser().parse_args(["verify"]).seed
@@ -36,6 +37,17 @@ def test_bounded_check_is_strict_and_reports_the_nearest_quantity():
     assert not r.passed and r.bound == 1e-8
     assert not verify._bounded("c", ("a", 1e-12, 1e-10), ok=False).passed
     assert verify.run_suite("ring")[1].value is None  # exact checks carry no bound
+
+
+def test_a_nan_error_fails_its_check(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: folded with Python's max, a nan from the ladder
+    # velocity passed these two checks
+    monkeypatch.setattr(hydro, "vortex_velocity", lambda sys, z, **kwargs: np.full(np.shape(z), np.nan, complex))
+    results = {r.name: r for r in verify.run_suite("hydro", SEED)}
+    for name in ("velocity self-similar V(phi^k z) = phi^-k V(z)", "kernel equals ladder and pole-sum forms"):
+        assert not results[name].passed and "nan" in results[name].detail
+    assert main(["verify", "--suite", "all"]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_oracles_are_called_once_per_point_set(monkeypatch):

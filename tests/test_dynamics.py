@@ -216,7 +216,7 @@ class TestCheckPairs:
         return zs
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("n", [LIST_MAX + 2, 16, 100, 600])
+    @pytest.mark.parametrize("n", [6, LIST_MAX + 2, 16, 100, 600])
     def test_blocks_equal_the_matrix_rule(self, monkeypatch, n, seed):
         zs = self.tied_state(n, seed)
         closest, pair = matrix_pairs(zs)

@@ -57,10 +57,14 @@ angles = st.floats(-math.pi, math.pi)
 
 class TestNome:
     def test_form_and_terms(self):
-        assert kernel.nome(1).dual and kernel.nome(1).terms == 1
-        assert kernel.nome(4).dual and kernel.nome(4).terms == 2
+        # the forms are compared on a pair's angle gap moved into [-pi, pi]
+        def terms(k):
+            return kernel.pair_terms(kernel.nome(k), math.pi)
+
+        assert kernel.nome(1).dual and terms(1) == 1
+        assert kernel.nome(4).dual and terms(4) == 2
         # the last dual level takes 7 terms against 7 product factors
-        assert kernel.nome(15).dual and kernel.nome(15).terms == 7 == kernel._direct_terms(kernel.nome(15).lam, 1.0)
+        assert kernel.nome(15).dual and terms(15) == 7 == kernel._direct_terms(kernel.nome(15).lam, 1.0)
         assert not kernel.nome(16).dual
         assert not kernel.nome(20).dual
 
@@ -89,6 +93,47 @@ class TestNome:
             np.log(np.abs((1 - p**n * zeta) * (1 - p**n / zeta))), axis=0)
         assert np.max(np.abs(kernel.log_derivative(zeta, k) - direct_k)) < 1e-13
         assert np.max(np.abs(kernel.log_abs_prime(zeta, k) - direct_p)) < 1e-13
+
+
+class TestPrimeIdentities:
+    """P(p zeta) = P(1/zeta) = -P(zeta)/zeta, p = phi^-k, at every dual level,
+    with no oracle: ln|P| at p zeta and at 1/zeta is ln|P(zeta)| - ln|zeta|,
+    K(p zeta) = K(zeta) - 1 and K(1/zeta) = 1 - K(zeta)."""
+
+    # Errors relative to max(1, |value|), as K is large next to its poles.
+    # Measured at most 2.4e-14 (ln|P|) and 1.2e-13 (K) for the shift, and
+    # 1.2e-13 and 1.6e-13 for the inversion, whose both sides lie next to a
+    # zero (p and 1/p) for the points 1e-2 p from p.  There w - 1 is about
+    # 2 pi i 1e-2/lam, against the rounding 2 pi 1e-16 of the exponent
+    # 2 pi i log(z)/lam: about 1e-16 lam/1e-2 relative on each side, 8e-14
+    # at k = 15
+    BOUND = 3e-13
+
+    @staticmethod
+    def arguments(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """300 random zeta with |ln|zeta|| <= lam/2, and 100 zeta 1e-2 from 1,
+        so that p zeta lies 1e-2 p from the zero p."""
+        rng = np.random.default_rng(k)
+        lam = k * kernel.LN_PHI
+        free = np.exp(rng.uniform(-lam / 2, lam / 2, 300) + 1j * rng.uniform(-math.pi, math.pi, 300))
+        return free, 1 + 1e-2 * np.exp(1j * rng.uniform(-math.pi, math.pi, 100))
+
+    def assert_within(self, got, ref):
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < self.BOUND
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_golden_shift(self, k):
+        zeta = np.concatenate(self.arguments(k))
+        shifted = PHI**-k * zeta
+        self.assert_within(kernel.log_abs_prime(shifted, k), kernel.log_abs_prime(zeta, k) - np.log(np.abs(zeta)))
+        self.assert_within(kernel.log_derivative(shifted, k), kernel.log_derivative(zeta, k) - 1)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_inversion(self, k):
+        free, near_one = self.arguments(k)
+        zeta = np.concatenate((free, near_one, PHI**-k * near_one))
+        self.assert_within(kernel.log_abs_prime(1 / zeta, k), kernel.log_abs_prime(zeta, k) - np.log(np.abs(zeta)))
+        self.assert_within(kernel.log_derivative(1 / zeta, k), 1 - kernel.log_derivative(zeta, k))
 
 
 class TestAnnulus:
@@ -256,6 +301,14 @@ class TestPairLogDerivative:
         # together), and the two routes round different quantities
         tol = 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared
         assert np.all(np.abs(got - ref) <= tol)
+
+    def test_direct_form_pair_by_the_outer_wall(self):
+        # a draw of test_equals_log_derivative at k = 20: with z_i conj(z_j)
+        # rounded twice, as z_i / (1/conj(z_j)), its diagonal took 1.0015x the bound
+        log_z = np.log([109.68249996465516 - 55.64844231778339j, -0.9253306501160897 - 0.3791611638864385j])
+        got = pair_matrix(kernel.pair_evaluator(np.eye(2), 20), log_z.tolist())
+        ref, k_squared = pair_reference(np.exp(log_z), 20)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * k_squared)
 
     def test_direct_form_near_the_outer_wall_is_exact_at_the_points_of_its_logs(self):
         # at k = 20 (direct form) the evaluator takes the logs and builds its
@@ -468,9 +521,10 @@ class TestPairTermSizing:
             nm = kernel.nome(k)
             bound = math.log(kernel.TAIL * (1 - nm.q) ** 2 / (4 * math.pi / nm.lam + 2), nm.q)
             assert kernel.pair_terms(nm, 2 * math.pi) == max(1, math.ceil(bound)) == len(nm.dual_sums)
-            # prime_sums' pairs, |Im L| <= pi, take the terms of spread pi
-            assert nm.terms == kernel.pair_terms(nm, math.pi) == old_dual_terms(nm)
-        assert [kernel.nome(k).terms for k in dual] == [1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
+            # a pair's gap moved a turn into [-pi, pi] takes the terms of spread pi
+            assert kernel.pair_terms(nm, math.pi) == old_dual_terms(nm)
+        terms = [kernel.pair_terms(kernel.nome(k), math.pi) for k in dual]
+        assert terms == [1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
 
     @pytest.mark.parametrize("angles", [(0.3, 1.5), (3.0, -3.0), (-0.1, 2.9), (2.0, -1.0)])
     def test_a_pair_at_k1_needs_no_term_unless_nearly_antipodal(self, monkeypatch, angles):
