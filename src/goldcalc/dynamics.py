@@ -14,8 +14,10 @@ so a stage takes no log and divides by no z: its escape test is a
 comparison on Re l, then N complex exps and the pair sums.  The number of
 vortices N chooses how the pairs are summed (`kernel.LIST_MAX_POINTS`, set at
 the measured crossover; see `goldcalc.kernel`): up to that N in plain complex
-arithmetic, with no numpy call; above it numpy builds the pair block in
-blocks of rows.  The RK4 loop is compiled once per N to straight-line Python
+arithmetic, with no numpy call, and each vortex's self term in real
+arithmetic, so a lone vortex's dl/dt has a real part of exactly 0 and its
+ln|z| stays as it started; above it numpy builds the pair block in blocks
+of rows.  The RK4 loop is compiled once per N to straight-line Python
 (`_run_plan`), with every vortex and stage on local names around the calls
 of the field, since the stage records, calls and lists of a loop over stages
 cost about as much as the pair sums of a few vortices.
@@ -458,7 +460,8 @@ def semiclassical_energy(n: int, gamma: float) -> float:
 
 
 def load_initial_conditions(path) -> VortexState:
-    """Read a JSON array of {x, y, gamma} records into a VortexState."""
+    """Read a JSON array of {x, y, gamma} records into a VortexState; each
+    value must be a JSON number (a boolean or a numeric string is refused)."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
@@ -473,9 +476,12 @@ def load_initial_conditions(path) -> VortexState:
         for key in ("x", "y", "gamma"):
             if key not in rec:
                 raise ValueError(f"record {index}: no {key!r}")
+            value = rec[key]
             try:
-                values.append(float(rec[key]))
-            except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError
+                values.append(float(value))
+            except (TypeError, OverflowError):  # OverflowError: an int beyond float range
                 raise ValueError(f"record {index}: {key!r} is not a float") from None
         positions.append(complex(values[0], values[1]))
         circulations.append(values[2])

@@ -242,12 +242,18 @@ def potential_via_e_phi(vortices, z: complex) -> complex:
     return total
 
 
-def velocity_via_ln_phi(vortices, z: complex) -> complex:
+def velocity_via_ln_phi(vortices, z):
     """Conjugate velocity of vortices (z_s, kappa_s) in the k=1 annulus via four
-    phi-logarithms per vortex (pole-sum form, valid across the annulus)."""
+    phi-logarithms per vortex (pole-sum form, valid across the annulus), at a
+    point z (a Python number gives a Python complex) or elementwise over an
+    array z of points, with one array call of each phi-logarithm."""
     from goldcalc.functions import ln_phi
 
-    total = 0j
+    if isinstance(z, (int, float, complex)):
+        total = 0j
+    else:
+        z = np.asarray(z, dtype=complex)
+        total = np.zeros(z.shape, dtype=complex)
     for zs, kappa in vortices:
         if kappa == 0:
             continue

@@ -56,6 +56,9 @@ step (_series) and column terms (_column_terms):
   the same entries summed pair by pair in plain complex arithmetic by code
   compiled once per (N, k) (_sum_plan): each numpy call has a fixed cost of
   about a microsecond, which at a few points outweighs the arithmetic.
+  There each vortex's self term -K(|z_i|^2), whose w lies on the unit
+  circle, is real and taken in real arithmetic, and a lone vortex takes no
+  complex exponential.
 The direct form builds the pair arguments from the points themselves.
 `pair_evaluator` gives vortex velocities in l = log z from the logs alone,
 so an RK4 stage in l takes no log and divides by no z.
@@ -410,43 +413,61 @@ def _sum_plan(n: int, k: int):
     """make(w_0, ..., w_{n-1}, total) -> evaluate, the plain pair sums of n
     points at level k (see _pair_sums), compiled once from source that writes
     every vortex and every pair out on local names.  The level's constants
-    are the code's globals: c = 2 pi i/lam, -2/lam, Q and 1/Q, the g(w) sums
-    s_m of gap 0 and the one more of a gap of at least reach, the diagonal's
-    constant.  compile_make registers the source in linecache."""
+    are the code's globals: c = 2 pi i/lam, -2/lam, 1/lam, Q and 1/Q, the
+    g(w) sums s_m of gap 0 and the one more of a gap of at least reach, the
+    real self term's 2 pi/lam, pi/lam and 8 pi/lam.  compile_make registers
+    the source in linecache."""
     nm = nome(k)
     near = pair_terms(nm, 0.0)
     # pair_terms(nm, gap) exceeds near from gap = reach on; beyond pi no pair gets there
     reach = 2 * math.pi * (near + 1 - nm.pair_order)
-    # diag is the diagonal c/(w - offset) = -1/2 - i pi/lam of the numpy block (see _pair_rows)
-    names = dict(c=2j * math.pi / nm.lam, scale=-2 / nm.lam, q=nm.q, inv_q=1 / nm.q, reach=reach,
-                 diag=-0.5 - 1j * math.pi / nm.lam, exp=cmath.exp, exp_real=math.exp, pi=math.pi,
-                 turn=2 * math.pi, i_2pi=I_OVER_TWO_PI)
+    names = dict(c=2j * math.pi / nm.lam, scale=-2 / nm.lam, inv_lam=1 / nm.lam, q=nm.q, inv_q=1 / nm.q,
+                 reach=reach, angle=2 * math.pi / nm.lam, cot_scale=math.pi / nm.lam,
+                 sin_scale=8 * math.pi / nm.lam, sin=math.sin, cos=math.cos, exp=cmath.exp, exp_real=math.exp,
+                 pi=math.pi, turn=2 * math.pi, i_2pi=I_OVER_TWO_PI)
     names.update((f"s{m}", s) for m, s in enumerate(nm.dual_sums[: near + 1]))
 
-    def series(out: str, ei: str, v: str, terms: int) -> list:
-        """Lines taking the g(w) terms s_0 .. s_(terms-1) from out, the leading term c v / (e_i - v)."""
-        return [f"ee, vv, prod = {ei} * {ei}, {v} * {v}, {ei} * {v}", "num, ends = c * (ee - vv), ee + vv",
+    def series(out: str, v: str, terms: int) -> list:
+        """Lines taking the g(w) terms s_0 .. s_(terms-1), over c, from out, the leading term v / (x - v)."""
+        return [f"ee, vv, prod = x * x, {v} * {v}, x * {v}", "num, ends = ee - vv, ee + vv",
                 *(f"{out} -= num / (s{m} * prod - ends)" for m in range(terms))] if terms else []
 
-    def pair_series(terms: int) -> list:
-        return ["    " + line for line in series("d", "x", "e{j}", terms) + series("h", "x", "v{j}", terms)]
+    def pair_series(j: int, terms: int) -> list:
+        return ["    " + line for line in series("d", f"v{j}", terms) + series("h", f"e{j}", terms)]
 
-    # templates of vortex i, of pair i < j and of the velocity of vortex i
-    vortex = ["e{i} = exp(c * l{i})", "a{i} = l{i}.imag", "v{i} = e{i}.conjugate()",
-              "d = c * v{i} / (e{i} - v{i})", *series("d", "e{i}", "v{i}", near), "o{i} = w{i} * (diag - d)"]
-    pair = ["x, gap = e{i}, a{i} - a{j}", "if gap > pi:", "    x, gap = x * inv_q, gap - turn",
-            "elif gap < -pi:", "    x, gap = x * q, gap + turn",
-            "d, h = c * e{j} / (x - e{j}), c * v{j} / (x - v{j})",
-            "if abs(gap) >= reach:", *pair_series(near + 1), *(["else:", *pair_series(near)] if near else []),
-            "o{i} += w{j} * (d - h)", "o{j} -= w{i} * (d + h.conjugate())"]
-    velocity = "    (o{i} + col + total).conjugate() * (i_2pi * exp_real(-2 * l{i}.real)),"
+    # vortex i: r_i, the real self term (see _pair_sums) of t = 2 pi ln|z_i|/lam,
+    # read off x + iy: e_i where the vortex has pairs, else cos t + i sin t;
+    # sp = (4 pi/lam) sin 2t, cp = 2 cos 2t
+    dual_terms = "".join(f" - sp / (s{m} - cp)" for m in range(near))
+
+    def vortex(i: int) -> list:
+        point = ([f"e{i} = exp(c * l{i})", f"a{i} = l{i}.imag", f"v{i} = e{i}.conjugate()",
+                  f"x, y = e{i}.real, e{i}.imag"] if n > 1 else [f"t = angle * l{i}.real", "x, y = cos(t), sin(t)"])
+        return [*point,
+                *(["rr = x * x + y * y", "sp, cp = sin_scale * x * y / rr, 2 - 4 * y * y / rr"] if near else []),
+                f"r{i} = w{i} * (-0.5 - cot_scale * x / y{dual_terms})"]
+
+    # pair i < j: p_i sums conj(D_ij)/c over the pairs, from d = conj(g(e_i/e_j))/c
+    # and h = conj(g(e_i/conj(e_j)))/c of x = conj(e_i), moved as e_i is; each p
+    # starts at its first term, vortex 0's in pair (0, 1) and vortex j's in (0, j)
+    def pair(i: int, j: int) -> list:
+        terms = [*pair_series(j, near + 1), *(["else:", *pair_series(j, near)] if near else [])]
+        return [f"x, gap = v{i}, a{i} - a{j}", "if gap > pi:", "    x, gap = x * inv_q, gap - turn",
+                "elif gap < -pi:", "    x, gap = x * q, gap + turn",
+                f"d, h = v{j} / (x - v{j}), e{j} / (x - e{j})", "if abs(gap) >= reach:", *terms,
+                f"p{i} = {'' if j == 1 else f'p{i} + '}w{j} * (d - h)",
+                f"p{j} = w{i} * (h.conjugate() - d)" if i == 0 else f"p{j} = p{j} - w{i} * (d - h.conjugate())"]
+
+    # the velocity of vortex i, i conj(S_i)/(2 pi) e^(-2 ln|z_i|), S_i = r_i + base + c conj(p_i)
+    def velocity(i: int) -> str:
+        return f"    {f'(inv_lam * p{i} + ' if n > 1 else '('}i_2pi * (r{i} + base)) * exp_real(-2 * l{i}.real),"
+
     points = range(n)
-    # col starts from 0.0 as the loop's running sum did: a -0.0 term keeps its sums' bits
-    body = [f"[{', '.join(f'l{i}' for i in points)}] = log_z",
-            *(line.format(i=i) for i in points for line in vortex),
-            f"col = (0.0{''.join(f' + l{i}.real * w{i}' for i in points)}) * scale",
-            *(line.format(i=i, j=j) for i, j in itertools.combinations(points, 2) for line in pair),
-            "return [", *(velocity.format(i=i) for i in points), "]"]
+    # the column sum starts from 0.0 as the loop's running sum did: a -0.0 term keeps its bits
+    body = [f"[{', '.join(f'l{i}' for i in points)}] = log_z", *(line for i in points for line in vortex(i)),
+            f"base = total + (0.0{''.join(f' + l{i}.real * w{i}' for i in points)}) * scale",
+            *(line for i, j in itertools.combinations(points, 2) for line in pair(i, j)),
+            "return [", *map(velocity, points), "]"]
     source = "".join([f"def make({''.join(f'w{i}, ' for i in points)}total):\n", "    def evaluate(log_z):\n",
                       *(f"        {line}\n" for line in body), "    return evaluate\n"])
     return compile_make(source, f"<goldcalc.kernel pair sums n={n} k={k}>", names)
@@ -471,9 +492,20 @@ def _pair_sums(weights: list, k: int):
     |gap| <= pi, pair_terms(nm, |gap|): none at k = 1 unless the pair is
     within about 0.11 rad of antipodal.  The diagonal's L = 2 ln|z_i| is
     real on every branch, so it takes the terms of gap 0: none at k = 1.
-    The last line adds the column terms and the weights' sum to each row and
-    scales it to dl/dt.  _sum_plan(N, k) writes all of this out once; the
-    factory it gives binds the weights and their sum."""
+    Its w = exp(4 pi i ln|z_i|/lam) lies on the unit circle, so the self
+    term D_ii less its column term is real, and is written in real
+    arithmetic: -1/2 - (pi/lam) cot t - sum_m (4 pi/lam) sin 2t/(s_m - 2 cos 2t),
+    t = 2 pi ln|z_i|/lam, s_m = Q^m + Q^-m, with cos t and sin t read off e_i
+    where vortex i has pairs and taken directly where it has none, as a lone
+    vortex, whose dl/dt then has a real part of exactly 0.
+
+    dl/dt takes conj(S_i), so the sums take c out of every pair entry and
+    add up p_i = sum_j w_j conj(D_ij)/c: conj(d)/c and conj(h)/c are d/c
+    and h/c with conj(e_i) in place of e_i and e_j, conj(e_j) swapped, and
+    as c is imaginary, conj(S_i) = R_i - c p_i, with R_i the self term plus
+    the column terms and the weights' sum.  The last line scales each row to
+    dl/dt = (p_i/lam + i R_i/(2 pi)) e^(-2 ln|z_i|).  _sum_plan(N, k) writes
+    all of this out once; the factory it gives binds the weights and their sum."""
     return _sum_plan(len(weights), k)(*weights, sum(weights))
 
 

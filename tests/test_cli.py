@@ -446,7 +446,9 @@ class TestSimulate:
         ({"x": 1.1, "y": [0.0] * 200, "gamma": 1.0}, "'y'"),
         ({"x": 1.1, "y": 0.0}, "'gamma'"),
         ({"x": "x" * 400, "y": 0.0, "gamma": 1.0}, "'x'"),
-    ], ids=["int beyond float range", "list", "missing", "long string"])
+        ({"x": 1.1, "y": 0.0, "gamma": True}, "'gamma'"),
+        ({"x": "1.1", "y": 0.0, "gamma": 1.0}, "'x'"),
+    ], ids=["int beyond float range", "list", "missing", "long string", "boolean", "numeric string"])
     def test_bad_record_named_by_index_and_key(self, tmp_path, capsys, record, key):
         init = tmp_path / "bad.json"
         init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}] * 2 + [record]))
@@ -587,6 +589,12 @@ class TestStartup:
         loaded = modules_loaded(argv, tmp_path)
         assert "goldcalc.cli" in loaded and "numpy" not in loaded
 
+    def test_verify_loads_no_numpy_random(self, tmp_path):
+        # the checks draw from random.Random; numpy.random only costs import time
+        loaded = modules_loaded(["verify", "--suite", "ring"], tmp_path)
+        assert "goldcalc.verify" in loaded and "numpy" in loaded
+        assert not [m for m in loaded if m.split(".")[:2] == ["numpy", "random"]]
+
     def test_field_and_simulate_load_no_oracle_checks(self, tmp_path):
         init = tmp_path / "init.json"
         init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0}]))
@@ -598,5 +606,6 @@ class TestStartup:
             assert "goldcalc.kernel" in loaded, argv
             for oracles in ("goldcalc.verify", "goldcalc.functions", "goldcalc.combinatorics"):
                 assert oracles not in loaded, (argv, oracles)
+            assert "numpy.random" not in loaded, argv
             if argv[0] == "field":  # simulate reads its --init with json
                 assert "json" not in loaded

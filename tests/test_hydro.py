@@ -245,6 +245,23 @@ class TestClosedForms:
         both = velocity_via_ln_phi([(self.Z0, self.KAPPA), (zs2, 0.4)], z)
         assert abs(both - single - other) < 1e-12
 
+    def test_velocity_on_arrays(self):
+        # one call for all points: the entries equal the scalar calls to within
+        # numpy's complex division, relative to max(1, |v|) as the terms are
+        # about 1 and cancel: measured at most 1.4e-15 over 40 such draws
+        rng = random.Random(23)
+        zs = np.array([cmath.rect(rng.uniform(1.02, SQRT_PHI - 0.02), rng.uniform(-3, 3)) for _ in range(24)])
+        vortices = [(self.Z0, self.KAPPA), (1.2 * cmath.exp(4.5j), 0.4)]
+        got = velocity_via_ln_phi(vortices, zs.reshape(4, 6))
+        ref = np.array([velocity_via_ln_phi(vortices, complex(z)) for z in zs])
+        assert got.shape == (4, 6)
+        assert np.all(np.abs(got.ravel() - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        assert type(velocity_via_ln_phi(vortices, 1.2 + 0.1j)) is complex
+        assert velocity_via_ln_phi(vortices, np.zeros(0)).shape == (0,)
+        assert np.array_equal(velocity_via_ln_phi([(self.Z0, 0.0)], zs), np.zeros(24))
+        with pytest.raises(SingularityProximityError, match=re.escape(str(self.Z0))):
+            velocity_via_ln_phi(vortices, np.array([zs[0], self.Z0]))
+
 
 class TestWMFractal:
     def test_small_t_vanishes(self):

@@ -677,8 +677,36 @@ class TestCompiledPairSums:
             evaluate([cmath.log(1.1 + 0.2j)] * 2)
         text = "".join(traceback.format_exception(info.value))
         assert 'File "<goldcalc.kernel pair sums n=2 k=1>", line ' in text
-        assert "d, h = c * e1 / (x - e1), c * v1 / (x - v1)" in text
+        assert "d, h = v1 / (x - v1), e1 / (x - e1)" in text
         assert inspect.getsource(evaluate).startswith("    def evaluate(log_z):\n        [l0, l1] = log_z\n")
+
+
+class TestRealSelfTerm:
+    """Up to LIST_MAX points the plain sums take each vortex's self term,
+    whose w lies on the unit circle, in real arithmetic."""
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_lone_vortex_velocity_has_no_radial_part(self, k):
+        # at every dual level, and down to 1e-9 from each wall
+        assert kernel.nome(k).dual
+        outer = PHI ** (k / 2)
+        evaluate = kernel.pair_evaluator([0.7], k)
+        for r in (1 + 1e-9, 1 + 1e-6, PHI ** (k / 4), 0.5 * (1 + outer), outer - 1e-6, outer - 1e-9):
+            for angle in (-3.0, 0.4, math.pi):
+                v = evaluate([cmath.log(cmath.rect(r, angle))])[0]
+                assert v.real == 0.0 and math.isfinite(v.imag), (r, angle)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    @pytest.mark.parametrize("n", range(1, LIST_MAX + 1))
+    def test_diagonal_equals_numpy_block(self, k, n):
+        # TestPairLogDerivative's bound on the diagonal, points by both walls
+        fractions = (1e-9, 1 - 1e-9, 0.3, 1e-6, 0.7, 1 - 1e-6, 0.5)
+        zs = np.array([point(k, fractions[l], 0.3 + 2 * math.pi * l / n) for l in range(n)])
+        log_z, eye = np.log(zs).tolist(), np.eye(n)
+        ref = np.diag(pair_matrix(kernel._pair_block(eye, k), log_z))
+        got = np.diag(pair_matrix(kernel._pair_sums(list(eye), k), log_z))
+        _, k_squared = pair_reference(zs, k)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)) + 1e-15 * np.diag(k_squared))
 
 
 @st.composite
