@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 usage or parse error, 2 runtime physics event
 (vortex collision or boundary escape), 3 verification failure.
 
 Each command imports only the code it runs: `seq` and the scalar functions of
-`eval` start without numpy, and only `verify` loads the oracle checks.
+`eval` start without numpy, only `verify` loads the oracle checks, and only
+the file writers of `field` and `simulate` load orjson.
 
 `python -m goldcalc.cli` and the `goldcalc` script enter through `run()`: the
 cyclic collector is off from before the command's imports, and the heap is
@@ -141,6 +142,29 @@ def _log10_fib_divisor(n: int, k: int) -> float:
         return math.inf
 
 
+def _log10_phi_number_float(n: int, k: int) -> float:
+    """log10 of the largest float GoldenExact.to_real forms for phi_number(n, k),
+    x = 1 + q + ... + q^(n-1) with q = phi^k, by its geometric sums: x itself
+    for k >= 0, and for k < 0 the norm x x', which to_real divides by the
+    larger conjugate x' (q' = (-1/phi)^k).  A sum with ratio q = 1/r, |r| < 1,
+    has log10 |x| = (n - 1) log10 |q| + log10 |(1 - r^n) / (1 - r)|, and one
+    with |q| < 1 the same with log10 |q| = 0 and r = q; inf when n or k
+    does not fit a float."""
+    if k == 0:
+        return math.log10(n)
+
+    def log10_sum(log10_q: float, r: float) -> float:
+        return (n - 1) * log10_q + math.log10(abs((1 - r**n) / (1 - r)))
+
+    try:
+        log10_q, r = abs(k) * math.log10(PHI), PHI ** -abs(k)
+        if k > 0:
+            return log10_sum(log10_q, r)
+        return log10_sum(0.0, r) + log10_sum(log10_q, -r if k % 2 else r)
+    except OverflowError:
+        return math.inf
+
+
 def run_seq(args) -> int:
     if args.k == 0:
         print("goldcalc seq: error: --k must be nonzero", file=sys.stderr)
@@ -173,6 +197,13 @@ def run_eval(args) -> int:
         if args.fn == "phi-number":
             if args.n is None or args.n < 1:
                 print("goldcalc eval: error: phi-number needs --n >= 1", file=sys.stderr)
+                return EXIT_USAGE
+            # refused before the O(n^2) sum: a value or norm past the float
+            # maximum, which at most 309-digit coefficients reach long before
+            # Python's int digit limit (at least 640) for printing them
+            if _log10_phi_number_float(args.n, args.k) >= math.log10(sys.float_info.max):
+                print(f"goldcalc eval: error: phi-number --n {args.n} at --k {args.k} overflows "
+                      f"a float (past {sys.float_info.max!r})", file=sys.stderr)
                 return EXIT_USAGE
             val = phi_number(args.n, args.k)
             print(f"{val}  (= {val.to_real()!r})")
@@ -235,6 +266,9 @@ def run_field(args) -> int:
         grid = hydro.field_grid(annulus, vortices, args.grid, exclusion=args.exclusion)
     except ValueError as exc:
         print(f"goldcalc field: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses the grid's full-size arrays
+        print(f"goldcalc field: error: grid {args.grid[0]}x{args.grid[1]}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not all(np.isfinite(c).all() for c in grid.columns):
         print(f"goldcalc field: error: non-finite samples; {args.out} not written",

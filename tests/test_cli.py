@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from goldcalc import dynamics, hydro, kernel, verify
 from goldcalc.cli import _fmt_complex, main, parse_complex, parse_grid
 from goldcalc.functions import golden_exp
-from goldcalc.ring import PHI, fib_divisor
+from goldcalc.ring import PHI, fib_divisor, golden_pow
 
 
 def read_field_csv(path) -> np.ndarray:
@@ -132,6 +132,33 @@ class TestEval:
     def test_requires_argument(self, capsys):
         assert run_cli(["eval", "--fn", "golden-exp"]) == 1
         assert run_cli(["eval", "--fn", "phi-number"]) == 1
+
+    @pytest.mark.parametrize("k", [1, -1, 3, -4])
+    def test_phi_number_refuses_exactly_the_values_whose_float_overflows(self, capsys, k):
+        # the last n whose float conversion is finite, by adding the terms one at a time
+        total, n = golden_pow(0), 1
+        while True:
+            try:
+                if not math.isfinite((total + golden_pow(k * n)).to_real()):
+                    break
+            except OverflowError:
+                break
+            total, n = total + golden_pow(k * n), n + 1
+        assert run_cli(["eval", "--fn", "phi-number", "--n", str(n), "--k", str(k)]) == 0
+        assert capsys.readouterr().out == f"{total}  (= {total.to_real()!r})\n"
+        assert run_cli(["eval", "--fn", "phi-number", "--n", str(n + 1), "--k", str(k)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows a float" in err
+
+    @pytest.mark.parametrize("n, k", [(10**5, 1), (10**5, -2), (10**400, 1), (10**400, -3),
+                                      (10**400, 0)])
+    def test_phi_number_of_a_large_n_refused_before_computing(self, capsys, n, k):
+        # 10^5 terms take minutes of big-integer sums, and F_100000 has 20,899
+        # digits, past Python's default limit of 4300 for printing an int;
+        # 10^400 does not fit a float
+        assert run_cli(["eval", "--fn", "phi-number", "--n", str(n), "--k", str(k)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows a float" in err
 
     def test_unknown_function(self, capsys):
         assert run_cli(["eval", "--fn", "mystery", "--x", "1"]) == 1
@@ -595,12 +622,14 @@ class TestStartup:
     def test_exact_commands_start_without_numpy(self, tmp_path, argv):
         loaded = modules_loaded(argv, tmp_path)
         assert "goldcalc.cli" in loaded and "numpy" not in loaded
+        assert "orjson" not in loaded  # the file writers' formatter
 
     def test_verify_loads_no_numpy_random(self, tmp_path):
         # the checks draw from random.Random; numpy.random only costs import time
         loaded = modules_loaded(["verify", "--suite", "ring"], tmp_path)
         assert "goldcalc.verify" in loaded and "numpy" in loaded
         assert not [m for m in loaded if m.split(".")[:2] == ["numpy", "random"]]
+        assert "orjson" not in loaded
 
     def test_field_and_simulate_load_no_oracle_checks(self, tmp_path):
         init = tmp_path / "init.json"
@@ -614,8 +643,8 @@ class TestStartup:
             for oracles in ("goldcalc.verify", "goldcalc.functions", "goldcalc.combinatorics"):
                 assert oracles not in loaded, (argv, oracles)
             assert "numpy.random" not in loaded, argv
-            if argv[0] == "field":  # simulate reads its --init with json
-                assert "json" not in loaded
+            # the writers format with orjson, which imports json
+            assert "orjson" in loaded, argv
 
 
 # runs a prelude, then goldcalc.cli as `python -m` does: its __main__ block
@@ -652,6 +681,16 @@ class TestProcessEntry:
     ])
     def test_exit_code(self, tmp_path, argv, code):
         assert cli_process(argv, tmp_path).returncode == code
+
+    def test_grid_numpy_cannot_allocate_is_usage_error(self, tmp_path):
+        # a 4e6 x 4e6 complex grid is 256 TB, past any process's address space,
+        # so numpy refuses it on every host (its two axes take 64 MB)
+        out = tmp_path / "f.csv"
+        proc = cli_process(["field", "--z0", "1.1+0.1i", "--gamma", "1", "--grid", "4000000x4000000",
+                            "--out", str(out)], tmp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("goldcalc field: error: grid 4000000x4000000: Unable to allocate")
+        assert len(proc.stderr.splitlines()) == 1 and not out.exists()
 
     def test_physics_event_exits_two(self, tmp_path):
         init = tmp_path / "close.json"

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldcalc import hydro
 from goldcalc.hydro import (
@@ -369,3 +371,44 @@ class TestFieldGrid:
         for bad in (-1e-3, math.nan, math.inf):
             with pytest.raises(ValueError):
                 field_grid(self.ANN, [], (5, 5), exclusion=bad)
+
+
+class TestColumnText:
+    """The writers' column formatter spells every entry as repr (CSV) or
+    json.dumps (JSON) does, whichever of orjson or the fallback writes it."""
+
+    @staticmethod
+    def assert_spelt(column):
+        values = column.tolist()  # Python floats or ints
+        assert hydro._column_text(column, repr) == list(map(repr, values))
+        assert hydro._column_text(column, hydro._json_number) == list(map(json.dumps, values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_floats(self, values):
+        self.assert_spelt(np.array(values))
+
+    def test_edge_values(self):
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 2.0**53 + 2, 1e15, 0.1, 1 / 3,
+                 math.nan, math.inf]
+        for v in (1e-4, 1e16, 1e-5):  # where repr's exponent form starts, and orjson's differs
+            edges += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+        self.assert_spelt(np.array(edges + [-v for v in edges]))
+
+    def test_random_bit_patterns(self):
+        # every exponent, nan payloads included
+        bits = np.random.default_rng(1).integers(0, 2**64, 20_000, dtype=np.uint64)
+        self.assert_spelt(bits.view(np.float64))
+
+    def test_strided_and_int_columns(self):
+        z = np.exp(np.linspace(-40, 40, 1001) + 1j * np.linspace(0, 7, 1001))
+        assert not z.real.flags.c_contiguous
+        self.assert_spelt(z.real)
+        self.assert_spelt(z.imag)
+        self.assert_spelt(np.array([0, -1, 7, 2**53 + 1, np.iinfo(np.int64).min,
+                                    np.iinfo(np.int64).max], dtype=np.int64))
+
+    def test_float32_column_spelt_as_its_double(self):
+        column = np.array([0.1, 1e-5, 3e38, math.nan], dtype=np.float32)
+        assert hydro._column_text(column, repr) == list(map(repr, column.tolist()))
